@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +40,7 @@ from .zz_decomp import decompose_zz, verify_variant
 
 _OPTION_KEYS = (
     "lattice", "J", "U", "g_min", "g_max", "g_step", "nmc", "bins", "burnin",
-    "seed", "backend", "shots", "reps", "bias", "out", "workers",
+    "seed", "backend", "shots", "reps", "bias", "out",
 )
 
 _DEFAULTS = {
@@ -60,7 +59,6 @@ _DEFAULTS = {
     "reps": "16",
     "bias": "none",
     "out": "auto",
-    "workers": "auto",
 }
 
 _DEFAULT_OUT = {
@@ -119,7 +117,6 @@ class RunConfig:
     reps: int
     bias: BiasModel | None
     out: str
-    workers: int
 
     def g_grid(self) -> list[float]:
         if self.g_step <= 0:
@@ -159,7 +156,6 @@ class RunConfig:
             "reps": self.reps,
             "bias": None if self.bias is None else [self.bias.scale, self.bias.phase_offset],
             "out": self.out,
-            "workers": self.workers,
         }
 
 
@@ -198,13 +194,6 @@ def _resolve(command: str, strings: dict[str, str]) -> RunConfig:
     burnin_text = strings["burnin"].strip().lower()
     burnin = None if burnin_text in ("", "auto") else _parse_int("burnin", burnin_text)
 
-    workers_text = strings["workers"].strip().lower()
-    workers = (os.cpu_count() or 1) if workers_text in ("", "auto") else _parse_int(
-        "workers", workers_text
-    )
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
-
     seed = _parse_int("seed", strings["seed"])
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
@@ -233,7 +222,6 @@ def _resolve(command: str, strings: dict[str, str]) -> RunConfig:
         reps=_parse_int("reps", strings["reps"]),
         bias=bias,
         out=out,
-        workers=workers,
     )
     if cfg.shots < 0:
         raise ConfigError(f"shots must be >= 0, got {cfg.shots}")
@@ -271,7 +259,6 @@ def build_parser() -> _Parser:
         p.add_argument("--reps", default=None, help="independent repetitions for error bars")
         p.add_argument("--bias", default=None, help="synthetic bias 'scale,phase' ('none' disables)")
         p.add_argument("--out", default=None, help="output CSV path")
-        p.add_argument("--workers", default=None, help="parallel grid workers ('auto' = CPU count)")
     return parser
 
 
@@ -296,13 +283,6 @@ def merge_settings(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
             strings[key] = flag
             provided.add(key)
     return _resolve(args.command, strings), provided
-
-
-def _map_grid(fn, items, workers: int) -> list:
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _mc_point(cfg: RunConfig, lattice: Lattice, g_index: int, g: float):
@@ -341,13 +321,9 @@ def _check_mc_limits(cfg: RunConfig, lattice: Lattice) -> None:
 def cmd_mc(cfg: RunConfig, provided: set[str]) -> int:
     lattice = cfg.lattice()
     _check_mc_limits(cfg, lattice)
-    grid = cfg.g_grid()
-    chunks = _map_grid(
-        lambda item: _mc_point(cfg, lattice, item[0], item[1]),
-        list(enumerate(grid)),
-        cfg.workers,
-    )
-    rows = [row for chunk in chunks for row in chunk]
+    rows = []
+    for gi, g in enumerate(cfg.g_grid()):
+        rows.extend(_mc_point(cfg, lattice, gi, g))
     write_csv(cfg.out, _MC_COLUMNS, rows)
     write_metadata(cfg.out, {"config": cfg.echo(), "seed": cfg.seed})
     return 0
@@ -365,15 +341,9 @@ def cmd_sweep(cfg: RunConfig, provided: set[str]) -> int:
         trial = half_filled_trial(lattice)
         trial_sv = slater_to_statevector(trial.up, trial.down, layout)
 
-    mc_chunks = _map_grid(
-        lambda item: _mc_point(cfg, lattice, item[0], item[1]),
-        list(enumerate(grid)),
-        cfg.workers,
-    )
-
     rows = []
     for gi, g in enumerate(grid):
-        for row in mc_chunks[gi]:
+        for row in _mc_point(cfg, lattice, gi, g):
             rows.append(["mc"] + row)
         if n <= 7:
             k_val = full_sum_expectation(kinetic_op, g, trial_sv, layout)

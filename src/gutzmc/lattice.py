@@ -198,18 +198,6 @@ def hubbard_hamiltonian(lattice: Lattice, J: float, U: float) -> PauliSum:
     return kinetic + U * interaction
 
 
-def number_operator_term(layout: QubitLayout, site: int, spin: Spin) -> PauliSum:
-    """Occupation number n = (1 - Z)/2 on one spin orbital."""
-    q = layout.qubit(site, spin)
-    n = layout.n_register
-    return PauliSum.from_terms(
-        [
-            PauliTerm(0.5, "I" * n),
-            PauliTerm(-0.5, "I" * q + "Z" + "I" * (n - q - 1)),
-        ]
-    )
-
-
 def hopping_matrix(lattice: Lattice, J: float) -> np.ndarray:
     """Single-particle hopping matrix (-J on every edge), shape (N, N)."""
     t = np.zeros((lattice.n_sites, lattice.n_sites))

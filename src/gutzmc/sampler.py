@@ -24,7 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gutzwiller import HSParams, field_coupling_matrix, hs_params
+from .gutzwiller import (
+    HSParams,
+    _validate_config,
+    all_field_vectors,
+    field_coupling_matrix,
+    field_rotation_circuit,
+    hs_params,
+)
 from .lattice import Lattice, QubitLayout, hopping_matrix, hubbard_terms
 from .pauli import PauliSum, apply_pauli_sum
 from .slater import (
@@ -278,7 +285,6 @@ class ChainState:
     engine: _DeterminantEngine | _StatevectorEngine
     w_scale: float = 0.0
     max_drift: float = 0.0
-    n_flagged: int = 0
 
 
 def make_chain(trial: TrialState, params: HSParams, backend: str = "determinant") -> ChainState:
@@ -345,13 +351,6 @@ def metropolis_sweep(
     return chain, accepted
 
 
-def _total_field(config: np.ndarray, n_sites: int) -> np.ndarray:
-    s = np.asarray(config, dtype=np.int64)
-    if s.shape != (n_sites, 2) or np.any(np.abs(s) != 1):
-        raise ValueError(f"bad field configuration of shape {s.shape}")
-    return s.sum(axis=1)
-
-
 def weight_numerator(
     config: np.ndarray,
     trial: TrialState,
@@ -365,15 +364,13 @@ def weight_numerator(
     register and takes the inner product.
     """
     n = trial.lattice.n_sites
-    _total_field(config, n)
+    _validate_config(config, n)
     if backend == "determinant":
-        w = dressed_overlap(trial.up, config, params.alpha).value
+        w = dressed_overlap(trial.up, config, params.alpha)
         if trial.spin_symmetric:
             return w * w
-        return w * dressed_overlap(trial.down, config, params.alpha).value
+        return w * dressed_overlap(trial.down, config, params.alpha)
     if backend == "statevector":
-        from .gutzwiller import field_rotation_circuit
-
         layout = QubitLayout(n)
         psi = slater_to_statevector(trial.up, trial.down, layout)
         dressed = apply_circuit(psi.copy(), field_rotation_circuit(config, 1, params, layout))
@@ -410,8 +407,7 @@ def local_estimator(
     same per-spin Green matrices.
     """
     n = trial.lattice.n_sites
-    config = np.asarray(config, dtype=np.int64)
-    _total_field(config, n)
+    config = _validate_config(config, n)
     if backend == "determinant":
         greens = [
             dressed_green_function(trial.up, config[:, 1], config[:, 0], params.alpha)
@@ -422,17 +418,11 @@ def local_estimator(
             greens.append(
                 dressed_green_function(trial.down, config[:, 1], config[:, 0], params.alpha)
             )
-        if observable == "kinetic":
-            t_mat = hopping_matrix(trial.lattice, J)
-            return complex(sum(np.sum(t_mat * m.T) for m in greens))
-        if observable == "interaction":
-            up_diag = np.diagonal(greens[0]) - 0.5
-            dn_diag = np.diagonal(greens[1]) - 0.5
-            return complex(np.sum(up_diag * dn_diag))
-        raise ValueError("determinant backend supports 'kinetic' and 'interaction' only")
+        if observable not in ("kinetic", "interaction"):
+            raise ValueError("determinant backend supports 'kinetic' and 'interaction' only")
+        kinetic, docc = _kd_sums(greens, hopping_matrix(trial.lattice, J))
+        return kinetic if observable == "kinetic" else docc
     if backend == "statevector":
-        from .gutzwiller import field_rotation_circuit
-
         op = _observable_pauli(observable, trial.lattice, J)
         layout = QubitLayout(n)
         psi = slater_to_statevector(trial.up, trial.down, layout)
@@ -448,11 +438,19 @@ def local_estimator(
     raise ValueError(f"unknown backend {backend!r}")
 
 
+def _kd_sums(greens: list[np.ndarray], t_mat: np.ndarray) -> tuple[complex, complex]:
+    """Hopping sum tr(T·M) over both spins and sum_i (M_up[i,i]-1/2)(M_dn[i,i]-1/2)."""
+    kinetic = sum(np.sum(t_mat * m.T) for m in greens)
+    docc = np.sum((np.diagonal(greens[0]) - 0.5) * (np.diagonal(greens[1]) - 0.5))
+    return complex(kinetic), complex(docc)
+
+
 def _measure_kd(
     chain: ChainState,
     trial: TrialState,
     params: HSParams,
     J: float,
+    t_mat: np.ndarray,
     cache: dict[bytes, tuple[float, float]] | None = None,
 ) -> tuple[float, float]:
     """Kinetic and double-occupancy local estimators at the current config.
@@ -467,15 +465,12 @@ def _measure_kd(
         key = chain.config.tobytes()
         hit = cache.get(key)
         if hit is None:
-            hit = _measure_kd(chain, trial, params, J)
+            hit = _measure_kd(chain, trial, params, J, t_mat)
             cache[key] = hit
         return hit
     if isinstance(chain.engine, _DeterminantEngine):
-        greens = chain.engine.green_functions(chain.config)
-        t_mat = hopping_matrix(trial.lattice, J)
-        kinetic = sum(np.sum(t_mat * m.T) for m in greens)
-        docc = np.sum((np.diagonal(greens[0]) - 0.5) * (np.diagonal(greens[1]) - 0.5))
-        return float(np.real(kinetic)), float(np.real(docc))
+        kinetic, docc = _kd_sums(chain.engine.green_functions(chain.config), t_mat)
+        return kinetic.real, docc.real
     kinetic = local_estimator(chain.config, "kinetic", trial, params, "statevector", J)
     docc = local_estimator(chain.config, "interaction", trial, params, "statevector", J)
     return float(kinetic.real), float(docc.real)
@@ -498,6 +493,7 @@ def sample_kinetic_interaction(
     k_samples = np.empty(mc_params.n_sweeps)
     d_samples = np.empty(mc_params.n_sweeps)
     accepted = 0
+    t_mat = hopping_matrix(lattice, J)
     kd_cache: dict[bytes, tuple[float, float]] | None = (
         {} if lattice.n_sites <= 6 else None
     )
@@ -505,7 +501,7 @@ def sample_kinetic_interaction(
         _, n_acc = metropolis_sweep(chain, trial, params, rng)
         accepted += n_acc
         k_samples[sweep], d_samples[sweep] = _measure_kd(
-            chain, trial, params, J, kd_cache
+            chain, trial, params, J, t_mat, kd_cache
         )
     per_bin = mc_params.n_sweeps // mc_params.n_bins
     return McSamples(
@@ -573,7 +569,7 @@ def phase_problem_check(
     if trial is None:
         trial = half_filled_trial(lattice)
     params = hs_params(g)
-    singles = _single_field_vectors(n)
+    singles = all_field_vectors(n)
     # total field t = s1 + s2 for every ordered pair of single-copy vectors
     totals = (singles[:, None, :] + singles[None, :, :]).reshape(-1, n).astype(np.float64)
     weights = np.ones(totals.shape[0], dtype=complex)
@@ -591,9 +587,3 @@ def phase_problem_check(
         max_imag=float(np.max(np.abs(weights.imag))),
         min_real=float(np.min(weights.real)),
     )
-
-
-def _single_field_vectors(n_sites: int) -> np.ndarray:
-    idx = np.arange(1 << n_sites, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n_sites - 1, -1, -1)) & 1
-    return (2 * bits - 1).astype(np.int64)

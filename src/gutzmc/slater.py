@@ -19,6 +19,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .gutzwiller import _validate_config
 from .lattice import Lattice, QubitLayout, hopping_matrix
 from .statevector import StateVector
 
@@ -75,15 +76,6 @@ class TrialState:
         return self.up.phi.shape == self.down.phi.shape and bool(
             np.array_equal(self.up.phi, self.down.phi)
         )
-
-
-@dataclass(frozen=True)
-class DressedOverlap:
-    """Value of a dressed Slater overlap plus numerical health data."""
-
-    value: complex
-    log_magnitude: float
-    condition: float
 
 
 def ground_state_of_K(lattice: Lattice, n_particles_per_spin: int) -> SlaterState:
@@ -169,17 +161,7 @@ def slater_to_statevector(
     return StateVector(layout.n_register, full).normalized()
 
 
-def _field_rows(config: np.ndarray, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split an (n_sites, 2) field array into (ket_row, bra_row)."""
-    s = np.asarray(config, dtype=np.int64)
-    if s.shape != (n_sites, 2):
-        raise ValueError(f"expected field shape ({n_sites}, 2), got {s.shape}")
-    if np.any(np.abs(s) != 1):
-        raise ValueError("fields must be ±1")
-    return s[:, 0], s[:, 1]
-
-
-def dressed_overlap(slater: SlaterState, config: np.ndarray, alpha: float) -> DressedOverlap:
+def dressed_overlap(slater: SlaterState, config: np.ndarray, alpha: float) -> complex:
     """<phi| u(s2) u(s1) |phi> for one spin sector.
 
     Parameters
@@ -193,23 +175,14 @@ def dressed_overlap(slater: SlaterState, config: np.ndarray, alpha: float) -> Dr
 
     Returns
     -------
-    DressedOverlap
-        value = exp(-i*alpha*sum(s1+s2)/2) * det(phi^† diag(e^{i*alpha*(s1+s2)}) phi)
+    complex
+        exp(-i*alpha*sum(s1+s2)/2) * det(phi^† diag(e^{i*alpha*(s1+s2)}) phi),
         with the -1/2 shifts kept as the explicit scalar prefactor.
     """
-    ket, bra = _field_rows(config, slater.n_sites)
-    m = ket + bra
+    m = _validate_config(config, slater.n_sites).sum(axis=1)
     overlap = slater.phi.conj().T @ (np.exp(1j * alpha * m)[:, None] * slater.phi)
     prefactor = np.exp(-0.5j * alpha * m.sum())
-    value = complex(prefactor * np.linalg.det(overlap))
-    magnitude = abs(value)
-    log_mag = float(np.log(magnitude)) if magnitude > 0 else float("-inf")
-    # conditioning relative to the overlap's natural O(1) scale, so a
-    # uniformly tiny matrix (still cond ~ 1) reads as ill-conditioned
-    singular_values = np.linalg.svd(overlap, compute_uv=False)
-    smallest = singular_values[-1]
-    condition = float(max(1.0, singular_values[0]) / smallest) if smallest > 0 else float("inf")
-    return DressedOverlap(value, log_mag, condition)
+    return complex(prefactor * np.linalg.det(overlap))
 
 
 def dressed_green_function(

@@ -16,7 +16,7 @@ import scipy.sparse.linalg as spla
 
 from .pauli import PauliSum, _masks, apply_pauli_sum
 
-_GATE_NAMES = ("H", "X", "SDG", "RZ", "RX", "CNOT", "CRZ", "SWAP")
+_GATE_NAMES = ("H", "X", "RZ", "CRZ")
 
 
 @dataclass
@@ -70,7 +70,7 @@ class Gate:
     """One gate of the small fixed set used by the circuits here.
 
     ``qubits`` lists targets most-significant-first; for controlled gates
-    the control comes first.  ``angle`` is only meaningful for RZ/RX/CRZ.
+    the control comes first.  ``angle`` is only meaningful for RZ/CRZ.
     """
 
     name: str
@@ -92,23 +92,10 @@ class Gate:
             return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
         if self.name == "X":
             return np.array([[0, 1], [1, 0]], dtype=complex)
-        if self.name == "SDG":
-            return np.diag([1.0, -1.0j]).astype(complex)
         if self.name == "RZ":
             return np.diag([np.exp(-0.5j * th), np.exp(0.5j * th)])
-        if self.name == "RX":
-            c, s = np.cos(th / 2.0), np.sin(th / 2.0)
-            return np.array([[c, -1j * s], [-1j * s, c]])
-        if self.name == "CNOT":
-            m = np.eye(4, dtype=complex)
-            m[2:, 2:] = [[0, 1], [1, 0]]
-            return m
         if self.name == "CRZ":
             return np.diag([1.0, 1.0, np.exp(-0.5j * th), np.exp(0.5j * th)])
-        if self.name == "SWAP":
-            m = np.eye(4, dtype=complex)
-            m[1:3, 1:3] = [[0, 1], [1, 0]]
-            return m
         raise AssertionError(self.name)
 
 
@@ -120,28 +107,12 @@ def pauli_x(q: int) -> Gate:
     return Gate("X", (q,))
 
 
-def s_dagger(q: int) -> Gate:
-    return Gate("SDG", (q,))
-
-
 def rz(angle: float, q: int) -> Gate:
     return Gate("RZ", (q,), angle)
 
 
-def rx(angle: float, q: int) -> Gate:
-    return Gate("RX", (q,), angle)
-
-
-def cnot(control: int, target: int) -> Gate:
-    return Gate("CNOT", (control, target))
-
-
 def crz(angle: float, control: int, target: int) -> Gate:
     return Gate("CRZ", (control, target), angle)
-
-
-def swap(q1: int, q2: int) -> Gate:
-    return Gate("SWAP", (q1, q2))
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:

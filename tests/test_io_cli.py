@@ -361,6 +361,20 @@ class TestMcCommand:
         meta_a["config"].pop("out"), meta_b["config"].pop("out")
         assert meta_a == meta_b
 
+    def test_sidecar_independent_of_cpu_count(self, tmp_path, monkeypatch):
+        metas = []
+        for n_cpu in (1, 4):
+            monkeypatch.setattr("os.cpu_count", lambda n=n_cpu: n)
+            out = tmp_path / f"cpu{n_cpu}.csv"
+            assert cli.main(["mc", *MC_FLAGS, "--out", str(out)]) == 0
+            meta = json.loads(sidecar_path(out).read_text())
+            meta["config"].pop("out")
+            metas.append(meta)
+        assert metas[0] == metas[1]
+        assert "workers" not in metas[0]["config"]
+        assert cli.main(["mc", *MC_FLAGS, "--workers", "2",
+                         "--out", str(tmp_path / "x.csv")]) == 1
+
     def test_seed_env_changes_results(self, tmp_path, monkeypatch):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["mc", *MC_FLAGS, "--out", str(a)]) == 0
