@@ -12,11 +12,14 @@ in a fixed order (one sweep proposes every field exactly once), always
 consuming one uniform draw per proposal so that runs with different
 weight backends share the same random stream.
 
-Two weight backends are provided: a determinant backend working with
-k x k sector overlap matrices (k = particles per spin) and a statevector
-backend summing diagonal dressing phases over the trial state's
-occupation support.  They are required to agree to 1e-10 and are
-cross-checked in the test suite.
+Two weight backends are provided.  The determinant backend carries one
+N x N matrix P = phi G^{-1} phi^H per spin sector (G the k x k dressed
+overlap, k = particles per spin): a proposal ratio is a scalar read off
+P's diagonal, an accepted flip a rank-one update of P, and every sweep
+ends with a from-scratch rebuild that re-anchors the weight.  The
+statevector backend sums diagonal dressing phases over the trial
+state's occupation support.  They are required to agree to 1e-10 and
+are cross-checked in the test suite.
 """
 from __future__ import annotations
 
@@ -68,10 +71,16 @@ class McParams:
     def __post_init__(self) -> None:
         if self.n_bins < 10:
             raise ValueError(f"need at least 10 bins, got {self.n_bins}")
+        if self.n_sweeps < self.n_bins:
+            raise ValueError(
+                f"n_sweeps={self.n_sweeps} leaves a bin empty (n_bins={self.n_bins})"
+            )
         if self.n_sweeps % self.n_bins != 0:
             raise ValueError(
                 f"n_sweeps={self.n_sweeps} not divisible by n_bins={self.n_bins}"
             )
+        if self.n_burnin is not None and self.n_burnin < 0:
+            raise ValueError(f"n_burnin must be nonnegative, got {self.n_burnin}")
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
 
@@ -97,24 +106,30 @@ class McSamples:
     """Per-bin kinetic and double-occupancy means from one chain.
 
     Both observables are sampled jointly and are independent of U, so a
-    single chain serves every interaction strength.
+    single chain serves every interaction strength.  max_drift is the
+    largest relative gap between the incrementally tracked weight and its
+    per-sweep from-scratch rebuild.
     """
 
     k_bins: np.ndarray
     d_bins: np.ndarray
     acceptance_rate: float
     n_sweeps: int
+    max_drift: float
 
 
 class _DeterminantEngine:
-    """Cached sector overlap matrices; one k x k determinant per proposal.
+    """Fast-update weights from one N x N matrix per spin sector.
 
     Only the per-site total field t_i = s_{i,1} + s_{i,2} enters the
-    weight: W_sector = e^{-i*alpha*sum(t)/2} det(phi^H diag(e^{i*alpha*t}) phi).
-    A single flip shifts one diagonal entry, i.e. adds a rank-one update
-    to the overlap matrix, which is rebuilt cheaply from a precomputed
-    row outer product.  Determinants are recomputed in full — at k ≤ 6
-    that is faster and safer than tracking inverses.
+    weight: W_sector = e^{-i*alpha*sum(t)/2} det(G) with
+    G = phi^H diag(e^{i*alpha*t}) phi.  The engine carries
+    P = phi G^{-1} phi^H.  A single flip changes one phase by dphase, a
+    rank-one change of G, so by the matrix-determinant lemma the sector
+    ratio is e^{-i*alpha*dt/2} (1 + dphase * P[i, i]) and Sherman-Morrison
+    updates P on commit (Blankenbecler, Scalapino & Sugar, PRD 24, 2278).
+    reset rebuilds det(G) and P from scratch; the sampler calls it once
+    per sweep to re-anchor the weight.
     """
 
     def __init__(self, trial: TrialState, params: HSParams):
@@ -125,107 +140,81 @@ class _DeterminantEngine:
         else:
             self.phis = [trial.up.phi, trial.down.phi]
             self.symmetric = False
-        self.outers = [
-            np.einsum("ia,ib->iab", phi.conj(), phi) for phi in self.phis
-        ]
-        self.total = np.zeros(trial.lattice.n_sites, dtype=np.int64)
-        self.grams: list[np.ndarray] = []
-        self.dets: list[complex] = []
+        phase = {t: complex(np.exp(1j * self.alpha * t)) for t in (-2, 0, 2)}
+        # (old t, new t) -> (dphase, prefactor ratio) for every single flip
+        self._steps = {
+            (t, u): (phase[u] - phase[t], complex(np.exp(-0.5j * self.alpha * (u - t))))
+            for t in phase
+            for u in phase
+            if abs(u - t) == 2
+        }
+        self.total: list[int] = []
+        self.projectors: list[np.ndarray] = []
+        self.diagonals: list[list[complex]] = []
         self._pending: tuple | None = None
         # At most 3^N distinct total fields exist; for small systems the
-        # per-proposal linear algebra repeats endlessly, so memoize it.
-        # Memo-enabled engines keep the cached matrices canonical (always
-        # the from-scratch build for the current total field, also after
-        # commits), which makes every cache entry a pure function of its
-        # key; larger systems keep the incremental-update arithmetic.
-        small = trial.lattice.n_sites <= 6
-        self._memo_reset: dict | None = {} if small else None
-        self._memo_ratio: dict | None = {} if small else None
+        # rebuild repeats endlessly, so memoize it.  Memo-enabled engines
+        # keep P canonical (the from-scratch build for the current total
+        # field, also after commits), which makes every cache entry a
+        # pure function of its key; larger systems update P in place.
+        self._memo: dict | None = {} if trial.lattice.n_sites <= 6 else None
 
-    def reset(self, total: np.ndarray) -> complex:
-        """Rebuild all caches for the given total field; return W."""
-        self.total = np.asarray(total, dtype=np.int64).copy()
+    def reset(self, total: np.ndarray | list[int]) -> complex:
+        """Rebuild P for the given total field from scratch; return W."""
+        self.total = np.asarray(total).tolist()
         self._pending = None
-        if self._memo_reset is not None:
-            key = self.total.tobytes()
-            hit = self._memo_reset.get(key)
-            if hit is None:
-                hit = self._rebuild()
-                self._memo_reset[key] = hit
-        else:
+        return self._load()
+
+    def _load(self) -> complex:
+        if self._memo is None:
             hit = self._rebuild()
-        self.grams, self.dets, weight = hit
+        else:
+            key = tuple(self.total)
+            hit = self._memo.get(key)
+            if hit is None:
+                hit = self._memo[key] = self._rebuild()
+        self.projectors, self.diagonals, weight = hit
         return weight
 
-    def _rebuild(self) -> tuple[list[np.ndarray], list[complex], complex]:
-        phases = np.exp(1j * self.alpha * self.total)
-        grams = [phi.conj().T @ (phases[:, None] * phi) for phi in self.phis]
-        dets = [complex(np.linalg.det(g)) for g in grams]
-        prefactor = np.exp(-0.5j * self.alpha * self.total.sum())
-        w = 1.0 + 0.0j
-        for det in dets:
-            w *= prefactor * det
+    def _rebuild(self) -> tuple[list[np.ndarray], list[list[complex]], complex]:
+        total = np.array(self.total, dtype=np.float64)
+        phases = np.exp(1j * self.alpha * total)
+        prefactor = np.exp(-0.5j * self.alpha * total.sum())
+        projectors, w = [], 1.0 + 0.0j
+        for phi in self.phis:
+            gram = phi.conj().T @ (phases[:, None] * phi)
+            w *= prefactor * complex(np.linalg.det(gram))
+            projectors.append(phi @ np.linalg.solve(gram, phi.conj().T))
         if self.symmetric:
-            w *= prefactor * dets[0]
-        return grams, dets, complex(w)
+            w *= w
+        return projectors, [p.diagonal().tolist() for p in projectors], complex(w)
 
     def proposal_ratio(self, site: int, new_total: int) -> complex:
-        """W(t with t_site -> new_total) / W(t), caching the trial update."""
-        if self._memo_ratio is not None:
-            key = (self.total.tobytes(), site, new_total)
-            hit = self._memo_ratio.get(key)
-            if hit is None:
-                hit = self._trial_update(site, new_total)
-                self._memo_ratio[key] = hit
-        else:
-            hit = self._trial_update(site, new_total)
-        ratio, new_grams, new_dets = hit
-        self._pending = (site, new_total, new_grams, new_dets)
-        return ratio
-
-    def _trial_update(
-        self, site: int, new_total: int
-    ) -> tuple[complex, list[np.ndarray], list[complex]]:
-        dphase = np.exp(1j * self.alpha * new_total) - np.exp(
-            1j * self.alpha * self.total[site]
-        )
-        delta = new_total - self.total[site]
-        pref_ratio = np.exp(-0.5j * self.alpha * delta)
-        new_grams, new_dets, ratio = [], [], 1.0 + 0.0j
-        for sector, gram in enumerate(self.grams):
-            updated = gram + dphase * self.outers[sector][site]
-            det = complex(np.linalg.det(updated))
-            new_grams.append(updated)
-            new_dets.append(det)
-            ratio *= pref_ratio * det / self.dets[sector]
+        """W(t with t_site -> new_total) / W(t) from the diagonal of P."""
+        dphase, pref = self._steps[self.total[site], new_total]
+        factors = [1.0 + dphase * diag[site] for diag in self.diagonals]
+        self._pending = (site, new_total, dphase, factors)
+        ratio = pref * factors[0]
         if self.symmetric:
-            ratio *= pref_ratio * new_dets[0] / self.dets[0]
-        return complex(ratio), new_grams, new_dets
+            return ratio * ratio
+        return ratio * pref * factors[1]
 
     def commit(self) -> None:
-        site, new_total, grams, dets = self._pending
+        site, new_total, dphase, factors = self._pending
         self.total[site] = new_total
         self._pending = None
-        if self._memo_reset is not None:
-            key = self.total.tobytes()
-            hit = self._memo_reset.get(key)
-            if hit is None:
-                hit = self._rebuild()
-                self._memo_reset[key] = hit
-            self.grams, self.dets, _ = hit
-        else:
-            self.grams = grams
-            self.dets = dets
+        if self._memo is not None:
+            self._load()
+            return
+        for p, factor in zip(self.projectors, factors):
+            p -= (p[:, site] * (dphase / factor))[:, None] * p[site]
+        self.diagonals = [p.diagonal().tolist() for p in self.projectors]
 
     def green_functions(self, config: np.ndarray) -> list[np.ndarray]:
-        """Per-spin Green matrices at the current cached configuration."""
+        """Per-spin Green matrices M = e^{i*alpha*s1} P e^{i*alpha*s2}."""
         ket_phase = np.exp(1j * self.alpha * config[:, 0].astype(np.float64))
-        bra_phase = np.exp(-1j * self.alpha * config[:, 1].astype(np.float64))
-        greens = []
-        for sector, phi in enumerate(self.phis):
-            b_mat = ket_phase[:, None] * phi
-            a_dag = (bra_phase[:, None] * phi).conj().T
-            greens.append(b_mat @ np.linalg.solve(self.grams[sector], a_dag))
+        bra_phase = np.exp(1j * self.alpha * config[:, 1].astype(np.float64))
+        greens = [ket_phase[:, None] * p * bra_phase[None, :] for p in self.projectors]
         if self.symmetric:
             greens.append(greens[0])
         return greens
@@ -325,28 +314,32 @@ def metropolis_sweep(
     Proposal order is site-major (site 0 copy 1, site 0 copy 2, site 1
     copy 1, …).  One uniform variate is consumed per proposal whether or
     not the ratio decides deterministically, keeping random streams
-    aligned across weight backends.  The sweep ends by re-anchoring the
-    cached weight against a from-scratch evaluation.
+    aligned across weight backends; the sweep's variates are drawn as
+    one block, which yields the same stream as one draw per proposal.
+    The sweep ends by re-anchoring the cached weight against a
+    from-scratch evaluation.
     """
     accepted = 0
-    for site in range(trial.lattice.n_sites):
+    engine = chain.engine
+    weight = chain.weight
+    config = chain.config.tolist()
+    draws = iter(rng.random(2 * len(config)).tolist())
+    for site, fields in enumerate(config):
         for copy in (0, 1):
-            u = rng.random()
-            new_total = int(chain.config[site, 0] + chain.config[site, 1]) - 2 * int(
-                chain.config[site, copy]
-            )
-            ratio = chain.engine.proposal_ratio(site, new_total)
-            w_new = chain.weight * ratio
+            u = next(draws)
+            new_total = fields[0] + fields[1] - 2 * fields[copy]
+            w_new = weight * engine.proposal_ratio(site, new_total)
             _check_weight(chain, w_new)
-            r = w_new.real / chain.weight.real
+            r = w_new.real / weight.real
             if r >= 1.0 or u < r:
-                chain.config[site, copy] = -chain.config[site, copy]
-                chain.weight = w_new
-                chain.engine.commit()
+                fields[copy] = -fields[copy]
+                weight = w_new
+                engine.commit()
                 accepted += 1
-    fresh = chain.engine.reset(chain.config.sum(axis=1))
+    chain.config[:] = config
+    fresh = engine.reset([a + b for a, b in config])
     denom = max(abs(fresh), 1e-300)
-    chain.max_drift = max(chain.max_drift, abs(fresh - chain.weight) / denom)
+    chain.max_drift = max(chain.max_drift, abs(fresh - weight) / denom)
     chain.weight = fresh
     return chain, accepted
 
@@ -509,6 +502,7 @@ def sample_kinetic_interaction(
         d_bins=d_samples.reshape(mc_params.n_bins, per_bin).mean(axis=1),
         acceptance_rate=accepted / (mc_params.n_sweeps * 2 * lattice.n_sites),
         n_sweeps=mc_params.n_sweeps,
+        max_drift=chain.max_drift,
     )
 
 

@@ -396,6 +396,22 @@ class TestMcCommand:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_zero_sweeps_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["mc", "--lattice", "chain:2", "--nmc", "0", "--bins", "10",
+                       "--out", str(out)])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_burnin_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["mc", "--lattice", "chain:2", "--nmc", "100", "--bins", "10",
+                       "--burnin", "-5", "--out", str(out)])
+        assert rc == 1
+        assert "n_burnin" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTwoSiteCommand:
     FLAGS = ["--U", "4", "--g-min", "0.4", "--g-max", "0.6", "--g-step", "0.1"]

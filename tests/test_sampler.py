@@ -23,7 +23,13 @@ from gutzmc.sampler import (
     sample_kinetic_interaction,
     weight_numerator,
 )
-from gutzmc.slater import TrialState, ground_state_of_K, half_filled_trial, slater_to_statevector
+from gutzmc.slater import (
+    TrialState,
+    dressed_green_function,
+    ground_state_of_K,
+    half_filled_trial,
+    slater_to_statevector,
+)
 
 
 def all_configs(n_sites: int):
@@ -170,6 +176,27 @@ class TestChain:
             metropolis_sweep(chain, trial, params, rng)
         assert chain.max_drift < 1e-8
 
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_fast_update_drift_stays_tiny(self, n):
+        # above six sites the engine carries P = phi G^-1 phi^H through
+        # Sherman-Morrison commits between the per-sweep rebuilds
+        lat = build_lattice("chain", n)
+        trial = half_filled_trial(lat)
+        params = hs_params(1.0)
+        rng = np.random.default_rng(8)
+        chain = make_chain(trial, params)
+        for _ in range(300):
+            metropolis_sweep(chain, trial, params, rng)
+        assert chain.max_drift < 1e-8
+
+    def test_samples_report_max_drift(self):
+        lat = build_lattice("chain", 8)
+        mcp = McParams(n_sweeps=100, n_burnin=20, rng_seed=4, n_bins=10)
+        samples = sample_kinetic_interaction(lat, 1.0, 0.8, mcp)
+        assert 0.0 <= samples.max_drift < 1e-8
+        again = sample_kinetic_interaction(lat, 1.0, 0.8, mcp)
+        assert again.max_drift == samples.max_drift
+
     def test_backends_produce_identical_runs(self):
         lat = build_lattice("chain", 4)
         mcp_det = McParams(n_sweeps=400, rng_seed=13, n_bins=10)
@@ -213,12 +240,51 @@ class TestChain:
         assert energy.stderr <= kinetic.stderr + interaction.stderr + 1e-12
 
 
+class TestFastUpdate:
+    """The determinant engine's rank-one updates against from-scratch routes."""
+
+    @pytest.mark.parametrize("kind,n", [("chain", 8), ("ladder", 8), ("chain", 12), ("chain", 9)])
+    def test_ratios_and_greens_follow_accepted_flips(self, kind, n):
+        lat = build_lattice(kind, n)
+        trial = half_filled_trial(lat)
+        assert trial.spin_symmetric == (n % 2 == 0)
+        params = hs_params(0.6)
+        chain = make_chain(trial, params)
+        engine = chain.engine
+        config = chain.config.copy()
+        rng = np.random.default_rng(n)
+        w_old = weight_numerator(config, trial, params)
+        for _ in range(4 * n):
+            site, copy = int(rng.integers(n)), int(rng.integers(2))
+            new = config.copy()
+            new[site, copy] = -new[site, copy]
+            ratio = engine.proposal_ratio(site, int(new[site].sum()))
+            w_new = weight_numerator(new, trial, params)
+            assert agree(ratio, w_new / w_old, 1e-10)
+            engine.commit()
+            config, w_old = new, w_new
+        greens = engine.green_functions(config)
+        sectors = [trial.up, trial.down]
+        for green, sector in zip(greens, sectors):
+            exact = dressed_green_function(sector, config[:, 1], config[:, 0], params.alpha)
+            np.testing.assert_allclose(green, exact, rtol=0, atol=1e-10)
+
+
 class TestParams:
     def test_bin_divisibility_enforced(self):
         with pytest.raises(ValueError):
             McParams(n_sweeps=1000, n_bins=7)
         with pytest.raises(ValueError):
             McParams(n_sweeps=100, n_bins=5)  # fewer than 10 bins
+
+    def test_fewer_sweeps_than_bins_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            McParams(n_sweeps=0, n_bins=10)
+
+    def test_negative_burnin_rejected(self):
+        with pytest.raises(ValueError, match="n_burnin"):
+            McParams(n_sweeps=100, n_bins=10, n_burnin=-5)
+        assert McParams(n_sweeps=100, n_bins=10, n_burnin=0).burnin == 0
 
     def test_burnin_default(self):
         assert McParams(n_sweeps=20000, n_bins=20).burnin == 2000
