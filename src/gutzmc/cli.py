@@ -5,6 +5,9 @@ file (flat ``key = value`` lines, '#' comments) > built-in defaults.
 Every command writes a CSV (17-significant-digit cells) plus a JSON
 sidecar echoing the effective configuration, seed, and generator
 identity; identical config and seed reproduce the files byte for byte.
+The ``mc`` and ``sweep`` sidecars also carry ``max_drift``, each chain's
+largest relative gap between its tracked and rebuilt weight, keyed by
+the g cell as written in the CSV.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical check failure.
 """
@@ -24,7 +27,7 @@ from .gutzwiller import (
     two_site_curves,
 )
 from .hadamard import BiasModel, two_site_energy_from_primitives
-from .io_utils import ConfigError, load_config_file, write_csv, write_metadata
+from .io_utils import ConfigError, format_cell, load_config_file, write_csv, write_metadata
 from .lattice import Lattice, QubitLayout, build_lattice, hubbard_hamiltonian, hubbard_terms
 from .lcu import success_probability_curve
 from .sampler import (
@@ -286,6 +289,7 @@ def merge_settings(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
 
 
 def _mc_point(cfg: RunConfig, lattice: Lattice, g_index: int, g: float):
+    """CSV rows for one g point, and the chain's max_drift."""
     point_seed = cfg.seed + 1000003 * g_index
     mc_params = McParams(
         n_sweeps=cfg.nmc,
@@ -303,7 +307,7 @@ def _mc_point(cfg: RunConfig, lattice: Lattice, g_index: int, g: float):
             interaction.mean, interaction.stderr, samples.acceptance_rate,
             cfg.nmc, point_seed,
         ])
-    return rows
+    return rows, samples.max_drift
 
 
 def _check_mc_limits(cfg: RunConfig, lattice: Lattice) -> None:
@@ -322,10 +326,12 @@ def cmd_mc(cfg: RunConfig, provided: set[str]) -> int:
     lattice = cfg.lattice()
     _check_mc_limits(cfg, lattice)
     rows = []
+    drifts: dict = {}
     for gi, g in enumerate(cfg.g_grid()):
-        rows.extend(_mc_point(cfg, lattice, gi, g))
+        point_rows, drifts[format_cell(g)] = _mc_point(cfg, lattice, gi, g)
+        rows.extend(point_rows)
     write_csv(cfg.out, _MC_COLUMNS, rows)
-    write_metadata(cfg.out, {"config": cfg.echo(), "seed": cfg.seed})
+    write_metadata(cfg.out, {"config": cfg.echo(), "seed": cfg.seed, "max_drift": drifts})
     return 0
 
 
@@ -342,9 +348,10 @@ def cmd_sweep(cfg: RunConfig, provided: set[str]) -> int:
         trial_sv = slater_to_statevector(trial.up, trial.down, layout)
 
     rows = []
+    drifts: dict = {}
     for gi, g in enumerate(grid):
-        for row in _mc_point(cfg, lattice, gi, g):
-            rows.append(["mc"] + row)
+        point_rows, drifts[format_cell(g)] = _mc_point(cfg, lattice, gi, g)
+        rows.extend(["mc"] + row for row in point_rows)
         if n <= 7:
             k_val = full_sum_expectation(kinetic_op, g, trial_sv, layout)
             d_val = full_sum_expectation(interaction_op, g, trial_sv, layout)
@@ -359,7 +366,7 @@ def cmd_sweep(cfg: RunConfig, provided: set[str]) -> int:
                 rows.append(["exact-gutzwiller", g, u, k_val + u * d_val, 0.0, k_val,
                              0.0, u * d_val, 0.0, 0.0, 0, cfg.seed])
 
-    meta: dict = {"config": cfg.echo(), "seed": cfg.seed}
+    meta: dict = {"config": cfg.echo(), "seed": cfg.seed, "max_drift": drifts}
     if n <= 8:
         sector = ((n + 1) // 2, n // 2)
         meta["exact_ground_energy"] = {

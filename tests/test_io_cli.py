@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -350,6 +351,15 @@ class TestMcCommand:
         assert meta["config"]["seed"] == 12345
         assert meta["generator"] == GENERATOR_ID
 
+    def test_sidecar_reports_max_drift_per_g(self, tmp_path):
+        out = tmp_path / "mc.csv"
+        assert cli.main(["mc", *MC_FLAGS, "--out", str(out)]) == 0
+        drifts = json.loads(sidecar_path(out).read_text())["max_drift"]
+        # keyed by the g cells exactly as the CSV writes them
+        assert sorted(drifts) == sorted(r[0] for r in read_rows(out)[1:])
+        assert all(math.isfinite(d) and 0.0 <= d < 1e-8 for d in drifts.values())
+        assert "max_drift" not in read_rows(out)[0]
+
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["mc", *MC_FLAGS, "--out", str(a)]) == 0
@@ -474,3 +484,5 @@ class TestSweepCommand:
             assert abs(picked["fullsum"] - picked["exact-gutzwiller"]) < 1e-10
         meta = json.loads(sidecar_path(out).read_text())
         assert abs(meta["exact_ground_energy"]["4"] + 2.8284271247461903) < 1e-9
+        assert sorted(meta["max_drift"]) == g_strings
+        assert all(math.isfinite(d) for d in meta["max_drift"].values())

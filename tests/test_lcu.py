@@ -7,6 +7,8 @@ and compared against a hand-built average-of-two-unitaries construction.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -23,13 +25,50 @@ from gutzmc.lcu import (
     success_probability_curve,
 )
 from gutzmc.pauli import PauliSum, diagonal_eigenvalues
-from gutzmc.slater import half_filled_trial, slater_to_statevector
+from gutzmc.slater import (
+    SlaterState,
+    TrialState,
+    half_filled_trial,
+    sector_amplitudes,
+    slater_to_statevector,
+)
 from gutzmc.statevector import StateVector, apply_circuit, hadamard
 
 
 def one_site_interaction() -> PauliSum:
     # D for a single site: (n_up - 1/2)(n_dn - 1/2) = Z Z / 4
     return PauliSum.from_ops(2, {0: "Z", 1: "Z"}, 0.25)
+
+
+def outer_product_weights(trial: TrialState) -> np.ndarray:
+    """Reference histogram: every (up, down) occupation pair, binned by XOR popcount.
+
+    Rows are processed in blocks and the block histograms summed with
+    math.fsum, so the reference carries far less roundoff than a single
+    bincount over all C(N, N/2)^2 pairs would.
+    """
+    n = trial.lattice.n_sites
+    w_up = np.abs(sector_amplitudes(trial.up)) ** 2
+    w_dn = np.abs(sector_amplitudes(trial.down)) ** 2
+    up_idx = np.flatnonzero(w_up > 0)
+    dn_idx = np.flatnonzero(w_dn > 0)
+    blocks = []
+    for start in range(0, up_idx.size, 64):
+        rows = up_idx[start:start + 64]
+        distance = np.bitwise_count(np.bitwise_xor.outer(rows, dn_idx))
+        weight = np.outer(w_up[rows], w_dn[dn_idx])
+        blocks.append(np.bincount(distance.ravel(), weights=weight.ravel(), minlength=n + 1))
+    return np.array([math.fsum(col) for col in np.array(blocks).T])
+
+
+def random_trial(kind: str, n: int, n_up: int, n_dn: int, seed: int) -> TrialState:
+    rng = np.random.default_rng(seed)
+
+    def orbitals(k: int) -> SlaterState:
+        q, _ = np.linalg.qr(rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+        return SlaterState(q)
+
+    return TrialState(build_lattice(kind, n), orbitals(n_up), orbitals(n_dn))
 
 
 def random_register_state(n_qubits: int, seed: int) -> StateVector:
@@ -148,9 +187,42 @@ class TestScalingLaws:
         weights = pair_distance_weights(half_filled_trial(lat))
         assert weights.shape == (7,)
         assert abs(weights.sum() - 1.0) < 1e-12
-        # odd distances vanish at half filling on a bipartite chain?
-        # no such symmetry — just positivity
+        # n_up + n_dn is even, so odd distances are unreachable: exactly 0
+        assert not weights[1::2].any()
         assert (weights >= -1e-15).all()
+
+
+class TestPairWeightsSupport:
+    """The Walsh-Hadamard route against the outer-product histogram."""
+
+    @staticmethod
+    def check(trial: TrialState) -> None:
+        got = pair_distance_weights(trial)
+        ref = outer_product_weights(trial)
+        assert np.max(np.abs(got - ref)) <= 1e-13
+        # bins no pair can reach are exactly 0, not roundoff
+        np.testing.assert_array_equal(np.flatnonzero(got), np.flatnonzero(ref))
+        assert (got >= 0).all()
+
+    @pytest.mark.parametrize("kind,n", [("chain", n) for n in range(2, 15)]
+                             + [("ladder", 6), ("ladder", 8)])
+    def test_half_filled_trials(self, kind, n):
+        # chain:5 and chain:9 are spin-asymmetric (one more up than down)
+        self.check(half_filled_trial(build_lattice(kind, n)))
+
+    @pytest.mark.parametrize("kind,n,n_up,n_dn", [
+        ("ladder", 4, 2, 2),  # the half-filled ladder:4 trial is degenerate
+        ("chain", 6, 1, 4),   # doped and spin-asymmetric: distances 3 and 5 only
+        ("chain", 7, 6, 5),   # above half filling: distances 1, 3 only
+    ])
+    def test_random_orbital_trials(self, kind, n, n_up, n_dn):
+        self.check(random_trial(kind, n, n_up, n_dn, seed=n + n_up))
+
+    def test_top_support_bin_sets_saturation(self):
+        # the large-g slope of ln p is set by the largest reachable distance
+        lat = build_lattice("chain", 10)
+        weights = pair_distance_weights(half_filled_trial(lat))
+        assert np.flatnonzero(weights)[-1] == 10
 
 
 class TestDoubleOccupancy:
