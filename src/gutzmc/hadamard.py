@@ -24,6 +24,10 @@ for device noise so the anchor-based scale-and-phase correction can be
 exercised end to end: families II and XX are anchored at g=0 where the
 ideal primitive is exactly 1, ZI at g=10 against the analytic ideal at
 rotation angle pi/2.
+
+Within one assembly call the exact primitives (3 families x 16 config
+pairs) and the anchor values are computed once; repetitions only redraw
+shots, in the same order as re-measuring every primitive would.
 """
 from __future__ import annotations
 
@@ -194,83 +198,87 @@ def _all_config_pairs() -> list[tuple[np.ndarray, np.ndarray]]:
     return [(s1, s2) for s1 in singles for s2 in singles]
 
 
-def _primitive_value(
-    family: str,
-    s2: np.ndarray,
-    s1: np.ndarray,
-    trial: StateVector,
-    params: HSParams,
-    bias: BiasModel | None,
-    shots: int | None,
-    rng: np.random.Generator | None,
-) -> complex:
-    """One measured primitive, biased and shot-sampled if so configured.
+def _exact_values(
+    family: str, params: HSParams, trial: StateVector, bias: BiasModel | None
+) -> list[complex]:
+    """Exact primitives of one family over the sixteen config pairs.
 
-    Each family has a definite quadrature on this trial state (II and XX
-    are real, ZI purely imaginary), so only that part is kept — exactly
-    what the corresponding measurement circuit would report.
+    With a bias model the rotation angle carries its phase offset and each
+    value the family's contrast loss, as the device would report them.
     """
     eff = params
     if bias is not None and bias.phase_offset != 0.0:
         eff = HSParams(params.g, params.alpha + bias.phase_offset, params.gamma)
-    value = hadamard_exact(s2, _family_operator(family), s1, trial, eff)
+    op = _family_operator(family)
+    values = [hadamard_exact(s2, op, s1, trial, eff) for (s1, s2) in _all_config_pairs()]
     if bias is not None:
-        value *= bias.scale ** _FAMILY_DEPTH[family]
-    if shots is not None:
-        est = _sampled_estimate(value, shots, rng)
-        return est.real_part if _FAMILY_PART[family] == "real" else 1j * est.imag_part
-    return complex(value.real) if _FAMILY_PART[family] == "real" else 1j * value.imag
+        values = [v * bias.scale ** _FAMILY_DEPTH[family] for v in values]
+    return values
 
 
-def _measure_families(
-    params: HSParams,
-    trial: StateVector,
-    bias: BiasModel | None,
+def _measured(
+    family: str,
+    values: list[complex],
     shots: int | None,
     rng: np.random.Generator | None,
-) -> dict[str, np.ndarray]:
-    configs = _all_config_pairs()
-    return {
-        family: np.array(
-            [_primitive_value(family, s2, s1, trial, params, bias, shots, rng)
-             for (s1, s2) in configs]
-        )
-        for family in _FAMILY_DEPTH
-    }
+) -> list:
+    """What the family's measurement circuit reports for each exact value.
+
+    Each family has a definite quadrature on this trial state (II and XX
+    are real, ZI purely imaginary), so only that part is kept; with shots
+    it is sampled, drawing both parts of each value in list order.
+    """
+    real = _FAMILY_PART[family] == "real"
+    out = []
+    for value in values:
+        if shots is not None:
+            est = _sampled_estimate(value, shots, rng)
+            out.append(est.real_part if real else 1j * est.imag_part)
+        else:
+            out.append(complex(value.real) if real else 1j * value.imag)
+    return out
 
 
-def _anchor_factors(
-    trial: StateVector,
-    bias: BiasModel | None,
-    shots: int | None,
-    rng: np.random.Generator | None,
-) -> dict[str, float]:
-    """Per-family measured anchor values whose ideal is known a priori.
+def _anchor_tables(
+    trial: StateVector, bias: BiasModel | None
+) -> tuple[dict[str, list[complex]], list[complex]]:
+    """Exact anchor values each anchor measurement samples, per family,
+    and the ZI ideals its raw values are divided by.
 
     II and XX anchor at g=0, where every config's ideal primitive equals
     one.  ZI vanishes at g=0, so it anchors deep in the strong-coupling
     regime (g=10) instead; the anchor circuit's rotation angle is a
     known classical parameter, so each raw value is divided by its exact
-    ideal (±i sin alpha for the well-conditioned configs) before the
-    ratios are averaged.  With a pure readout-scale bias the recovered
-    factors are exact; a phase offset survives only partially.
+    ideal.  Only the well-conditioned configs (ideal ±i sin alpha) are
+    kept.  With a pure readout-scale bias the recovered factors are
+    exact; a phase offset survives only partially.
     """
-    factors: dict[str, float] = {}
-    at_zero = hs_params(0.0)
-    configs = _all_config_pairs()
-    for family in ("II", "XX"):
-        raws = [
-            _primitive_value(family, s2, s1, trial, at_zero, bias, shots, rng)
-            for (s1, s2) in configs
-        ]
-        factors[family] = float(np.mean([r.real for r in raws]))
-    at_large = hs_params(10.0)
-    ratios = []
-    for s1, s2 in configs:
-        ideal = hadamard_exact(s2, _family_operator("ZI"), s1, trial, at_large)
-        if abs(ideal) > 0.2:
-            raw = _primitive_value("ZI", s2, s1, trial, at_large, bias, shots, rng)
-            ratios.append((raw / ideal).real)
+    at_zero, at_large = hs_params(0.0), hs_params(10.0)
+    ideal = _exact_values("ZI", at_large, trial, None)
+    raw = _exact_values("ZI", at_large, trial, bias)
+    kept = [i for i, v in enumerate(ideal) if abs(v) > 0.2]
+    sampled = {
+        "II": _exact_values("II", at_zero, trial, bias),
+        "XX": _exact_values("XX", at_zero, trial, bias),
+        "ZI": [raw[i] for i in kept],
+    }
+    return sampled, [ideal[i] for i in kept]
+
+
+def _anchor_factors(
+    sampled: dict[str, list[complex]],
+    zi_ideal: list[complex],
+    shots: int | None,
+    rng: np.random.Generator | None,
+) -> dict[str, float]:
+    """One measurement of every anchor, as per-family correction factors.
+
+    Shots are drawn family by family in the order of ``sampled`` (II, XX,
+    then ZI), each family in config order.
+    """
+    measured = {f: _measured(f, values, shots, rng) for f, values in sampled.items()}
+    factors = {f: float(np.mean([r.real for r in measured[f]])) for f in ("II", "XX")}
+    ratios = [(r / i).real for r, i in zip(measured["ZI"], zi_ideal)]
     factors["ZI"] = float(np.mean(ratios))
     return factors
 
@@ -305,7 +313,10 @@ def two_site_energy_from_primitives(
     is ignored); otherwise each repetition re-measures every primitive
     with the given shot count and the spread over repetitions sets the
     error bars.  With mitigate=True each repetition also measures the
-    anchor points and corrects family by family before assembling.
+    anchor points and corrects family by family before assembling.  The
+    exact (biased) primitive and anchor values do not change between
+    repetitions, so they are computed once per call and each repetition
+    only draws its shots.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -316,17 +327,24 @@ def two_site_energy_from_primitives(
     elif rng is None:
         rng = np.random.default_rng(0)
 
-    exact_prim = _assemble(_measure_families(params, trial, None, None, None), params)
+    exact = {f: _exact_values(f, params, trial, None) for f in _FAMILY_DEPTH}
+    exact_prim = _assemble(
+        {f: np.array(_measured(f, v, None, None)) for f, v in exact.items()}, params
+    )
+    biased = exact if bias is None else {
+        f: _exact_values(f, params, trial, bias) for f in _FAMILY_DEPTH
+    }
+    anchors = _anchor_tables(trial, bias) if mitigate else None
 
     e_r, k_r, ud_r = np.empty(reps), np.empty(reps), np.empty(reps)
     reported, raw_only = [], []
     for rep in range(reps):
-        values = _measure_families(params, trial, bias, shots, rng)
+        values = {f: np.array(_measured(f, v, shots, rng)) for f, v in biased.items()}
         raw_only.append(_assemble(values, params))
         if mitigate:
-            anchors = _anchor_factors(trial, bias, shots, rng)
+            factors = _anchor_factors(*anchors, shots, rng)
             values = {
-                family: pas_correct(vals, anchors[family], 1.0)
+                family: pas_correct(vals, factors[family], 1.0)
                 for family, vals in values.items()
             }
         prim = _assemble(values, params)

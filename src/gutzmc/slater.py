@@ -15,7 +15,7 @@ route in the test suite rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -133,16 +133,13 @@ def sector_amplitudes(slater: SlaterState) -> np.ndarray:
     """
     n, k = slater.n_sites, slater.n_particles
     amps = np.zeros(1 << n, dtype=complex)
-    occupied = list(combinations(range(n), k))
     if k == 0:
         amps[0] = 1.0
         return amps
-    minors = np.linalg.det(slater.phi[np.array(occupied), :])
-    for rows, det in zip(occupied, minors):
-        index = 0
-        for r in rows:
-            index |= 1 << (n - 1 - r)
-        amps[index] = det
+    occupied = np.fromiter(
+        chain.from_iterable(combinations(range(n), k)), dtype=np.int64
+    ).reshape(-1, k)
+    amps[(1 << (n - 1 - occupied)).sum(axis=1)] = np.linalg.det(slater.phi[occupied, :])
     return amps
 
 

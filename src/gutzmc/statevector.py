@@ -1,15 +1,20 @@
 """Dense statevector engine and the iterative exact ground-state oracle.
 
 Amplitude indexing puts qubit 0 in the most significant bit, so a ket
-written left-to-right reads off directly as a binary index.  Gates act in
-place through tensor reshapes.  Expectations and matrix elements sum only
-over the bra's support (:func:`gutzmc.pauli.support_matrix_element`), and
-the ground-state oracle compiles the operator once into a sparse matrix on
-the requested particle sector, so the exact routes cost in proportion to
-the occupied sector rather than the 2**n register.
+written left-to-right reads off directly as a binary index.  Each gate
+kind has its own kernel that updates the amplitudes in place through a
+reshaped view with one length-2 axis per gate qubit: RZ and CRZ scale
+halves by e^{∓i*theta/2}, H is a butterfly and X swaps the two halves.
+Every gate is followed by a norm check.  Expectations and matrix
+elements sum only over the bra's support
+(:func:`gutzmc.pauli.support_matrix_element`), and the ground-state oracle
+compiles the operator once into a sparse matrix on the requested particle
+sector, so the exact routes cost in proportion to the occupied sector
+rather than the 2**n register.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,7 +27,7 @@ import scipy.sparse.linalg as spla
 # wraps gutzmc.statevector.apply_pauli_sum by name.
 from .pauli import PauliSum, _masks, apply_pauli_sum, support_matrix_element  # noqa: F401
 
-_GATE_NAMES = ("H", "X", "RZ", "CRZ")
+_GATE_ARITY = {"H": 1, "X": 1, "RZ": 1, "CRZ": 2}
 
 
 @dataclass
@@ -84,15 +89,17 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in _GATE_NAMES:
+        if self.name not in _GATE_ARITY:
             raise ValueError(f"unknown gate {self.name!r}")
+        if len(self.qubits) != _GATE_ARITY[self.name]:
+            raise ValueError(f"gate {self.name} acts on {_GATE_ARITY[self.name]} qubit(s)")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate targets must be distinct")
         if self.angle is not None and not np.isfinite(self.angle):
             raise ValueError("gate angle must be finite")
 
     def matrix(self) -> np.ndarray:
-        """Dense 2x2 or 4x4 unitary for this gate."""
+        """Dense 2x2 or 4x4 unitary for this gate (the kernels' test reference)."""
         th = self.angle
         if self.name == "H":
             return np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -121,25 +128,79 @@ def crz(angle: float, control: int, target: int) -> Gate:
     return Gate("CRZ", (control, target), angle)
 
 
+def _scale(view: np.ndarray, phase: complex) -> None:
+    """``view *= phase`` with every product and sum rounded on its own.
+
+    A complex multiply may fuse a*b - c*d into one rounding, and whether
+    it does depends on the platform; the split form does not.
+    """
+    imag = view * complex(0.0, phase.imag)
+    view *= phase.real
+    view += imag
+
+
+def _scale_halves(view: np.ndarray, axis: int, theta: float) -> None:
+    """R_Z on ``axis``: the bit-0 half by e^{-i*theta/2}, the bit-1 half by e^{+i*theta/2}."""
+    lead = (slice(None),) * axis
+    _scale(view[lead + (0,)], np.exp(-0.5j * theta))
+    _scale(view[lead + (1,)], np.exp(0.5j * theta))
+
+
+# Each kernel reshapes the contiguous amplitudes so that every gate qubit
+# has its own length-2 axis; slices of that view write through.
+
+
+def _rz_kernel(amps: np.ndarray, gate: Gate) -> None:
+    _scale_halves(amps.reshape(1 << gate.qubits[0], 2, -1), 1, gate.angle)
+
+
+def _crz_kernel(amps: np.ndarray, gate: Gate) -> None:
+    control, target = gate.qubits
+    low, high = sorted(gate.qubits)
+    view = amps.reshape(1 << low, 2, 1 << (high - low - 1), 2, -1)
+    if control < target:
+        _scale_halves(view[:, 1], 2, gate.angle)
+    else:
+        _scale_halves(view[:, :, :, 1], 1, gate.angle)
+
+
+def _h_kernel(amps: np.ndarray, gate: Gate) -> None:
+    view = amps.reshape(1 << gate.qubits[0], 2, -1)
+    low, high = view[:, 0], view[:, 1]
+    diff = low - high
+    low += high
+    low *= 1.0 / np.sqrt(2.0)
+    np.multiply(diff, 1.0 / np.sqrt(2.0), out=high)
+
+
+def _x_kernel(amps: np.ndarray, gate: Gate) -> None:
+    view = amps.reshape(1 << gate.qubits[0], 2, -1)
+    view[...] = view[:, ::-1]  # NumPy buffers overlapping operands
+
+
+_KERNELS = {"H": _h_kernel, "X": _x_kernel, "RZ": _rz_kernel, "CRZ": _crz_kernel}
+
+
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one gate in place and return the (mutated) state.
 
-    The norm is checked against the input norm afterwards; unitarity makes
-    any drift a genuine bug, so a violation raises rather than warns.
+    The gate kind's kernel updates the amplitude array itself.  A
+    non-contiguous or read-only array is first replaced by a contiguous
+    copy: reshaping it would copy, and the update would be lost.  The norm
+    is checked against the input norm after every gate; unitarity makes
+    any drift a genuine bug, so a violation raises ``FloatingPointError``
+    rather than warns.
     """
     n = state.n_qubits
     for q in gate.qubits:
         if not 0 <= q < n:
             raise IndexError(f"qubit {q} out of range for {n} qubits")
-    norm_in = np.linalg.norm(state.amplitudes)
-    k = len(gate.qubits)
-    tensor = state.amplitudes.reshape((2,) * n)
-    mat = gate.matrix().reshape((2,) * (2 * k))
-    # Contract the gate onto the target axes, then restore axis order.
-    moved = np.tensordot(mat, tensor, axes=(tuple(range(k, 2 * k)), gate.qubits))
-    tensor = np.moveaxis(moved, tuple(range(k)), gate.qubits)
-    state.amplitudes = np.ascontiguousarray(tensor).reshape(-1)
-    norm_out = np.linalg.norm(state.amplitudes)
+    amps = state.amplitudes
+    if not (amps.flags.c_contiguous and amps.flags.writeable):
+        amps = state.amplitudes = amps.copy()
+    norm_in = math.sqrt(np.vdot(amps, amps).real)
+    _KERNELS[gate.name](amps, gate)
+    norm_out = math.sqrt(np.vdot(amps, amps).real)
     if abs(norm_out - norm_in) > 1e-12 * max(1.0, norm_in):
         raise FloatingPointError(
             f"gate {gate.name} changed the norm by {abs(norm_out - norm_in):.3e}"
@@ -148,6 +209,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 
 
 def apply_circuit(state: StateVector, gates) -> StateVector:
+    """Apply the gates in order, each through :func:`apply_gate`."""
     for g in gates:
         apply_gate(state, g)
     return state

@@ -55,6 +55,42 @@ def random_slater(n_sites: int, n_particles: int, seed: int) -> SlaterState:
     return SlaterState(q)
 
 
+def loop_sector_amplitudes(slater: SlaterState) -> np.ndarray:
+    """Reference: the same stacked minors, placed one occupation at a time."""
+    n, k = slater.n_sites, slater.n_particles
+    amps = np.zeros(1 << n, dtype=complex)
+    if k == 0:
+        amps[0] = 1.0
+        return amps
+    occupied = list(itertools.combinations(range(n), k))
+    minors = np.linalg.det(slater.phi[np.array(occupied), :])
+    for rows, det in zip(occupied, minors):
+        index = 0
+        for r in rows:
+            index |= 1 << (n - 1 - r)
+        amps[index] = det
+    return amps
+
+
+class TestSectorIndices:
+    @pytest.mark.parametrize(
+        "kind,n_sites", [("chain", n) for n in range(2, 13)] + [("ladder", 8)]
+    )
+    def test_half_filled_sectors_equal_loop(self, kind, n_sites):
+        trial = half_filled_trial(build_lattice(kind, n_sites))
+        for slater in (trial.up, trial.down):
+            np.testing.assert_array_equal(
+                sector_amplitudes(slater), loop_sector_amplitudes(slater)
+            )
+
+    @pytest.mark.parametrize("n_sites,n_particles", [(6, 1), (7, 2), (9, 6), (4, 0)])
+    def test_doped_and_empty_sectors_equal_loop(self, n_sites, n_particles):
+        slater = random_slater(n_sites, n_particles, seed=n_sites + n_particles)
+        np.testing.assert_array_equal(
+            sector_amplitudes(slater), loop_sector_amplitudes(slater)
+        )
+
+
 class TestSlaterBasics:
     def test_orthonormality_enforced(self):
         bad = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

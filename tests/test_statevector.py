@@ -3,17 +3,19 @@
 Gate matrices are frozen as literals so a silent sign-convention change
 (e.g. the R_Z phase direction) fails loudly.  Circuit application is
 checked against an index-arithmetic dense oracle that shares no code
-with the tensordot implementation.
+with the per-kind in-place kernels.
 """
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from gutzmc import statevector
 from gutzmc.lattice import QubitLayout, build_lattice, hubbard_hamiltonian, hubbard_terms
 from gutzmc.pauli import PauliSum, PauliTerm, apply_pauli_sum
 from gutzmc.slater import half_filled_trial, slater_to_statevector
 from gutzmc.statevector import (
+    Gate,
     StateVector,
     apply_circuit,
     apply_gate,
@@ -90,6 +92,37 @@ class TestApplication:
         expected = embed(gate.matrix(), qubits, n) @ amps
         out = apply_gate(StateVector(n, amps.copy()), gate)
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "gate",
+        [hadamard(q) for q in range(5)]
+        + [pauli_x(q) for q in range(5)]
+        + [rz(theta, q) for theta in (0.9, -2.3) for q in range(5)]
+        + [crz(theta, c, t) for theta in (1.3, -0.6)
+           for c in range(5) for t in range(5) if c != t],
+        ids=lambda g: f"{g.name}{g.qubits}{'' if g.angle is None else g.angle}",
+    )
+    def test_kernel_matches_dense_embedding_in_place(self, gate):
+        n = 5
+        rng = np.random.default_rng(23)
+        amps = 1.7 * (rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n))
+        expected = embed(gate.matrix(), gate.qubits, n) @ amps
+        state = StateVector(n, amps.copy())
+        out = apply_gate(state, gate)
+        assert out is state
+        np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-13)
+
+    def test_strided_and_read_only_amplitudes_are_updated(self):
+        # Reshaping a strided array copies it, so the gate would act on the copy.
+        rng = np.random.default_rng(4)
+        wide = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        frozen = wide[:8].copy()
+        frozen.flags.writeable = False
+        for amps in (wide[::2], frozen):
+            state = StateVector(3, amps)
+            expected = embed(crz(0.7, 2, 0).matrix(), (2, 0), 3) @ amps
+            apply_gate(state, crz(0.7, 2, 0))
+            np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-13)
 
     def test_apply_circuit_composes_in_order(self):
         # H then X leaves |+> unchanged; X then H gives |->
@@ -205,6 +238,27 @@ class TestSupportKernels:
 
 
 class TestGuards:
+    @pytest.mark.parametrize("name", ["H", "X", "RZ", "CRZ"])
+    def test_gate_norm_guard(self, monkeypatch, name):
+        kernel = statevector._KERNELS[name]
+
+        def leaky(amps, gate):
+            kernel(amps, gate)
+            amps *= 1.0 + 1e-9
+
+        monkeypatch.setitem(statevector._KERNELS, name, leaky)
+        gate = Gate(name, (0, 1)[: 2 if name == "CRZ" else 1],
+                    0.4 if name in ("RZ", "CRZ") else None)
+        state = StateVector(2, np.full(4, 0.5, dtype=complex))
+        with pytest.raises(FloatingPointError, match=f"gate {name} changed the norm"):
+            apply_gate(state, gate)
+
+    def test_gate_arity(self):
+        with pytest.raises(ValueError, match="acts on 1 qubit"):
+            Gate("H", (0, 1))
+        with pytest.raises(ValueError, match="acts on 2 qubit"):
+            Gate("CRZ", (0,), 0.3)
+
     def test_statevector_shape(self):
         with pytest.raises(ValueError, match="expected 8 amplitudes"):
             StateVector(3, np.zeros(7))
