@@ -76,6 +76,7 @@ from .statevector import (
     Gate,
     GroundStateResult,
     StateVector,
+    SupportState,
     apply_circuit,
     apply_gate,
     exact_ground_state,
@@ -105,6 +106,7 @@ __all__ = [
     "PhaseProblemError",
     "SlaterState",
     "StateVector",
+    "SupportState",
     "TrialState",
     "TwoSiteCurves",
     "TwoSiteEstimate",

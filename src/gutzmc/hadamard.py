@@ -25,9 +25,11 @@ exercised end to end: families II and XX are anchored at g=0 where the
 ideal primitive is exactly 1, ZI at g=10 against the analytic ideal at
 rotation angle pi/2.
 
-Within one assembly call the exact primitives (3 families x 16 config
-pairs) and the anchor values are computed once; repetitions only redraw
-shots, in the same order as re-measuring every primitive would.
+The exact primitives (3 families x 16 config pairs, :func:`primitive_tables`)
+and the g-independent anchor values (:func:`anchor_tables`) are computed
+once per assembly call, or once by a caller that passes them to several
+calls; repetitions only redraw shots, in the same order as re-measuring
+every primitive would.
 """
 from __future__ import annotations
 
@@ -81,6 +83,30 @@ class AssembledPrimitives:
     denominator: float
     zz_numerator: float
     xx_numerator: float
+
+
+@dataclass(frozen=True)
+class PrimitiveTables:
+    """Exact primitives of the three families over the sixteen config pairs at one g.
+
+    ``exact`` holds the ideal values and ``biased`` what the bias model's
+    device reports (the same table when there is no bias model).
+    """
+
+    g: float
+    bias: BiasModel | None
+    exact: dict[str, list[complex]]
+    biased: dict[str, list[complex]]
+
+
+@dataclass(frozen=True)
+class AnchorTables:
+    """Exact anchor values each anchor measurement samples, per family, and
+    the ZI ideals its raw values are divided by; they do not depend on g."""
+
+    bias: BiasModel | None
+    sampled: dict[str, list[complex]]
+    zi_ideal: list[complex]
 
 
 @dataclass(frozen=True)
@@ -239,11 +265,19 @@ def _measured(
     return out
 
 
-def _anchor_tables(
-    trial: StateVector, bias: BiasModel | None
-) -> tuple[dict[str, list[complex]], list[complex]]:
-    """Exact anchor values each anchor measurement samples, per family,
-    and the ZI ideals its raw values are divided by.
+def primitive_tables(g: float, bias: BiasModel | None = None) -> PrimitiveTables:
+    """Exact primitive tables at g, ideal and as the biased device reports them."""
+    params = hs_params(g)
+    trial = two_site_sector_trial()
+    exact = {f: _exact_values(f, params, trial, None) for f in _FAMILY_DEPTH}
+    biased = exact if bias is None else {
+        f: _exact_values(f, params, trial, bias) for f in _FAMILY_DEPTH
+    }
+    return PrimitiveTables(float(g), bias, exact, biased)
+
+
+def anchor_tables(bias: BiasModel | None = None) -> AnchorTables:
+    """Exact values behind one measurement of every anchor.
 
     II and XX anchor at g=0, where every config's ideal primitive equals
     one.  ZI vanishes at g=0, so it anchors deep in the strong-coupling
@@ -253,6 +287,7 @@ def _anchor_tables(
     kept.  With a pure readout-scale bias the recovered factors are
     exact; a phase offset survives only partially.
     """
+    trial = two_site_sector_trial()
     at_zero, at_large = hs_params(0.0), hs_params(10.0)
     ideal = _exact_values("ZI", at_large, trial, None)
     raw = _exact_values("ZI", at_large, trial, bias)
@@ -262,23 +297,20 @@ def _anchor_tables(
         "XX": _exact_values("XX", at_zero, trial, bias),
         "ZI": [raw[i] for i in kept],
     }
-    return sampled, [ideal[i] for i in kept]
+    return AnchorTables(bias, sampled, [ideal[i] for i in kept])
 
 
 def _anchor_factors(
-    sampled: dict[str, list[complex]],
-    zi_ideal: list[complex],
-    shots: int | None,
-    rng: np.random.Generator | None,
+    anchors: AnchorTables, shots: int | None, rng: np.random.Generator | None
 ) -> dict[str, float]:
     """One measurement of every anchor, as per-family correction factors.
 
-    Shots are drawn family by family in the order of ``sampled`` (II, XX,
-    then ZI), each family in config order.
+    Shots are drawn family by family in the order of ``anchors.sampled``
+    (II, XX, then ZI), each family in config order.
     """
-    measured = {f: _measured(f, values, shots, rng) for f, values in sampled.items()}
+    measured = {f: _measured(f, values, shots, rng) for f, values in anchors.sampled.items()}
     factors = {f: float(np.mean([r.real for r in measured[f]])) for f in ("II", "XX")}
-    ratios = [(r / i).real for r, i in zip(measured["ZI"], zi_ideal)]
+    ratios = [(r / i).real for r, i in zip(measured["ZI"], anchors.zi_ideal)]
     factors["ZI"] = float(np.mean(ratios))
     return factors
 
@@ -306,6 +338,8 @@ def two_site_energy_from_primitives(
     bias: BiasModel | None = None,
     rng: np.random.Generator | None = None,
     mitigate: bool = False,
+    tables: PrimitiveTables | None = None,
+    anchors: AnchorTables | None = None,
 ) -> TwoSiteEstimate:
     """Assemble E, K, U<D> on two sites from all sixteen field configs.
 
@@ -315,26 +349,33 @@ def two_site_energy_from_primitives(
     error bars.  With mitigate=True each repetition also measures the
     anchor points and corrects family by family before assembling.  The
     exact (biased) primitive and anchor values do not change between
-    repetitions, so they are computed once per call and each repetition
-    only draws its shots.
+    repetitions, so each repetition only draws its shots.  A caller that
+    assembles the same point several times can compute them once and pass
+    them in: ``tables`` from :func:`primitive_tables` at this g (with this
+    bias, or any bias when ``bias`` is None), ``anchors`` from
+    :func:`anchor_tables` with this bias.  Otherwise the call computes its
+    own.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     params = hs_params(g)
-    trial = two_site_sector_trial()
     if shots is None:
         reps = 1
     elif rng is None:
         rng = np.random.default_rng(0)
+    if tables is None:
+        tables = primitive_tables(g, bias)
+    elif tables.g != g or bias not in (None, tables.bias):
+        raise ValueError("primitive tables were computed for another g or bias model")
+    if anchors is None:
+        anchors = anchor_tables(bias) if mitigate else None
+    elif anchors.bias != bias:
+        raise ValueError("anchor tables were computed for another bias model")
 
-    exact = {f: _exact_values(f, params, trial, None) for f in _FAMILY_DEPTH}
     exact_prim = _assemble(
-        {f: np.array(_measured(f, v, None, None)) for f, v in exact.items()}, params
+        {f: np.array(_measured(f, v, None, None)) for f, v in tables.exact.items()}, params
     )
-    biased = exact if bias is None else {
-        f: _exact_values(f, params, trial, bias) for f in _FAMILY_DEPTH
-    }
-    anchors = _anchor_tables(trial, bias) if mitigate else None
+    biased = tables.exact if bias is None else tables.biased
 
     e_r, k_r, ud_r = np.empty(reps), np.empty(reps), np.empty(reps)
     reported, raw_only = [], []
@@ -342,7 +383,7 @@ def two_site_energy_from_primitives(
         values = {f: np.array(_measured(f, v, shots, rng)) for f, v in biased.items()}
         raw_only.append(_assemble(values, params))
         if mitigate:
-            factors = _anchor_factors(*anchors, shots, rng)
+            factors = _anchor_factors(anchors, shots, rng)
             values = {
                 family: pas_correct(vals, factors[family], 1.0)
                 for family, vals in values.items()

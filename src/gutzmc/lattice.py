@@ -110,8 +110,10 @@ class QubitLayout:
 
     Qubit 0 is the most significant bit of the amplitude index.  Register
     qubits come first (up block, then down block); any ancillas sit at the
-    highest indices, i.e. the least significant bits, so the ancilla-|0...0>
-    branch of an amplitude array is a contiguous slice.
+    highest indices, i.e. the least significant bits of a dense amplitude
+    array.  A :class:`gutzmc.statevector.SupportState` keeps the same
+    numbering but stores the ancillas as its leading axes, so its
+    ancilla-|0...0> branch is one contiguous block.
     """
 
     n_sites: int

@@ -11,8 +11,14 @@ route that never touches a register: both trial sectors are expanded
 into occupation weights and binned by the Hamming distance between the
 up and down occupations, which fixes the double-occupancy eigenvalue.
 The binning is an XOR convolution done by fast Walsh-Hadamard transform,
-O(N * 2^N) time and O(2^N) memory, so the route reaches N around 20 where
-the 3N-qubit circuit stops near N=6.
+O(N * 2^N) time and O(2^N) memory, so the route reaches N around 20.
+
+The circuit itself runs on the trial's occupied support: every register
+gate is RZ or CRZ, diagonal on the register, so the state stays inside
+(trial support) x (ancillas).  It is stored ancilla-major, 2^N ancilla
+states by the support rows (:class:`gutzmc.statevector.SupportState`):
+400 x 64 amplitudes at chain:6 and 4900 x 256 at chain:8 and ladder:8,
+where the full 3N-qubit register would need 2^18 and 2^24.
 """
 from __future__ import annotations
 
@@ -23,7 +29,7 @@ import numpy as np
 from .gutzwiller import hs_params
 from .lattice import Lattice, QubitLayout
 from .slater import TrialState, half_filled_trial, sector_amplitudes
-from .statevector import Gate, StateVector, apply_circuit, crz, hadamard, pauli_x, rz
+from .statevector import Gate, StateVector, SupportState, apply_circuit, crz, hadamard, pauli_x, rz
 
 
 @dataclass(frozen=True)
@@ -64,7 +70,7 @@ def _dressing_gates(site: int, alpha: float, layout: QubitLayout, simplified: bo
 
 def build_lcu_state(
     trial: StateVector, g: float, layout: QubitLayout, simplified: bool = True
-) -> StateVector:
+) -> SupportState:
     """Run the preparation circuit on trial ⊗ |0…0⟩ ancillas.
 
     Parameters
@@ -79,6 +85,14 @@ def build_lcu_state(
     simplified : bool
         Use the single-controlled-rotation form instead of the naive
         both-branches-controlled form.  The two produce identical states.
+
+    Returns
+    -------
+    SupportState
+        The whole circuit state, ancilla-major: 2^n_sites ancilla states
+        by the trial's nonzero register basis states.  Its all-zeros
+        ancilla branch is the first row block.  The 2^(3*n_sites)
+        register is never allocated.
     """
     if layout.n_ancillas == 0:
         layout = QubitLayout(layout.n_sites, n_ancillas=layout.n_sites)
@@ -87,9 +101,10 @@ def build_lcu_state(
     if trial.n_qubits != layout.n_register:
         raise ValueError("trial state does not match the register size")
     params = hs_params(g)
-    ancilla_vacuum = np.zeros(1 << layout.n_sites, dtype=complex)
-    ancilla_vacuum[0] = 1.0
-    whole = StateVector(layout.n_qubits, np.kron(trial.amplitudes, ancilla_vacuum))
+    support = np.flatnonzero(trial.amplitudes)
+    amps = np.zeros((1 << layout.n_sites, support.size), dtype=complex)
+    amps[0] = trial.amplitudes[support]
+    whole = SupportState(layout.n_register, layout.n_sites, support, amps.reshape(-1))
     gates: list[Gate] = []
     for site in range(layout.n_sites):
         gates.append(hadamard(layout.ancilla(site)))
@@ -98,16 +113,19 @@ def build_lcu_state(
     return apply_circuit(whole, gates)
 
 
-def measure_ancillas_success(whole_state: StateVector) -> LcuOutcome:
-    """Project onto ancillas |0…0⟩ and renormalize the register branch."""
-    if whole_state.n_qubits % 3 != 0:
+def measure_ancillas_success(whole_state: SupportState) -> LcuOutcome:
+    """Project onto ancillas |0…0⟩ and renormalize the register branch.
+
+    The projected state is scattered back to the full 2N-qubit register.
+    """
+    if whole_state.n_register != 2 * whole_state.n_ancillas:
         raise ValueError("whole state is not an N-ancilla + 2N-register layout")
-    n_sites = whole_state.n_qubits // 3
-    branch = whole_state.amplitudes.reshape(1 << (2 * n_sites), 1 << n_sites)[:, 0]
+    branch = np.zeros(1 << whole_state.n_register, dtype=complex)
+    branch[whole_state.support] = whole_state.amplitudes[:whole_state.support.size]
     probability = float(np.real(np.vdot(branch, branch)))
     if probability < 1e-300:
         raise ArithmeticError("all-zeros ancilla branch has vanishing probability")
-    projected = StateVector(2 * n_sites, branch / np.sqrt(probability))
+    projected = StateVector(whole_state.n_register, branch / np.sqrt(probability))
     return LcuOutcome(success_probability=probability, projected_state=projected)
 
 

@@ -272,7 +272,6 @@ class ChainState:
     config: np.ndarray
     weight: complex
     engine: _DeterminantEngine | _StatevectorEngine
-    w_scale: float = 0.0
     max_drift: float = 0.0
 
 
@@ -287,20 +286,23 @@ def make_chain(trial: TrialState, params: HSParams, backend: str = "determinant"
     else:
         raise ValueError(f"unknown backend {backend!r}")
     weight = engine.reset(config.sum(axis=1))
-    chain = ChainState(config=config, weight=weight, engine=engine)
-    chain.w_scale = abs(weight)
-    _check_weight(chain, weight)
-    return chain
+    _check_weight(weight, weight)
+    return ChainState(config=config, weight=weight, engine=engine)
 
 
-def _check_weight(chain: ChainState, w: complex) -> None:
-    scale = max(chain.w_scale, abs(w))
+def _check_weight(w: complex, current: complex) -> None:
+    """Raise unless ``w`` is real and nonnegative to within roundoff.
+
+    The tolerances are relative to the larger of |w| and the chain's
+    current weight |current|, so they do not loosen after the chain has
+    passed through a region of larger weights.
+    """
+    scale = max(abs(current), abs(w))
     if abs(w.imag) > _IMAG_TOL * scale or w.real < -_NEG_TOL * scale:
         raise PhaseProblemError(
             f"weight {w!r} is not real nonnegative (scale {scale:.3e}); "
             "the trial state is outside the sign-free regime"
         )
-    chain.w_scale = scale
 
 
 def metropolis_sweep(
@@ -329,7 +331,7 @@ def metropolis_sweep(
             u = next(draws)
             new_total = fields[0] + fields[1] - 2 * fields[copy]
             w_new = weight * engine.proposal_ratio(site, new_total)
-            _check_weight(chain, w_new)
+            _check_weight(w_new, weight)
             r = w_new.real / weight.real
             if r >= 1.0 or u < r:
                 fields[copy] = -fields[copy]

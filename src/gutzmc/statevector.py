@@ -5,8 +5,11 @@ written left-to-right reads off directly as a binary index.  Each gate
 kind has its own kernel that updates the amplitudes in place through a
 reshaped view with one length-2 axis per gate qubit: RZ and CRZ scale
 halves by e^{∓i*theta/2}, H is a butterfly and X swaps the two halves.
-Every gate is followed by a norm check.  Expectations and matrix
-elements sum only over the bra's support
+The same kernels run on a :class:`SupportState`, whose register is kept
+only on its occupied basis states: its ancillas are the leading axes,
+and a diagonal gate on a register qubit scales each support row by the
+phase of that qubit's bit.  Every gate is followed by a norm check.
+Expectations and matrix elements sum only over the bra's support
 (:func:`gutzmc.pauli.support_matrix_element`), and the ground-state oracle
 compiles the operator once into a sparse matrix on the requested particle
 sector, so the exact routes cost in proportion to the occupied sector
@@ -15,9 +18,7 @@ rather than the 2**n register.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,6 +77,42 @@ class StateVector:
         return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
+@dataclass
+class SupportState:
+    """Ancilla qubits times a register kept only on its occupied basis states.
+
+    Qubits are numbered as in :class:`gutzmc.lattice.QubitLayout`: the
+    register is qubits ``0 .. n_register-1`` and the ancillas follow.  The
+    storage is ancilla-major: ``amplitudes[a * len(support) + r]`` belongs
+    to ancilla state ``a`` (first ancilla most significant) and register
+    basis state ``support[r]``.  Only gates diagonal on the register keep
+    the state inside its support, so H and X may act on ancillas only.
+    """
+
+    n_register: int
+    n_ancillas: int
+    support: np.ndarray
+    amplitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.support = np.asarray(self.support, dtype=np.int64)
+        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
+        s = self.support
+        valid = (s.ndim == 1 and s.size > 0 and bool(np.all(np.diff(s) > 0))
+                 and 0 <= s[0] and s[-1] < 1 << self.n_register)
+        if not valid:
+            raise ValueError("support must be sorted, distinct register basis indices")
+        if self.amplitudes.shape != ((1 << self.n_ancillas) * s.size,):
+            raise ValueError(
+                f"expected {1 << self.n_ancillas} x {s.size} amplitudes, "
+                f"got shape {self.amplitudes.shape}"
+            )
+
+    @property
+    def n_qubits(self) -> int:
+        return self.n_register + self.n_ancillas
+
+
 @dataclass(frozen=True)
 class Gate:
     """One gate of the small fixed set used by the circuits here.
@@ -128,44 +165,91 @@ def crz(angle: float, control: int, target: int) -> Gate:
     return Gate("CRZ", (control, target), angle)
 
 
-def _scale(view: np.ndarray, phase: complex) -> None:
-    """``view *= phase`` with every product and sum rounded on its own.
+def _scale(view: np.ndarray, real, imag) -> None:
+    """``view *= real + imag`` with every product and sum rounded on its own.
 
-    A complex multiply may fuse a*b - c*d into one rounding, and whether
-    it does depends on the platform; the split form does not.
+    ``real`` is the phase's real part and ``imag`` its imaginary part as
+    the complex number 0 + i*y; either may be an array broadcast against
+    the view.  A complex multiply may fuse a*b - c*d into one rounding,
+    and whether it does depends on the platform; the split form does not.
     """
-    imag = view * complex(0.0, phase.imag)
-    view *= phase.real
-    view += imag
+    product = view * imag
+    view *= real
+    view += product
+
+
+def _rz_phases(theta: float) -> tuple[tuple[float, float], tuple[complex, complex]]:
+    """Real and imaginary parts of e^{-i*theta/2} (bit 0) and e^{+i*theta/2} (bit 1)."""
+    low, high = np.exp(-0.5j * theta), np.exp(0.5j * theta)
+    return (low.real, high.real), (complex(0.0, low.imag), complex(0.0, high.imag))
 
 
 def _scale_halves(view: np.ndarray, axis: int, theta: float) -> None:
     """R_Z on ``axis``: the bit-0 half by e^{-i*theta/2}, the bit-1 half by e^{+i*theta/2}."""
+    real, imag = _rz_phases(theta)
     lead = (slice(None),) * axis
-    _scale(view[lead + (0,)], np.exp(-0.5j * theta))
-    _scale(view[lead + (1,)], np.exp(0.5j * theta))
+    for bit in (0, 1):
+        _scale(view[lead + (bit,)], real[bit], imag[bit])
+
+
+def _scale_rows(view: np.ndarray, state: SupportState, q: int, theta: float) -> None:
+    """R_Z on register qubit ``q``: each support row (the view's last axis)
+    by e^{-i*theta/2} or e^{+i*theta/2}, as that row's bit of ``q`` is 0 or 1."""
+    real, imag = _rz_phases(theta)
+    bits = (state.support >> (state.n_register - 1 - q)) & 1
+    _scale(view, np.array(real, dtype=complex)[bits], np.array(imag)[bits])
+
+
+def _lead_axis(state, q: int) -> int | None:
+    """Position of qubit ``q`` among the leading length-2 axes of the amplitudes.
+
+    Every qubit of a dense state leads; the register qubits of a
+    :class:`SupportState` do not (None) and are read off its support.
+    """
+    if isinstance(state, SupportState):
+        return q - state.n_register if q >= state.n_register else None
+    return q
+
+
+def _split(state, q: int) -> np.ndarray:
+    """The amplitudes as (before, qubit q, after) for a leading qubit ``q``."""
+    axis = _lead_axis(state, q)
+    if axis is None:
+        raise ValueError(f"qubit {q} is kept on a support; only RZ/CRZ may act on it")
+    return state.amplitudes.reshape(1 << axis, 2, -1)
 
 
 # Each kernel reshapes the contiguous amplitudes so that every gate qubit
 # has its own length-2 axis; slices of that view write through.
 
 
-def _rz_kernel(amps: np.ndarray, gate: Gate) -> None:
-    _scale_halves(amps.reshape(1 << gate.qubits[0], 2, -1), 1, gate.angle)
+def _rz_kernel(state, gate: Gate) -> None:
+    q = gate.qubits[0]
+    axis = _lead_axis(state, q)
+    if axis is None:
+        _scale_rows(state.amplitudes.reshape(-1, state.support.size), state, q, gate.angle)
+    else:
+        _scale_halves(state.amplitudes.reshape(1 << axis, 2, -1), 1, gate.angle)
 
 
-def _crz_kernel(amps: np.ndarray, gate: Gate) -> None:
-    control, target = gate.qubits
-    low, high = sorted(gate.qubits)
-    view = amps.reshape(1 << low, 2, 1 << (high - low - 1), 2, -1)
+def _crz_kernel(state, gate: Gate) -> None:
+    control, target = _lead_axis(state, gate.qubits[0]), _lead_axis(state, gate.qubits[1])
+    if control is None:
+        raise ValueError(f"CRZ control {gate.qubits[0]} is kept on a support")
+    if target is None:
+        view = state.amplitudes.reshape(1 << control, 2, -1, state.support.size)
+        _scale_rows(view[:, 1], state, gate.qubits[1], gate.angle)
+        return
+    low, high = sorted((control, target))
+    view = state.amplitudes.reshape(1 << low, 2, 1 << (high - low - 1), 2, -1)
     if control < target:
         _scale_halves(view[:, 1], 2, gate.angle)
     else:
         _scale_halves(view[:, :, :, 1], 1, gate.angle)
 
 
-def _h_kernel(amps: np.ndarray, gate: Gate) -> None:
-    view = amps.reshape(1 << gate.qubits[0], 2, -1)
+def _h_kernel(state, gate: Gate) -> None:
+    view = _split(state, gate.qubits[0])
     low, high = view[:, 0], view[:, 1]
     diff = low - high
     low += high
@@ -173,18 +257,20 @@ def _h_kernel(amps: np.ndarray, gate: Gate) -> None:
     np.multiply(diff, 1.0 / np.sqrt(2.0), out=high)
 
 
-def _x_kernel(amps: np.ndarray, gate: Gate) -> None:
-    view = amps.reshape(1 << gate.qubits[0], 2, -1)
+def _x_kernel(state, gate: Gate) -> None:
+    view = _split(state, gate.qubits[0])
     view[...] = view[:, ::-1]  # NumPy buffers overlapping operands
 
 
 _KERNELS = {"H": _h_kernel, "X": _x_kernel, "RZ": _rz_kernel, "CRZ": _crz_kernel}
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+def apply_gate(state: StateVector | SupportState, gate: Gate) -> StateVector | SupportState:
     """Apply one gate in place and return the (mutated) state.
 
-    The gate kind's kernel updates the amplitude array itself.  A
+    The gate kind's kernel updates the amplitude array itself.  On a
+    :class:`SupportState`, H and X on a register qubit raise ``ValueError``
+    (they would leave the support), as does a CRZ controlled by one.  A
     non-contiguous or read-only array is first replaced by a contiguous
     copy: reshaping it would copy, and the update would be lost.  The norm
     is checked against the input norm after every gate; unitarity makes
@@ -199,7 +285,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     if not (amps.flags.c_contiguous and amps.flags.writeable):
         amps = state.amplitudes = amps.copy()
     norm_in = math.sqrt(np.vdot(amps, amps).real)
-    _KERNELS[gate.name](amps, gate)
+    _KERNELS[gate.name](state, gate)
     norm_out = math.sqrt(np.vdot(amps, amps).real)
     if abs(norm_out - norm_in) > 1e-12 * max(1.0, norm_in):
         raise FloatingPointError(
@@ -208,7 +294,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return state
 
 
-def apply_circuit(state: StateVector, gates) -> StateVector:
+def apply_circuit(state: StateVector | SupportState, gates) -> StateVector | SupportState:
     """Apply the gates in order, each through :func:`apply_gate`."""
     for g in gates:
         apply_gate(state, g)
@@ -231,11 +317,6 @@ def matrix_element(bra: StateVector, op: PauliSum | None, ket: StateVector) -> c
     if op.n_qubits != ket.n_qubits:
         raise ValueError("qubit count mismatch")
     return support_matrix_element(bra.amplitudes, op, ket.amplitudes)
-
-
-def states_equal_up_to_phase(a: StateVector, b: StateVector, tol: float = 1e-10) -> bool:
-    """True when |<a|b>| equals ||a||·||b|| within tol (global phase ignored)."""
-    return abs(abs(a.inner(b)) - a.norm() * b.norm()) < tol
 
 
 # ---------------------------------------------------------------------------
@@ -363,21 +444,3 @@ def exact_ground_state(
     full[basis] = vec
     state = StateVector(n_qubits, full).normalized()
     return GroundStateResult(energy, state, degeneracy)
-
-
-# ---------------------------------------------------------------------------
-# amplitude dump (little-endian, 8-byte qubit count then complex128 pairs)
-
-
-def save_statevector(path: str | Path, state: StateVector) -> None:
-    """Binary dump: uint64-LE qubit count, then interleaved re/im doubles."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", state.n_qubits))
-        fh.write(state.amplitudes.astype("<c16").tobytes())
-
-
-def load_statevector(path: str | Path) -> StateVector:
-    with open(path, "rb") as fh:
-        (n_qubits,) = struct.unpack("<Q", fh.read(8))
-        amps = np.frombuffer(fh.read(), dtype="<c16").astype(complex)
-    return StateVector(int(n_qubits), amps)

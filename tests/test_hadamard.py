@@ -23,9 +23,11 @@ from gutzmc.hadamard import (
     _energy_parts,
     _family_operator,
     _sampled_estimate,
+    anchor_tables,
     hadamard_exact,
     hadamard_shots,
     pas_correct,
+    primitive_tables,
     two_site_energy_from_primitives,
     two_site_sector_trial,
 )
@@ -264,3 +266,32 @@ class TestHoistedPrimitives:
         )
         ref = per_rep_reference(g, 1.0, 2.0, 1024, 4, bias, np.random.default_rng(31), mitigate)
         assert est == ref
+
+
+class TestSharedTables:
+    BIAS = BiasModel(0.9, 0.05)
+
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_shared_tables_give_the_same_estimate(self, mitigate):
+        tables, anchors = primitive_tables(0.7, self.BIAS), anchor_tables(self.BIAS)
+        kwargs = dict(shots=512, reps=3, bias=self.BIAS, mitigate=mitigate)
+        own = two_site_energy_from_primitives(0.7, 1.0, 3.0, rng=np.random.default_rng(5),
+                                              **kwargs)
+        shared = two_site_energy_from_primitives(0.7, 1.0, 3.0, rng=np.random.default_rng(5),
+                                                 tables=tables, anchors=anchors, **kwargs)
+        assert shared == own
+        # the exact assembly reads the ideal table of biased tables
+        assert (two_site_energy_from_primitives(0.7, 1.0, 3.0, tables=tables)
+                == two_site_energy_from_primitives(0.7, 1.0, 3.0))
+
+    def test_mismatched_tables_raise(self):
+        tables = primitive_tables(0.7, self.BIAS)
+        with pytest.raises(ValueError, match="another g"):
+            two_site_energy_from_primitives(0.8, 1.0, 3.0, tables=tables)
+        with pytest.raises(ValueError, match="bias"):
+            two_site_energy_from_primitives(0.7, 1.0, 3.0, shots=64, bias=BiasModel(0.8),
+                                            tables=tables)
+        with pytest.raises(ValueError, match="anchor"):
+            two_site_energy_from_primitives(0.7, 1.0, 3.0, shots=64, bias=self.BIAS,
+                                            mitigate=True, tables=tables,
+                                            anchors=anchor_tables(None))

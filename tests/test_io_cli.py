@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from gutzmc import cli
+from gutzmc import cli, hadamard
 from gutzmc.io_utils import (
     GENERATOR_ID,
     VERSION,
@@ -455,6 +455,25 @@ class TestTwoSiteCommand:
         assert prim[0] == ["g", "quantity", "raw", "mitigated", "exact"]
         assert {r[1] for r in prim[1:]} == {"denominator", "zz_numerator", "xx_numerator"}
         assert len(prim) == 1 + 3 * 3
+
+    @pytest.mark.parametrize("extra,expected", [
+        (["--shots", "64", "--reps", "2", "--bias", "0.9,0.05"], 3 * 96 + 64),
+        (["--shots", "64", "--reps", "2", "--bias", "none"], 3 * 48 + 64),
+        (["--shots", "0", "--bias", "0.9,0.05"], 3 * 48),
+    ])
+    def test_exact_tables_once_per_point(self, tmp_path, monkeypatch, extra, expected):
+        # Per g point: 48 exact primitives, 48 more with a bias model; the
+        # 64 anchor evaluations once per command.
+        calls = []
+        original = hadamard.hadamard_exact
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(hadamard, "hadamard_exact", counted)
+        assert cli.main(["two-site", *self.FLAGS, *extra, "--out", str(tmp_path / "t.csv")]) == 0
+        assert len(calls) == expected
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -8,6 +8,7 @@ and compared against a hand-built average-of-two-unitaries construction.
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from gutzmc.slater import (
     sector_amplitudes,
     slater_to_statevector,
 )
-from gutzmc.statevector import StateVector, apply_circuit, hadamard
+from gutzmc.statevector import StateVector, SupportState, apply_circuit, hadamard
 
 
 def one_site_interaction() -> PauliSum:
@@ -260,7 +261,48 @@ class TestDoubleOccupancy:
         assert abs(docc_from_success_probability(lat, 0.0)) < 1e-6
 
 
+class TestSupportReach:
+    """The circuit at eight sites, where the full 3N-qubit register would
+    hold 2^24 amplitudes (256 MiB per array); the support register holds
+    4900 x 256 at chain:8 and ladder:8."""
+
+    @staticmethod
+    def run_traced(sv, g, layout, simplified):
+        tracemalloc.start()
+        try:
+            whole = build_lcu_state(sv, g, layout, simplified=simplified)
+            outcome = measure_ancillas_success(whole)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return whole, outcome, peak
+
+    @pytest.mark.parametrize("kind", ["chain", "ladder"])
+    @pytest.mark.parametrize("g", [0.4, 1.1])
+    def test_circuit_matches_closed_form(self, kind, g):
+        lat = build_lattice(kind, 8)
+        layout = QubitLayout(8)
+        _, inter = hubbard_terms(lat, 1.0, 1.0)
+        trial = half_filled_trial(lat)
+        sv = slater_to_statevector(trial.up, trial.down, layout)
+        target = apply_gutzwiller_exact(sv, g, inter).normalized()
+        p_exact = success_probability(lat, g)
+        wholes = []
+        for simplified in (True, False):
+            whole, outcome, peak = self.run_traced(sv, g, layout, simplified)
+            assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+            assert abs(outcome.success_probability - p_exact) < 1e-10
+            np.testing.assert_allclose(
+                outcome.projected_state.amplitudes, target.amplitudes, rtol=0, atol=1e-10
+            )
+            wholes.append(whole)
+        assert wholes[0].amplitudes.shape == (256 * 4900,)
+        assert np.max(np.abs(wholes[0].amplitudes - wholes[1].amplitudes)) <= 1e-12
+
+
 def test_layout_shape_guard():
-    bad = StateVector.zero_state(4)  # 4 qubits is not a 3k layout
-    with pytest.raises(ValueError):
-        measure_ancillas_success(bad)
+    support = np.arange(4)
+    with pytest.raises(ValueError):  # 8 amplitudes are not 2^2 ancilla states x 4 rows
+        SupportState(2, 2, support, np.zeros(8, dtype=complex))
+    with pytest.raises(ValueError):  # two ancillas on a 2-qubit register is not N + 2N
+        measure_ancillas_success(SupportState(2, 2, support, np.zeros(16, dtype=complex)))

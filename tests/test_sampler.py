@@ -12,6 +12,7 @@ import pytest
 from gutzmc.gutzwiller import full_sum_expectation, hs_params
 from gutzmc.lattice import QubitLayout, build_lattice, hubbard_terms
 from gutzmc.sampler import (
+    ChainState,
     McParams,
     PhaseProblemError,
     local_estimator,
@@ -324,3 +325,39 @@ class TestPhaseCheck:
     def test_size_guard(self):
         with pytest.raises(ValueError):
             phase_problem_check(build_lattice("chain", 6), 0.5)
+
+    class Scripted:
+        """Weight engine that returns scripted proposal ratios."""
+
+        def __init__(self, ratios):
+            self.ratios = iter(ratios)
+
+        def proposal_ratio(self, site, new_total):
+            return next(self.ratios)
+
+        def commit(self):
+            pass
+
+        def reset(self, total):
+            return 1.0 + 0.0j
+
+    class AcceptAll:
+        def random(self, n):
+            return np.zeros(n)
+
+    def sweep(self, weight, ratios):
+        chain = ChainState(np.ones((2, 2), dtype=np.int64), weight, self.Scripted(ratios))
+        return metropolis_sweep(chain, None, None, self.AcceptAll())
+
+    def test_guard_judges_against_the_current_weight(self):
+        # The chain climbs to weight 1e6 and falls back to 1; a proposal
+        # 1e-6 off the real axis from there is a phase problem, however
+        # large the weights visited before.
+        with pytest.raises(PhaseProblemError, match="scale 1.000e"):
+            self.sweep(1.0 + 0.0j, [1e6, 1e-6, 1.0 + 1e-6j, 1.0])
+
+    def test_guard_scales_with_a_large_current_weight(self):
+        # the same imaginary part is roundoff next to a current weight of 1e6,
+        # also when the proposal itself lands at weight 1
+        _, accepted = self.sweep(1e6 + 0.0j, [1.0 + 1e-12j, 1.0, 1.0, 1e-6 + 1e-12j])
+        assert accepted == 4

@@ -17,18 +17,16 @@ from gutzmc.slater import half_filled_trial, slater_to_statevector
 from gutzmc.statevector import (
     Gate,
     StateVector,
+    SupportState,
     apply_circuit,
     apply_gate,
     crz,
     exact_ground_state,
     expectation,
     hadamard,
-    load_statevector,
     matrix_element,
     pauli_x,
     rz,
-    save_statevector,
-    states_equal_up_to_phase,
 )
 
 
@@ -152,14 +150,60 @@ class TestApplication:
             matrix_element(state, None, state), 1.0, atol=1e-13
         )
 
-    def test_states_equal_up_to_phase(self):
-        rng = np.random.default_rng(6)
-        amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        a = StateVector(3, amps / np.linalg.norm(amps))
-        b = StateVector(3, np.exp(0.321j) * a.amplitudes)
-        assert states_equal_up_to_phase(a, b)
-        c = StateVector(3, np.roll(a.amplitudes, 1))
-        assert not states_equal_up_to_phase(a, c)
+
+class TestSupportState:
+    """Kernels on a support register against the dense embedding on all qubits.
+
+    Register qubits 0-3 are kept on six of their sixteen basis states,
+    ancillas 4-5 lead the storage; the dense reference orders the full
+    6-qubit register with the ancillas least significant.
+    """
+
+    N_REG, N_ANC = 4, 2
+    SUPPORT = np.array([1, 3, 6, 9, 12, 14])
+
+    def states(self):
+        rng = np.random.default_rng(31)
+        rows = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+        dense = np.zeros((16, 4), dtype=complex)
+        dense[self.SUPPORT] = rows.T
+        return (SupportState(self.N_REG, self.N_ANC, self.SUPPORT, rows.reshape(-1)),
+                dense.reshape(-1))
+
+    @pytest.mark.parametrize(
+        "gate",
+        [hadamard(q) for q in (4, 5)]
+        + [pauli_x(q) for q in (4, 5)]
+        + [rz(theta, q) for theta in (0.9, -2.3) for q in range(6)]
+        + [crz(theta, c, t) for theta in (1.3, -0.6) for c in (4, 5) for t in range(6) if c != t],
+        ids=lambda g: f"{g.name}{g.qubits}{'' if g.angle is None else g.angle}",
+    )
+    def test_kernel_matches_dense_embedding(self, gate):
+        state, dense = self.states()
+        expected = (embed(gate.matrix(), gate.qubits, 6) @ dense).reshape(16, 4)
+        out = apply_gate(state, gate)
+        assert out is state
+        got = out.amplitudes.reshape(4, 6).T
+        np.testing.assert_allclose(got, expected[self.SUPPORT], rtol=0, atol=1e-13)
+        off = np.setdiff1d(np.arange(16), self.SUPPORT)
+        assert not expected[off].any()  # the gate keeps the state on its support
+
+    @pytest.mark.parametrize("gate", [hadamard(2), pauli_x(0), crz(0.4, 1, 4), crz(0.4, 1, 2)])
+    def test_gates_leaving_the_support_raise(self, gate):
+        state, _ = self.states()
+        before = state.amplitudes.copy()
+        with pytest.raises(ValueError, match="kept on a support"):
+            apply_gate(state, gate)
+        np.testing.assert_array_equal(state.amplitudes, before)
+
+    def test_layout_guards(self):
+        rows = np.ones(4 * 6, dtype=complex)
+        with pytest.raises(ValueError, match="amplitudes"):
+            SupportState(4, 2, self.SUPPORT, rows[:-1])
+        for support in ([1, 3, 3, 9, 12, 14], [9, 1, 3, 6, 12, 14], [1, 3, 6, 9, 12, 16],
+                        [-1, 3, 6, 9, 12, 14], []):
+            with pytest.raises(ValueError, match="support"):
+                SupportState(4, 2, support, rows[: 4 * len(support)])
 
 
 def random_amplitudes(rng, n_qubits: int) -> np.ndarray:
@@ -242,9 +286,9 @@ class TestGuards:
     def test_gate_norm_guard(self, monkeypatch, name):
         kernel = statevector._KERNELS[name]
 
-        def leaky(amps, gate):
-            kernel(amps, gate)
-            amps *= 1.0 + 1e-9
+        def leaky(state, gate):
+            kernel(state, gate)
+            state.amplitudes *= 1.0 + 1e-9
 
         monkeypatch.setitem(statevector._KERNELS, name, leaky)
         gate = Gate(name, (0, 1)[: 2 if name == "CRZ" else 1],
@@ -354,13 +398,3 @@ class TestExactGroundState:
         res = exact_ground_state(op, 2, None)
         assert res.degeneracy == 2
 
-
-def test_save_load_round_trip(tmp_path):
-    rng = np.random.default_rng(17)
-    amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    state = StateVector(4, amps / np.linalg.norm(amps))
-    path = tmp_path / "state.bin"
-    save_statevector(path, state)
-    back = load_statevector(path)
-    assert back.n_qubits == 4
-    np.testing.assert_array_equal(back.amplitudes, state.amplitudes)
