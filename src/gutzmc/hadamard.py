@@ -25,10 +25,12 @@ exercised end to end: families II and XX are anchored at g=0 where the
 ideal primitive is exactly 1, ZI at g=10 against the analytic ideal at
 rotation angle pi/2.
 
-The exact primitives (3 families x 16 config pairs, :func:`primitive_tables`)
-and the g-independent anchor values (:func:`anchor_tables`) are computed
-once per assembly call, or once by a caller that passes them to several
-calls; repetitions only redraw shots, in the same order as re-measuring
+Each family is evaluated over the sixteen config pairs in one batched
+pass: the four-amplitude sector trial is tiled to one row per pair, each
+side's dressing scales every row in place with the R_Z gate kernel's
+phases and split rounding, and one inner product per row reads off the
+value.  An assembly call computes its exact values and anchor values
+once; repetitions only redraw shots, in the same order as re-measuring
 every primitive would.
 """
 from __future__ import annotations
@@ -41,7 +43,7 @@ from .gutzwiller import HSParams, hs_params
 from .lattice import build_lattice
 from .pauli import PauliSum, apply_pauli_sum
 from .slater import ground_state_of_K, sector_amplitudes
-from .statevector import StateVector, apply_circuit, rz
+from .statevector import StateVector, _rz_phases, _scale
 
 # Measurement-circuit depth per primitive family; the synthetic contrast
 # loss compounds with depth, so different families shrink differently.
@@ -86,30 +88,6 @@ class AssembledPrimitives:
 
 
 @dataclass(frozen=True)
-class PrimitiveTables:
-    """Exact primitives of the three families over the sixteen config pairs at one g.
-
-    ``exact`` holds the ideal values and ``biased`` what the bias model's
-    device reports (the same table when there is no bias model).
-    """
-
-    g: float
-    bias: BiasModel | None
-    exact: dict[str, list[complex]]
-    biased: dict[str, list[complex]]
-
-
-@dataclass(frozen=True)
-class AnchorTables:
-    """Exact anchor values each anchor measurement samples, per family, and
-    the ZI ideals its raw values are divided by; they do not depend on g."""
-
-    bias: BiasModel | None
-    sampled: dict[str, list[complex]]
-    zi_ideal: list[complex]
-
-
-@dataclass(frozen=True)
 class TwoSiteEstimate:
     """Two-site energy assembled from sixteen-config primitives."""
 
@@ -127,11 +105,49 @@ class TwoSiteEstimate:
     primitives_exact: AssembledPrimitives
 
 
-def _sector_circuit(config: np.ndarray, params: HSParams, n_sites: int):
-    s = np.asarray(config, dtype=np.int64).reshape(-1)
-    if s.shape != (n_sites,) or np.any(np.abs(s) != 1):
-        raise ValueError(f"expected a length-{n_sites} ±1 field vector")
-    return [rz(float(s[i]) * params.alpha, i) for i in range(n_sites)]
+def _dress(rows: np.ndarray, configs: np.ndarray, alpha: float) -> None:
+    """u(s) on every row in place, row r dressed by the fields configs[r].
+
+    Site by site, each half of a row is scaled by the phase of
+    R_Z(s_i * alpha) for its bit, with the gate kernel's split rounding,
+    so every row matches the gate-by-gate circuit bit for bit.  The row
+    norms are then checked as :func:`gutzmc.statevector.apply_gate`
+    checks each gate; a violation raises ``FloatingPointError``.
+    """
+    norm_in = np.linalg.norm(rows, axis=1)
+    down, up = _rz_phases(-alpha), _rz_phases(alpha)
+    real = np.array([down[0], up[0]], dtype=complex)[:, None, :, None]
+    imag = np.array([down[1], up[1]])[:, None, :, None]
+    for site, field in enumerate(configs.T):
+        pick = (field > 0).astype(np.int64)
+        _scale(rows.reshape(len(rows), 1 << site, 2, -1), real[pick], imag[pick])
+    norm_out = np.linalg.norm(rows, axis=1)
+    drift = np.abs(norm_out - norm_in)
+    if np.any(drift > 1e-12 * np.maximum(1.0, norm_in)):
+        raise FloatingPointError(f"field dressing changed a norm by {drift.max():.3e}")
+
+
+def _primitive_rows(
+    u2_configs: np.ndarray,
+    observable: PauliSum | None,
+    u1_configs: np.ndarray,
+    trial_sector: StateVector,
+    params: HSParams,
+) -> list[complex]:
+    """Exact <psi0| u(s2_r) O u(s1_r) |psi0> for every row r of the config arrays."""
+    n = trial_sector.n_qubits
+    if observable is not None and observable.n_qubits != n:
+        raise ValueError("observable does not match the sector register")
+    sides = [np.asarray(c, dtype=np.int64) for c in (u1_configs, u2_configs)]
+    for s in sides:
+        if s.shape != (len(sides[0]), n) or np.any(np.abs(s) != 1):
+            raise ValueError(f"expected length-{n} ±1 field vectors, one per row")
+    rows = np.tile(trial_sector.amplitudes, (len(sides[0]), 1))
+    _dress(rows, sides[0], params.alpha)
+    if observable is not None:
+        rows = apply_pauli_sum(rows, observable)
+    _dress(rows, sides[1], params.alpha)
+    return [complex(np.vdot(trial_sector.amplitudes, row)) for row in rows]
 
 
 def hadamard_exact(
@@ -142,14 +158,10 @@ def hadamard_exact(
     params: HSParams,
 ) -> complex:
     """Exact <psi0| u(s2) O u(s1) |psi0> on one spin sector."""
-    n = trial_sector.n_qubits
-    if observable is not None and observable.n_qubits != n:
-        raise ValueError("observable does not match the sector register")
-    ket = apply_circuit(trial_sector.copy(), _sector_circuit(u1_config, params, n))
-    if observable is not None:
-        ket = StateVector(n, apply_pauli_sum(ket.amplitudes, observable))
-    ket = apply_circuit(ket, _sector_circuit(u2_config, params, n))
-    return trial_sector.inner(ket)
+    return _primitive_rows(
+        np.asarray(u2_config)[None], observable, np.asarray(u1_config)[None],
+        trial_sector, params,
+    )[0]
 
 
 def _sampled_estimate(value: complex, shots: int, rng: np.random.Generator) -> HadamardEstimate:
@@ -235,8 +247,8 @@ def _exact_values(
     eff = params
     if bias is not None and bias.phase_offset != 0.0:
         eff = HSParams(params.g, params.alpha + bias.phase_offset, params.gamma)
-    op = _family_operator(family)
-    values = [hadamard_exact(s2, op, s1, trial, eff) for (s1, s2) in _all_config_pairs()]
+    s1, s2 = (np.array(side) for side in zip(*_all_config_pairs()))
+    values = _primitive_rows(s2, _family_operator(family), s1, trial, eff)
     if bias is not None:
         values = [v * bias.scale ** _FAMILY_DEPTH[family] for v in values]
     return values
@@ -265,19 +277,11 @@ def _measured(
     return out
 
 
-def primitive_tables(g: float, bias: BiasModel | None = None) -> PrimitiveTables:
-    """Exact primitive tables at g, ideal and as the biased device reports them."""
-    params = hs_params(g)
-    trial = two_site_sector_trial()
-    exact = {f: _exact_values(f, params, trial, None) for f in _FAMILY_DEPTH}
-    biased = exact if bias is None else {
-        f: _exact_values(f, params, trial, bias) for f in _FAMILY_DEPTH
-    }
-    return PrimitiveTables(float(g), bias, exact, biased)
-
-
-def anchor_tables(bias: BiasModel | None = None) -> AnchorTables:
-    """Exact values behind one measurement of every anchor.
+def _anchor_values(
+    trial: StateVector, bias: BiasModel | None
+) -> tuple[dict[str, list[complex]], list[complex]]:
+    """Exact values behind one measurement of every anchor, per family, and
+    the ZI ideals the raw ZI values are divided by.
 
     II and XX anchor at g=0, where every config's ideal primitive equals
     one.  ZI vanishes at g=0, so it anchors deep in the strong-coupling
@@ -287,7 +291,6 @@ def anchor_tables(bias: BiasModel | None = None) -> AnchorTables:
     kept.  With a pure readout-scale bias the recovered factors are
     exact; a phase offset survives only partially.
     """
-    trial = two_site_sector_trial()
     at_zero, at_large = hs_params(0.0), hs_params(10.0)
     ideal = _exact_values("ZI", at_large, trial, None)
     raw = _exact_values("ZI", at_large, trial, bias)
@@ -297,20 +300,23 @@ def anchor_tables(bias: BiasModel | None = None) -> AnchorTables:
         "XX": _exact_values("XX", at_zero, trial, bias),
         "ZI": [raw[i] for i in kept],
     }
-    return AnchorTables(bias, sampled, [ideal[i] for i in kept])
+    return sampled, [ideal[i] for i in kept]
 
 
 def _anchor_factors(
-    anchors: AnchorTables, shots: int | None, rng: np.random.Generator | None
+    sampled: dict[str, list[complex]],
+    zi_ideal: list[complex],
+    shots: int | None,
+    rng: np.random.Generator | None,
 ) -> dict[str, float]:
     """One measurement of every anchor, as per-family correction factors.
 
-    Shots are drawn family by family in the order of ``anchors.sampled``
-    (II, XX, then ZI), each family in config order.
+    Shots are drawn family by family in the order of ``sampled`` (II, XX,
+    then ZI), each family in config order.
     """
-    measured = {f: _measured(f, values, shots, rng) for f, values in anchors.sampled.items()}
+    measured = {f: _measured(f, values, shots, rng) for f, values in sampled.items()}
     factors = {f: float(np.mean([r.real for r in measured[f]])) for f in ("II", "XX")}
-    ratios = [(r / i).real for r, i in zip(measured["ZI"], anchors.zi_ideal)]
+    ratios = [(r / i).real for r, i in zip(measured["ZI"], zi_ideal)]
     factors["ZI"] = float(np.mean(ratios))
     return factors
 
@@ -338,8 +344,6 @@ def two_site_energy_from_primitives(
     bias: BiasModel | None = None,
     rng: np.random.Generator | None = None,
     mitigate: bool = False,
-    tables: PrimitiveTables | None = None,
-    anchors: AnchorTables | None = None,
 ) -> TwoSiteEstimate:
     """Assemble E, K, U<D> on two sites from all sixteen field configs.
 
@@ -349,12 +353,8 @@ def two_site_energy_from_primitives(
     error bars.  With mitigate=True each repetition also measures the
     anchor points and corrects family by family before assembling.  The
     exact (biased) primitive and anchor values do not change between
-    repetitions, so each repetition only draws its shots.  A caller that
-    assembles the same point several times can compute them once and pass
-    them in: ``tables`` from :func:`primitive_tables` at this g (with this
-    bias, or any bias when ``bias`` is None), ``anchors`` from
-    :func:`anchor_tables` with this bias.  Otherwise the call computes its
-    own.
+    repetitions, so they are computed once and each repetition only draws
+    its shots.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -363,19 +363,17 @@ def two_site_energy_from_primitives(
         reps = 1
     elif rng is None:
         rng = np.random.default_rng(0)
-    if tables is None:
-        tables = primitive_tables(g, bias)
-    elif tables.g != g or bias not in (None, tables.bias):
-        raise ValueError("primitive tables were computed for another g or bias model")
-    if anchors is None:
-        anchors = anchor_tables(bias) if mitigate else None
-    elif anchors.bias != bias:
-        raise ValueError("anchor tables were computed for another bias model")
+    trial = two_site_sector_trial()
+    exact = {f: _exact_values(f, params, trial, None) for f in _FAMILY_DEPTH}
+    biased = exact if bias is None else {
+        f: _exact_values(f, params, trial, bias) for f in _FAMILY_DEPTH
+    }
+    if mitigate:
+        anchors = _anchor_values(trial, bias)
 
     exact_prim = _assemble(
-        {f: np.array(_measured(f, v, None, None)) for f, v in tables.exact.items()}, params
+        {f: np.array(_measured(f, v, None, None)) for f, v in exact.items()}, params
     )
-    biased = tables.exact if bias is None else tables.biased
 
     e_r, k_r, ud_r = np.empty(reps), np.empty(reps), np.empty(reps)
     reported, raw_only = [], []
@@ -383,7 +381,7 @@ def two_site_energy_from_primitives(
         values = {f: np.array(_measured(f, v, shots, rng)) for f, v in biased.items()}
         raw_only.append(_assemble(values, params))
         if mitigate:
-            factors = _anchor_factors(anchors, shots, rng)
+            factors = _anchor_factors(*anchors, shots, rng)
             values = {
                 family: pas_correct(vals, factors[family], 1.0)
                 for family, vals in values.items()

@@ -48,14 +48,6 @@ class Lattice:
             if self.sublattice[i] == self.sublattice[j]:
                 raise ValueError(f"edge ({i},{j}) joins equal sublattice labels")
 
-    def as_dict(self) -> dict:
-        """JSON-ready description used by the CLI metadata sidecars."""
-        return {
-            "kind": self.kind,
-            "n_sites": self.n_sites,
-            "edges": [list(e) for e in self.edges],
-        }
-
 
 def build_lattice(kind: str, n_sites: int) -> Lattice:
     """Construct an open chain or a two-leg ladder.

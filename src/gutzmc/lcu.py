@@ -171,14 +171,15 @@ def pair_distance_weights(trial: TrialState) -> np.ndarray:
     return weights
 
 
-def _log_norm_squared(weights: np.ndarray, n_sites: int, g: float) -> float:
-    """ln <psi0| e^{-2g*D} |psi0> from the distance-binned weights."""
+def _log_success_probability(weights: np.ndarray, n_sites: int, g: float) -> float:
+    """ln p = -g*N/2 + ln <psi0| e^{-2g*D} |psi0> from the distance-binned weights."""
     support = np.flatnonzero(weights > 0)
     d = (n_sites - 2 * support) / 4.0
     # Factor out the largest exponent for stability at large g.
     expo = -2.0 * g * d
     peak = float(np.max(expo))
-    return peak + float(np.log(np.sum(weights[support] * np.exp(expo - peak))))
+    log_norm = peak + float(np.log(np.sum(weights[support] * np.exp(expo - peak))))
+    return -g * n_sites / 2 + log_norm
 
 
 def success_probability(lattice: Lattice, g: float, trial: TrialState | None = None) -> float:
@@ -186,7 +187,7 @@ def success_probability(lattice: Lattice, g: float, trial: TrialState | None = N
     if trial is None:
         trial = half_filled_trial(lattice)
     weights = pair_distance_weights(trial)
-    return float(np.exp(-g * lattice.n_sites / 2 + _log_norm_squared(weights, lattice.n_sites, g)))
+    return float(np.exp(_log_success_probability(weights, lattice.n_sites, g)))
 
 
 def success_probability_curve(
@@ -197,7 +198,7 @@ def success_probability_curve(
     weights = pair_distance_weights(trial)
     n = lattice.n_sites
     return [
-        (n, float(g), float(np.exp(-g * n / 2 + _log_norm_squared(weights, n, float(g)))))
+        (n, float(g), float(np.exp(_log_success_probability(weights, n, float(g)))))
         for g in np.asarray(g_grid, dtype=np.float64)
     ]
 
@@ -224,9 +225,6 @@ def docc_from_success_probability(lattice: Lattice, g: float, delta: float = 1e-
     trial = half_filled_trial(lattice)
     weights = pair_distance_weights(trial)
     n = lattice.n_sites
-
-    def log_p(x: float) -> float:
-        return -x * n / 2 + _log_norm_squared(weights, n, x)
-
-    slope = (log_p(g + delta) - log_p(g - delta)) / (2 * delta)
+    slope = (_log_success_probability(weights, n, g + delta)
+             - _log_success_probability(weights, n, g - delta)) / (2 * delta)
     return -(n / 4 + slope / 2)

@@ -75,10 +75,6 @@ class PauliTerm:
         return len(self.operators)
 
     @property
-    def is_identity(self) -> bool:
-        return set(self.operators) <= {"I"}
-
-    @property
     def is_diagonal(self) -> bool:
         return set(self.operators) <= {"I", "Z"}
 

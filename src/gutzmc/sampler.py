@@ -53,6 +53,10 @@ BACKENDS = ("statevector", "determinant")
 _IMAG_TOL = 1e-8
 _NEG_TOL = 1e-8
 
+# Systems up to this many sites memoize the engine's rebuilds and the K/D
+# measurements.
+_MEMO_MAX_SITES = 6
+
 
 class PhaseProblemError(ArithmeticError):
     """A sampled weight turned complex or negative beyond tolerance."""
@@ -157,7 +161,7 @@ class _DeterminantEngine:
         # keep P canonical (the from-scratch build for the current total
         # field, also after commits), which makes every cache entry a
         # pure function of its key; larger systems update P in place.
-        self._memo: dict | None = {} if trial.lattice.n_sites <= 6 else None
+        self._memo: dict | None = {} if trial.lattice.n_sites <= _MEMO_MAX_SITES else None
 
     def reset(self, total: np.ndarray | list[int]) -> complex:
         """Rebuild P for the given total field from scratch; return W."""
@@ -490,7 +494,7 @@ def sample_kinetic_interaction(
     accepted = 0
     t_mat = hopping_matrix(lattice, J)
     kd_cache: dict[bytes, tuple[float, float]] | None = (
-        {} if lattice.n_sites <= 6 else None
+        {} if lattice.n_sites <= _MEMO_MAX_SITES else None
     )
     for sweep in range(mc_params.n_sweeps):
         _, n_acc = metropolis_sweep(chain, trial, params, rng)

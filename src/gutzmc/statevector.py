@@ -52,12 +52,6 @@ class StateVector:
         amps[0] = 1.0
         return cls(n_qubits, amps)
 
-    @classmethod
-    def from_basis_state(cls, n_qubits: int, index: int) -> "StateVector":
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[index] = 1.0
-        return cls(n_qubits, amps)
-
     def copy(self) -> "StateVector":
         return StateVector(self.n_qubits, self.amplitudes.copy())
 

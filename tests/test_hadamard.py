@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gutzmc import hadamard
 from gutzmc.gutzwiller import HSParams, hs_params, two_site_curves, two_site_energy
 from gutzmc.hadamard import (
     _FAMILY_DEPTH,
@@ -21,16 +22,17 @@ from gutzmc.hadamard import (
     _all_config_pairs,
     _assemble,
     _energy_parts,
+    _exact_values,
     _family_operator,
     _sampled_estimate,
-    anchor_tables,
     hadamard_exact,
     hadamard_shots,
     pas_correct,
-    primitive_tables,
     two_site_energy_from_primitives,
     two_site_sector_trial,
 )
+from gutzmc.pauli import apply_pauli_sum
+from gutzmc.statevector import StateVector, _scale, apply_circuit, rz
 
 
 class TestPrimitiveClosedForms:
@@ -68,6 +70,52 @@ class TestPrimitiveClosedForms:
         np.testing.assert_allclose(
             trial.amplitudes, np.array([0, 1, 1, 0]) / np.sqrt(2), atol=1e-14
         )
+
+
+def circuit_primitive(s2, op, s1, trial, params):
+    """<psi0| u(s2) O u(s1) |psi0> gate by gate: per-site RZ circuits around O."""
+    def dressing(config):
+        return [rz(float(s) * params.alpha, i) for i, s in enumerate(config)]
+
+    ket = apply_circuit(trial.copy(), dressing(s1))
+    if op is not None:
+        ket = StateVector(trial.n_qubits, apply_pauli_sum(ket.amplitudes, op))
+    ket = apply_circuit(ket, dressing(s2))
+    return complex(np.vdot(trial.amplitudes, ket.amplitudes))
+
+
+class TestBatchedPrimitives:
+    @pytest.mark.parametrize("bias", [None, BiasModel(0.9), BiasModel(0.9, 0.05)])
+    @pytest.mark.parametrize("g", [0.0, 0.3, 1.0, 2.5, 10.0])
+    def test_bit_identical_to_circuit_route(self, g, bias):
+        params, trial = hs_params(g), two_site_sector_trial()
+        eff = params
+        if bias is not None:
+            eff = HSParams(g, params.alpha + bias.phase_offset, params.gamma)
+        for family in _FAMILY_DEPTH:
+            op = _family_operator(family)
+            ref = [circuit_primitive(s2, op, s1, trial, eff) for s1, s2 in _all_config_pairs()]
+            assert [hadamard_exact(s2, op, s1, trial, eff)
+                    for s1, s2 in _all_config_pairs()] == ref
+            if bias is not None:
+                ref = [v * bias.scale ** _FAMILY_DEPTH[family] for v in ref]
+            assert _exact_values(family, params, trial, bias) == ref
+
+    def test_non_unitary_dressing_raises(self, monkeypatch):
+        def leaky(view, real, imag):
+            _scale(view, real, imag)
+            view *= 1.0 + 1e-9
+
+        monkeypatch.setattr(hadamard, "_scale", leaky)
+        with pytest.raises(FloatingPointError, match="norm"):
+            two_site_energy_from_primitives(0.7, 1.0, 2.0)
+
+    def test_rejects_malformed_fields(self):
+        params, trial = hs_params(0.5), two_site_sector_trial()
+        with pytest.raises(ValueError, match="field vectors"):
+            hadamard_exact(np.array([1, 1, 1]), None, np.array([1, 1]), trial, params)
+        with pytest.raises(ValueError, match="field vectors"):
+            hadamard_exact(np.array([1, 0]), None, np.array([1, 1]), trial, params)
 
 
 class TestAssembly:
@@ -266,32 +314,3 @@ class TestHoistedPrimitives:
         )
         ref = per_rep_reference(g, 1.0, 2.0, 1024, 4, bias, np.random.default_rng(31), mitigate)
         assert est == ref
-
-
-class TestSharedTables:
-    BIAS = BiasModel(0.9, 0.05)
-
-    @pytest.mark.parametrize("mitigate", [False, True])
-    def test_shared_tables_give_the_same_estimate(self, mitigate):
-        tables, anchors = primitive_tables(0.7, self.BIAS), anchor_tables(self.BIAS)
-        kwargs = dict(shots=512, reps=3, bias=self.BIAS, mitigate=mitigate)
-        own = two_site_energy_from_primitives(0.7, 1.0, 3.0, rng=np.random.default_rng(5),
-                                              **kwargs)
-        shared = two_site_energy_from_primitives(0.7, 1.0, 3.0, rng=np.random.default_rng(5),
-                                                 tables=tables, anchors=anchors, **kwargs)
-        assert shared == own
-        # the exact assembly reads the ideal table of biased tables
-        assert (two_site_energy_from_primitives(0.7, 1.0, 3.0, tables=tables)
-                == two_site_energy_from_primitives(0.7, 1.0, 3.0))
-
-    def test_mismatched_tables_raise(self):
-        tables = primitive_tables(0.7, self.BIAS)
-        with pytest.raises(ValueError, match="another g"):
-            two_site_energy_from_primitives(0.8, 1.0, 3.0, tables=tables)
-        with pytest.raises(ValueError, match="bias"):
-            two_site_energy_from_primitives(0.7, 1.0, 3.0, shots=64, bias=BiasModel(0.8),
-                                            tables=tables)
-        with pytest.raises(ValueError, match="anchor"):
-            two_site_energy_from_primitives(0.7, 1.0, 3.0, shots=64, bias=self.BIAS,
-                                            mitigate=True, tables=tables,
-                                            anchors=anchor_tables(None))

@@ -106,7 +106,7 @@ class TestSingleSite:
         )
         circuit_matrix = np.zeros((8, 8), dtype=complex)
         for col in range(8):
-            out = apply_circuit(StateVector.from_basis_state(3, col), gates)
+            out = apply_circuit(StateVector(3, np.eye(8)[col]), gates)
             circuit_matrix[:, col] = out.amplitudes
 
         # direct route: equal-weight average of the two diagonal branches,
@@ -158,6 +158,27 @@ class TestMultiSite:
         for (_, g, p), g_ref in zip(rows, grid):
             assert g == g_ref
             assert abs(p - success_probability(lat, g_ref)) < 1e-14
+
+    def test_one_log_p_formula_bit_for_bit(self):
+        lat = build_lattice("chain", 6)
+        weights, n = pair_distance_weights(half_filled_trial(lat)), 6
+
+        def log_p(g):
+            # ln <psi0|e^{-2gD}|psi0> with its largest exponent factored out, then -g*N/2
+            support = np.flatnonzero(weights > 0)
+            expo = -2.0 * g * ((n - 2 * support) / 4.0)
+            peak = float(np.max(expo))
+            return -g * n / 2 + (peak + float(np.log(np.sum(weights[support]
+                                                               * np.exp(expo - peak)))))
+
+        grid = [float(g) for g in np.linspace(-0.5, 6.0, 27)]
+        expected = [float(np.exp(log_p(g))) for g in grid]
+        assert [p for _, _, p in success_probability_curve(lat, np.array(grid))] == expected
+        assert [success_probability(lat, g) for g in grid] == expected
+        delta = 1e-4
+        for g in grid[::3]:
+            slope = (log_p(g + delta) - log_p(g - delta)) / (2 * delta)
+            assert docc_from_success_probability(lat, g, delta) == -(n / 4 + slope / 2)
 
 
 class TestScalingLaws:
