@@ -14,10 +14,13 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical check failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .io_utils import ConfigError, format_cell, load_config_file, write_csv, wri
 from .lattice import Lattice, QubitLayout, build_lattice, hubbard_hamiltonian, hubbard_terms
 from .lcu import success_probability_curve
 from .sampler import (
+    BACKENDS,
     McParams,
     phase_problem_check,
     results_from_samples,
@@ -39,38 +43,6 @@ from .sampler import (
 from .slater import half_filled_trial, slater_to_statevector
 from .statevector import exact_ground_state, expectation
 from .zz_decomp import decompose_zz, verify_variant
-
-_OPTION_KEYS = (
-    "lattice", "J", "U", "g_min", "g_max", "g_step", "nmc", "bins", "burnin",
-    "seed", "backend", "shots", "reps", "bias", "out",
-)
-
-_DEFAULTS = {
-    "lattice": "chain:4",
-    "J": "1.0",
-    "U": "1,2,3,4",
-    "g_min": "0.0",
-    "g_max": "2.0",
-    "g_step": "0.1",
-    "nmc": "20000",
-    "bins": "20",
-    "burnin": "auto",
-    "seed": "12345",
-    "backend": "determinant",
-    "shots": "8192",
-    "reps": "16",
-    "bias": "none",
-    "out": "auto",
-}
-
-_DEFAULT_OUT = {
-    "two-site": "two_site.csv",
-    "sweep": "sweep.csv",
-    "lcu": "lcu.csv",
-    "mc": "mc.csv",
-    "hst-verify": "hst_verify.csv",
-    "phase-check": "phase_check.csv",
-}
 
 _MC_COLUMNS = [
     "g", "U", "E_mean", "E_err", "K_mean", "K_err", "UD_mean", "UD_err",
@@ -85,40 +57,103 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_float(key: str, text: str) -> float:
+def _number(kind: type, minimum: float | None = None):
+    """Parser for a finite int or float, optionally bounded below."""
+
+    def parse(key: str, text: str):
+        try:
+            value = kind(text)
+        except ValueError as err:
+            name = "integer" if kind is int else "number"
+            raise ConfigError(f"invalid {name} for {key}: {text!r}") from err
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {text!r}")
+        if minimum is not None and value < minimum:
+            bound = "nonnegative" if minimum == 0 else f">= {minimum}"
+            raise ConfigError(f"{key} must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+def _unless(word: str, parse):
+    """Blank text or ``word`` (any case) resolves to None; else ``parse``."""
+
+    def parse_or_none(key: str, text: str):
+        text = text.strip()
+        return None if text.lower() in ("", word) else parse(key, text)
+
+    return parse_or_none
+
+
+def _verbatim(key: str, text: str) -> str:
+    return text
+
+
+def _u_list(key: str, text: str) -> tuple[float, ...]:
+    if not text.strip():
+        raise ConfigError("U list is empty")
+    parse = _number(float, 0)
+    values: list[float] = []
+    for u in (parse(key, part) for part in text.split(",")):
+        if u in values:
+            print(f"warning: duplicate U value {u:g} ignored", file=sys.stderr)
+        else:
+            values.append(u)
+    return tuple(values)
+
+
+def _backend(key: str, text: str) -> str:
+    if text not in BACKENDS:
+        raise ConfigError(f"backend must be {' or '.join(BACKENDS)}, got {text!r}")
+    return text
+
+
+def _bias(key: str, text: str) -> BiasModel:
+    parts = [_number(float)(key, part) for part in text.split(",")]
+    if len(parts) == 1:
+        parts.append(0.0)
+    if len(parts) != 2:
+        raise ConfigError(f"bias must be 'scale,phase', got {text!r}")
     try:
-        return float(text)
+        return BiasModel(scale=parts[0], phase_offset=parts[1])
     except ValueError as err:
-        raise ConfigError(f"invalid number for {key}: {text!r}") from err
+        raise ConfigError(str(err)) from err
 
 
-def _parse_int(key: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as err:
-        raise ConfigError(f"invalid integer for {key}: {text!r}") from err
+class Option(NamedTuple):
+    default: str
+    help: str
+    parse: Callable[[str, str], object]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully resolved settings for one command invocation."""
+# One entry per setting, in --help order.  The key is the config-file key
+# and the RunConfig attribute; the flag is --key with '_' as '-', and the
+# environment variable is GUTZMC_KEY.
+OPTIONS = {
+    "lattice": Option("chain:4", "chain:N or ladder:N", _verbatim),
+    "J": Option("1.0", "hopping amplitude", _number(float)),
+    "U": Option("1,2,3,4", "comma-separated interaction strengths", _u_list),
+    "g_min": Option("0.0", "first g of the grid (>= 0)", _number(float, 0)),
+    "g_max": Option("2.0", "last g of the grid", _number(float)),
+    "g_step": Option("0.1", "g grid spacing", _number(float)),
+    "nmc": Option("20000", "measurement sweeps per point", _number(int)),
+    "bins": Option("20", "error-analysis bins", _number(int)),
+    "burnin": Option("auto", "burn-in sweeps ('auto' = max(500, nmc/10))",
+                     _unless("auto", _number(int))),
+    "seed": Option("12345", "master RNG seed", _number(int, 0)),
+    "backend": Option("determinant", " or ".join(BACKENDS), _backend),
+    "shots": Option("8192", "shots per primitive (0 disables sampling)", _number(int, 0)),
+    "reps": Option("16", "independent repetitions for error bars", _number(int, 1)),
+    "bias": Option("none", "synthetic bias 'scale,phase' ('none' disables)",
+                   _unless("none", _bias)),
+    "out": Option("auto", "output CSV path ('auto' = the command's default name)",
+                  _unless("auto", _verbatim)),
+}
 
-    command: str
-    lattice_spec: str
-    J: float
-    u_values: tuple[float, ...]
-    g_min: float
-    g_max: float
-    g_step: float
-    nmc: int
-    bins: int
-    burnin: int | None
-    seed: int
-    backend: str
-    shots: int
-    reps: int
-    bias: BiasModel | None
-    out: str
+
+class RunConfig(SimpleNamespace):
+    """Fully resolved settings: ``command`` plus one attribute per OPTIONS key."""
 
     def g_grid(self) -> list[float]:
         if self.g_step <= 0:
@@ -128,178 +163,71 @@ class RunConfig:
             raise ConfigError("empty g grid (g-max below g-min)")
         return [self.g_min + i * self.g_step for i in range(n)]
 
-    def lattice(self) -> Lattice:
-        kind, _, size = self.lattice_spec.partition(":")
+    def build_lattice(self) -> Lattice:
+        kind, _, size = self.lattice.partition(":")
         if not size:
             raise ConfigError(
-                f"lattice spec {self.lattice_spec!r} is not of the form chain:N or ladder:N"
+                f"lattice spec {self.lattice!r} is not of the form chain:N or ladder:N"
             )
-        n = _parse_int("lattice", size)
+        n = _number(int)("lattice", size)
         try:
             return build_lattice(kind, n)
         except ValueError as err:
             raise ConfigError(str(err)) from err
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "lattice": self.lattice_spec,
-            "J": self.J,
-            "U": list(self.u_values),
-            "g_min": self.g_min,
-            "g_max": self.g_max,
-            "g_step": self.g_step,
-            "nmc": self.nmc,
-            "bins": self.bins,
-            "burnin": self.burnin,
-            "seed": self.seed,
-            "backend": self.backend,
-            "shots": self.shots,
-            "reps": self.reps,
-            "bias": None if self.bias is None else [self.bias.scale, self.bias.phase_offset],
-            "out": self.out,
-        }
+        config = dict(vars(self))
+        if self.bias is not None:
+            config["bias"] = [self.bias.scale, self.bias.phase_offset]
+        return config
 
 
 def _resolve(command: str, strings: dict[str, str]) -> RunConfig:
-    u_text = strings["U"].strip()
-    if not u_text:
-        raise ConfigError("U list is empty")
-    u_raw = [_parse_float("U", part) for part in u_text.split(",")]
-    u_values = []
-    for u in u_raw:
-        if u < 0:
-            raise ConfigError(f"U must be nonnegative, got {u}")
-        if u in u_values:
-            print(f"warning: duplicate U value {u:g} ignored", file=sys.stderr)
-        else:
-            u_values.append(u)
-
-    bias_text = strings["bias"].strip()
-    if bias_text.lower() in ("", "none"):
-        bias = None
-    else:
-        parts = [_parse_float("bias", p) for p in bias_text.split(",")]
-        if len(parts) == 1:
-            parts.append(0.0)
-        if len(parts) != 2:
-            raise ConfigError(f"bias must be 'scale,phase', got {bias_text!r}")
-        try:
-            bias = BiasModel(scale=parts[0], phase_offset=parts[1])
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
-
-    backend = strings["backend"]
-    if backend not in ("statevector", "determinant"):
-        raise ConfigError(f"backend must be statevector or determinant, got {backend!r}")
-
-    burnin_text = strings["burnin"].strip().lower()
-    burnin = None if burnin_text in ("", "auto") else _parse_int("burnin", burnin_text)
-
-    seed = _parse_int("seed", strings["seed"])
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
-
-    out_text = strings["out"].strip()
-    out = _DEFAULT_OUT[command] if out_text.lower() in ("", "auto") else out_text
-
-    J = _parse_float("J", strings["J"])
-    if J <= 0 and command != "hst-verify":
-        raise ConfigError(f"J must be positive, got {J}")
-
-    cfg = RunConfig(
-        command=command,
-        lattice_spec=strings["lattice"],
-        J=J,
-        u_values=tuple(u_values),
-        g_min=_parse_float("g_min", strings["g_min"]),
-        g_max=_parse_float("g_max", strings["g_max"]),
-        g_step=_parse_float("g_step", strings["g_step"]),
-        nmc=_parse_int("nmc", strings["nmc"]),
-        bins=_parse_int("bins", strings["bins"]),
-        burnin=burnin,
-        seed=seed,
-        backend=backend,
-        shots=_parse_int("shots", strings["shots"]),
-        reps=_parse_int("reps", strings["reps"]),
-        bias=bias,
-        out=out,
-    )
-    if cfg.shots < 0:
-        raise ConfigError(f"shots must be >= 0, got {cfg.shots}")
-    if cfg.reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {cfg.reps}")
+    cfg = RunConfig(command=command,
+                    **{key: opt.parse(key, strings[key]) for key, opt in OPTIONS.items()})
+    if cfg.out is None:
+        cfg.out = COMMANDS[command].out
+    if cfg.J <= 0 and command != "hst-verify":
+        raise ConfigError(f"J must be positive, got {cfg.J}")
     return cfg
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="gutzmc", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command")
-    specs = {
-        "two-site": "closed-form, assembled, and shot-sampled two-site curves",
-        "sweep": "MC energy sweep with oracle routes where feasible",
-        "lcu": "success-probability tables for the ancilla preparation",
-        "mc": "Monte Carlo energies over the (g, U) grid",
-        "hst-verify": "verify the catalog of two-qubit decompositions",
-        "phase-check": "exhaustive weight positivity scan",
-    }
-    for name, help_text in specs.items():
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--lattice", default=None, help="chain:N or ladder:N")
-        p.add_argument("--J", default=None, help="hopping amplitude")
-        p.add_argument("--U", default=None, help="comma-separated interaction strengths")
-        p.add_argument("--g-min", dest="g_min", default=None)
-        p.add_argument("--g-max", dest="g_max", default=None)
-        p.add_argument("--g-step", dest="g_step", default=None)
-        p.add_argument("--nmc", default=None, help="measurement sweeps per point")
-        p.add_argument("--bins", default=None, help="error-analysis bins")
-        p.add_argument("--burnin", default=None, help="burn-in sweeps ('auto' = max(500, nmc/10))")
-        p.add_argument("--seed", default=None, help="master RNG seed")
-        p.add_argument("--backend", default=None, help="statevector or determinant")
-        p.add_argument("--shots", default=None, help="shots per primitive (0 disables sampling)")
-        p.add_argument("--reps", default=None, help="independent repetitions for error bars")
-        p.add_argument("--bias", default=None, help="synthetic bias 'scale,phase' ('none' disables)")
-        p.add_argument("--out", default=None, help="output CSV path")
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="flat key=value config file")
+        for key, opt in OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key,
+                           help=f"{opt.help} [default: {opt.default}]")
     return parser
 
 
 def merge_settings(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
     """Apply flag > environment > config file > default precedence."""
-    strings = dict(_DEFAULTS)
+    strings = {key: opt.default for key, opt in OPTIONS.items()}
     provided: set[str] = set()
-    if args.config is not None:
-        for key, value in load_config_file(args.config).items():
-            if key not in _OPTION_KEYS:
-                raise ConfigError(f"unknown config key {key!r}")
-            strings[key] = value
-            provided.add(key)
-    for key in _OPTION_KEYS:
-        env = os.environ.get(f"GUTZMC_{key.upper()}")
-        if env is not None:
-            strings[key] = env
-            provided.add(key)
-    for key in _OPTION_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            strings[key] = flag
-            provided.add(key)
+    from_file = load_config_file(args.config) if args.config is not None else {}
+    for key in from_file:
+        if key not in OPTIONS:
+            raise ConfigError(f"unknown config key {key!r}")
+    from_env = {key: os.environ.get(f"GUTZMC_{key.upper()}") for key in OPTIONS}
+    from_flags = {key: getattr(args, key, None) for key in OPTIONS}
+    for layer in (from_file, from_env, from_flags):
+        for key, value in layer.items():
+            if value is not None:
+                strings[key] = value
+                provided.add(key)
     return _resolve(args.command, strings), provided
 
 
-def _mc_point(cfg: RunConfig, lattice: Lattice, g_index: int, g: float):
+def _mc_point(cfg: RunConfig, lattice: Lattice, params: McParams, g_index: int, g: float):
     """CSV rows for one g point, and the chain's max_drift."""
     point_seed = cfg.seed + 1000003 * g_index
-    mc_params = McParams(
-        n_sweeps=cfg.nmc,
-        n_burnin=cfg.burnin,
-        n_bins=cfg.bins,
-        rng_seed=point_seed,
-        backend=cfg.backend,
-    )
-    samples = sample_kinetic_interaction(lattice, cfg.J, g, mc_params)
+    samples = sample_kinetic_interaction(lattice, cfg.J, g, replace(params, rng_seed=point_seed))
     rows = []
-    for u in cfg.u_values:
+    for u in cfg.U:
         energy, kinetic, interaction = results_from_samples(samples, u)
         rows.append([
             g, u, energy.mean, energy.stderr, kinetic.mean, kinetic.stderr,
@@ -309,25 +237,26 @@ def _mc_point(cfg: RunConfig, lattice: Lattice, g_index: int, g: float):
     return rows, samples.max_drift
 
 
-def _check_mc_limits(cfg: RunConfig, lattice: Lattice) -> None:
+def _mc_params(cfg: RunConfig, lattice: Lattice) -> McParams:
+    """Chain parameters shared by every g point, after the MC size checks."""
     if lattice.n_sites > 12:
         raise ConfigError(f"MC supports at most 12 sites, got {lattice.n_sites}")
     if cfg.backend == "statevector" and lattice.n_sites > 8:
         raise ConfigError("statevector backend supports at most 8 sites")
     try:
-        McParams(n_sweeps=cfg.nmc, n_burnin=cfg.burnin, n_bins=cfg.bins,
-                 rng_seed=cfg.seed, backend=cfg.backend)
+        return McParams(n_sweeps=cfg.nmc, n_burnin=cfg.burnin, n_bins=cfg.bins,
+                        backend=cfg.backend)
     except ValueError as err:
         raise ConfigError(str(err)) from err
 
 
 def cmd_mc(cfg: RunConfig, provided: set[str]) -> int:
-    lattice = cfg.lattice()
-    _check_mc_limits(cfg, lattice)
+    lattice = cfg.build_lattice()
+    params = _mc_params(cfg, lattice)
     rows = []
     drifts: dict = {}
     for gi, g in enumerate(cfg.g_grid()):
-        point_rows, drifts[format_cell(g)] = _mc_point(cfg, lattice, gi, g)
+        point_rows, drifts[format_cell(g)] = _mc_point(cfg, lattice, params, gi, g)
         rows.extend(point_rows)
     write_csv(cfg.out, _MC_COLUMNS, rows)
     write_metadata(cfg.out, {"config": cfg.echo(), "seed": cfg.seed, "max_drift": drifts})
@@ -335,8 +264,8 @@ def cmd_mc(cfg: RunConfig, provided: set[str]) -> int:
 
 
 def cmd_sweep(cfg: RunConfig, provided: set[str]) -> int:
-    lattice = cfg.lattice()
-    _check_mc_limits(cfg, lattice)
+    lattice = cfg.build_lattice()
+    params = _mc_params(cfg, lattice)
     grid = cfg.g_grid()
     n = lattice.n_sites
     layout = QubitLayout(n)
@@ -349,19 +278,19 @@ def cmd_sweep(cfg: RunConfig, provided: set[str]) -> int:
     rows = []
     drifts: dict = {}
     for gi, g in enumerate(grid):
-        point_rows, drifts[format_cell(g)] = _mc_point(cfg, lattice, gi, g)
+        point_rows, drifts[format_cell(g)] = _mc_point(cfg, lattice, params, gi, g)
         rows.extend(["mc"] + row for row in point_rows)
         if n <= 7:
             k_val = full_sum_expectation(kinetic_op, g, trial_sv, layout)
             d_val = full_sum_expectation(interaction_op, g, trial_sv, layout)
-            for u in cfg.u_values:
+            for u in cfg.U:
                 rows.append(["fullsum", g, u, k_val + u * d_val, 0.0, k_val, 0.0,
                              u * d_val, 0.0, 0.0, 0, cfg.seed])
         if trial_sv is not None:
             projected = apply_gutzwiller_exact(trial_sv, g, interaction_op).normalized()
             k_val = expectation(projected, kinetic_op).real
             d_val = expectation(projected, interaction_op).real
-            for u in cfg.u_values:
+            for u in cfg.U:
                 rows.append(["exact-gutzwiller", g, u, k_val + u * d_val, 0.0, k_val,
                              0.0, u * d_val, 0.0, 0.0, 0, cfg.seed])
 
@@ -372,7 +301,7 @@ def cmd_sweep(cfg: RunConfig, provided: set[str]) -> int:
             "%g" % u: exact_ground_state(
                 hubbard_hamiltonian(lattice, cfg.J, u), layout.n_register, sector
             ).energy
-            for u in cfg.u_values
+            for u in cfg.U
         }
     write_csv(cfg.out, ["method"] + _MC_COLUMNS, rows)
     write_metadata(cfg.out, meta)
@@ -385,7 +314,7 @@ def cmd_two_site(cfg: RunConfig, provided: set[str]) -> int:
     rows = []
     primitive_rows = []
     minima = {}
-    for ui, u in enumerate(cfg.u_values):
+    for ui, u in enumerate(cfg.U):
         curves = two_site_curves(cfg.J, u, np.array(grid))
         minima["%g" % u] = {
             "g_at_grid_minimum": grid[int(np.argmin(curves.E))],
@@ -437,7 +366,7 @@ def cmd_two_site(cfg: RunConfig, provided: set[str]) -> int:
 def cmd_lcu(cfg: RunConfig, provided: set[str]) -> int:
     grid = np.array(cfg.g_grid())
     if "lattice" in provided:
-        lattices = [cfg.lattice()]
+        lattices = [cfg.build_lattice()]
     else:
         lattices = [build_lattice("chain", n) for n in (2, 4, 6, 8, 10, 12)]
     rows = []
@@ -467,7 +396,7 @@ def cmd_hst_verify(cfg: RunConfig, provided: set[str]) -> int:
 
 
 def cmd_phase_check(cfg: RunConfig, provided: set[str]) -> int:
-    lattice = cfg.lattice()
+    lattice = cfg.build_lattice()
     if lattice.n_sites > 5:
         raise ConfigError(
             f"phase check enumerates 4^N configs; {lattice.n_sites} sites is above the 5-site cap"
@@ -487,17 +416,26 @@ def cmd_phase_check(cfg: RunConfig, provided: set[str]) -> int:
     write_metadata(cfg.out, {"config": cfg.echo(), "seed": cfg.seed,
                              "all_passed": all_passed})
     status = "pass" if all_passed else "FAIL"
-    print(f"phase check on {cfg.lattice_spec}: {status} over {len(g_values)} g values")
+    print(f"phase check on {cfg.lattice}: {status} over {len(g_values)} g values")
     return 0 if all_passed else 2
 
 
-_COMMANDS = {
-    "two-site": cmd_two_site,
-    "sweep": cmd_sweep,
-    "lcu": cmd_lcu,
-    "mc": cmd_mc,
-    "hst-verify": cmd_hst_verify,
-    "phase-check": cmd_phase_check,
+class Command(NamedTuple):
+    run: Callable[[RunConfig, set[str]], int]
+    help: str
+    out: str
+
+
+COMMANDS = {
+    "two-site": Command(cmd_two_site, "closed-form, assembled, and shot-sampled two-site curves",
+                        "two_site.csv"),
+    "sweep": Command(cmd_sweep, "MC energy sweep with oracle routes where feasible", "sweep.csv"),
+    "lcu": Command(cmd_lcu, "success-probability tables for the ancilla preparation", "lcu.csv"),
+    "mc": Command(cmd_mc, "Monte Carlo energies over the (g, U) grid", "mc.csv"),
+    "hst-verify": Command(cmd_hst_verify, "verify the catalog of two-qubit decompositions",
+                          "hst_verify.csv"),
+    "phase-check": Command(cmd_phase_check, "exhaustive weight positivity scan",
+                           "phase_check.csv"),
 }
 
 
@@ -509,7 +447,7 @@ def main(argv=None) -> int:
             parser.print_help()
             return 1
         cfg, provided = merge_settings(args)
-        return _COMMANDS[args.command](cfg, provided)
+        return COMMANDS[args.command].run(cfg, provided)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -36,7 +36,7 @@ from .gutzwiller import (
     hs_params,
 )
 from .lattice import Lattice, QubitLayout, hopping_matrix, hubbard_terms
-from .pauli import PauliSum, apply_pauli_sum
+from .pauli import apply_pauli_sum
 from .slater import (
     TrialState,
     dressed_green_function,
@@ -378,20 +378,9 @@ def weight_numerator(
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def _observable_pauli(observable, lattice: Lattice, J: float) -> PauliSum:
-    if isinstance(observable, PauliSum):
-        return observable
-    kinetic, interaction = hubbard_terms(lattice, J, 1.0)
-    if observable == "kinetic":
-        return kinetic
-    if observable == "interaction":
-        return interaction
-    raise ValueError(f"unknown observable {observable!r}")
-
-
 def local_estimator(
     config: np.ndarray,
-    observable,
+    observable: str,
     trial: TrialState,
     params: HSParams,
     backend: str = "determinant",
@@ -399,12 +388,15 @@ def local_estimator(
 ) -> complex:
     """Ratio <psi0|u(s2) Ô u(s1)|psi0> / W(s) for one configuration.
 
-    observable is "kinetic", "interaction", or (statevector backend
-    only) an explicit PauliSum on the register.  The determinant backend
-    evaluates the hopping sum as tr(T·M) per spin sector and the
-    double-occupancy sum from the Green diagonals; both derive from the
-    same per-spin Green matrices.
+    observable is "kinetic" or "interaction" on either backend.  The
+    determinant backend evaluates the hopping sum as tr(T·M) per spin
+    sector and the double-occupancy sum from the Green diagonals; both
+    derive from the same per-spin Green matrices.  The statevector
+    backend applies the Pauli form of the observable between the two
+    dressing circuits.
     """
+    if observable not in ("kinetic", "interaction"):
+        raise ValueError(f"unknown observable {observable!r}")
     n = trial.lattice.n_sites
     config = _validate_config(config, n)
     if backend == "determinant":
@@ -417,12 +409,11 @@ def local_estimator(
             greens.append(
                 dressed_green_function(trial.down, config[:, 1], config[:, 0], params.alpha)
             )
-        if observable not in ("kinetic", "interaction"):
-            raise ValueError("determinant backend supports 'kinetic' and 'interaction' only")
         kinetic, docc = _kd_sums(greens, hopping_matrix(trial.lattice, J))
         return kinetic if observable == "kinetic" else docc
     if backend == "statevector":
-        op = _observable_pauli(observable, trial.lattice, J)
+        kinetic_op, interaction_op = hubbard_terms(trial.lattice, J, 1.0)
+        op = kinetic_op if observable == "kinetic" else interaction_op
         layout = QubitLayout(n)
         psi = slater_to_statevector(trial.up, trial.down, layout)
         ket = apply_circuit(psi.copy(), field_rotation_circuit(config, 1, params, layout))

@@ -37,7 +37,7 @@ def read_rows(path):
 
 def make_namespace(command, **overrides):
     ns = argparse.Namespace(command=command, config=None)
-    for key in cli._OPTION_KEYS:
+    for key in cli.OPTIONS:
         setattr(ns, key, None)
     for key, value in overrides.items():
         setattr(ns, key, value)
@@ -136,9 +136,9 @@ class TestPrecedence:
         cfg, provided = cli.merge_settings(make_namespace("mc"))
         assert provided == set()
         assert cfg.seed == 12345
-        assert cfg.lattice_spec == "chain:4"
+        assert cfg.lattice == "chain:4"
         assert cfg.backend == "determinant"
-        assert cfg.u_values == (1.0, 2.0, 3.0, 4.0)
+        assert cfg.U == (1.0, 2.0, 3.0, 4.0)
         assert cfg.out == "mc.csv"
 
     def test_config_file_then_env_then_flag(self, tmp_path, monkeypatch):
@@ -190,7 +190,7 @@ class TestResolve:
 
     def test_duplicate_u_warns_and_dedups(self, capsys):
         cfg, _ = cli.merge_settings(make_namespace("mc", U="2,2,3"))
-        assert cfg.u_values == (2.0, 3.0)
+        assert cfg.U == (2.0, 3.0)
         assert "duplicate U" in capsys.readouterr().err
 
     def test_bias_forms(self):
@@ -225,14 +225,116 @@ class TestResolve:
 
     def test_lattice_spec_parsing(self):
         cfg, _ = cli.merge_settings(make_namespace("mc", lattice="ladder:6"))
-        lat = cfg.lattice()
+        lat = cfg.build_lattice()
         assert lat.kind == "ladder" and lat.n_sites == 6
         bad, _ = cli.merge_settings(make_namespace("mc", lattice="chain4"))
         with pytest.raises(ConfigError, match="chain:N or ladder:N"):
-            bad.lattice()
+            bad.build_lattice()
         mesh, _ = cli.merge_settings(make_namespace("mc", lattice="mesh:4"))
         with pytest.raises(ConfigError):
-            mesh.lattice()
+            mesh.build_lattice()
+
+
+# key -> (flag, environment variable, text, value as echoed in the sidecar);
+# every text differs from the built-in default
+OPTION_SAMPLES = {
+    "lattice": ("--lattice", "GUTZMC_LATTICE", "chain:2", "chain:2"),
+    "J": ("--J", "GUTZMC_J", "0.5", 0.5),
+    "U": ("--U", "GUTZMC_U", "3,5", [3.0, 5.0]),
+    "g_min": ("--g-min", "GUTZMC_G_MIN", "0.25", 0.25),
+    "g_max": ("--g-max", "GUTZMC_G_MAX", "0.5", 0.5),
+    "g_step": ("--g-step", "GUTZMC_G_STEP", "0.25", 0.25),
+    "nmc": ("--nmc", "GUTZMC_NMC", "200", 200),
+    "bins": ("--bins", "GUTZMC_BINS", "10", 10),
+    "burnin": ("--burnin", "GUTZMC_BURNIN", "20", 20),
+    "seed": ("--seed", "GUTZMC_SEED", "7", 7),
+    "backend": ("--backend", "GUTZMC_BACKEND", "statevector", "statevector"),
+    "shots": ("--shots", "GUTZMC_SHOTS", "64", 64),
+    "reps": ("--reps", "GUTZMC_REPS", "2", 2),
+    "bias": ("--bias", "GUTZMC_BIAS", "0.9,0.05", [0.9, 0.05]),
+    "out": ("--out", "GUTZMC_OUT", "elsewhere.csv", "elsewhere.csv"),
+}
+
+DEFAULT_OUT = {
+    "two-site": "two_site.csv",
+    "sweep": "sweep.csv",
+    "lcu": "lcu.csv",
+    "mc": "mc.csv",
+    "hst-verify": "hst_verify.csv",
+    "phase-check": "phase_check.csv",
+}
+
+
+class TestOptionTable:
+    def test_every_option_has_a_sample(self):
+        assert list(cli.OPTIONS) == list(OPTION_SAMPLES)
+
+    @pytest.mark.parametrize("key", list(OPTION_SAMPLES))
+    @pytest.mark.parametrize("source", ["flag", "env", "file"])
+    def test_each_source_sets_each_key(self, key, source, tmp_path, monkeypatch):
+        flag, env, text, echoed = OPTION_SAMPLES[key]
+        argv = ["mc"]
+        if source == "flag":
+            argv += [flag, text]
+        elif source == "env":
+            monkeypatch.setenv(env, text)
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"{key} = {text}\n")
+            argv += ["--config", str(path)]
+        cfg, provided = cli.merge_settings(cli.build_parser().parse_args(argv))
+        assert provided == {key}
+        assert json.loads(json.dumps(cfg.echo()[key])) == echoed
+
+    def test_sidecar_echoes_every_key(self, tmp_path):
+        argv = ["hst-verify"]
+        for key, (flag, _, text, _) in OPTION_SAMPLES.items():
+            argv += [flag, str(tmp_path / text) if key == "out" else text]
+        assert cli.main(argv) == 0
+        config = json.loads(sidecar_path(tmp_path / "elsewhere.csv").read_text())["config"]
+        expected = {key: sample[3] for key, sample in OPTION_SAMPLES.items()}
+        expected["out"] = str(tmp_path / "elsewhere.csv")
+        assert config == {"command": "hst-verify", **expected}
+
+    @pytest.mark.parametrize("command", list(DEFAULT_OUT))
+    def test_command_help_and_default_out(self, command, capsys):
+        assert list(cli.COMMANDS) == list(DEFAULT_OUT)
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        for flag, *_ in OPTION_SAMPLES.values():
+            assert flag in help_text
+        cfg, _ = cli.merge_settings(make_namespace(command))
+        assert cfg.out == DEFAULT_OUT[command]
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("argv", [
+        ["mc", "--g-min", "0", "--g-max", "1", "--g-step", "inf"],
+        ["mc", "--J", "nan"],
+        ["mc", "--U", "2,nan"],
+        ["mc", "--g-min", "nan"],
+        ["mc", "--g-max=-inf"],
+        ["two-site", "--J", "inf", "--shots", "0"],
+        ["two-site", "--bias", "0.9,nan"],
+    ])
+    def test_non_finite_numbers_rejected(self, argv, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main([*argv, "--lattice", "chain:2", "--nmc", "100", "--bins", "10",
+                       "--burnin", "10", "--out", str(out)])
+        assert rc == 1
+        assert "finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(DEFAULT_OUT))
+    def test_negative_g_rejected(self, command, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main([command, "--lattice", "chain:2", "--g-min", "-0.5", "--g-max", "-0.5",
+                       "--nmc", "100", "--bins", "10", "--burnin", "10", "--out", str(out)])
+        assert rc == 1
+        assert "error: g_min must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestMainExitCodes:

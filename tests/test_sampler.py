@@ -139,6 +139,16 @@ class TestLocalEstimators:
             e_sv = local_estimator(config, "kinetic", trial, params, backend="statevector", J=1.0)
             assert agree(e_det, e_sv, 1e-10)
 
+    @pytest.mark.parametrize("backend", ["determinant", "statevector"])
+    def test_only_named_observables(self, backend):
+        lat = build_lattice("chain", 2)
+        trial = half_filled_trial(lat)
+        config = np.ones((2, 2), dtype=int)
+        kinetic_op, _ = hubbard_terms(lat, 1.0, 1.0)
+        for observable in ("spin", kinetic_op):
+            with pytest.raises(ValueError, match="unknown observable"):
+                local_estimator(config, observable, trial, hs_params(0.5), backend)
+
 
 class TestChain:
     def test_stationary_distribution_two_sites(self):
