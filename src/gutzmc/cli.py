@@ -6,8 +6,8 @@ Every command writes a CSV (17-significant-digit cells) plus a JSON
 sidecar echoing the effective configuration, seed, and generator
 identity; identical config and seed reproduce the files byte for byte.
 The ``mc`` and ``sweep`` sidecars also carry ``max_drift``, each chain's
-largest relative gap between its tracked and rebuilt weight, keyed by
-the g cell as written in the CSV.
+largest relative gap between a sweep's tracked weight and its
+from-scratch value, keyed by the g cell as written in the CSV.
 
 Exit codes: 0 success, 1 usage/config error, 2 numerical check failure.
 """
@@ -86,7 +86,26 @@ def _unless(word: str, parse):
     return parse_or_none
 
 
+def _positive(key: str, text: str) -> float:
+    value = _number(float)(key, text)
+    if value <= 0:
+        raise ConfigError(f"{key} must be positive, got {value}")
+    return value
+
+
 def _verbatim(key: str, text: str) -> str:
+    return text
+
+
+def _lattice_spec(key: str, text: str) -> str:
+    """The spec text itself, once it names a lattice build_lattice accepts."""
+    kind, _, size = text.partition(":")
+    if not size:
+        raise ConfigError(f"lattice spec {text!r} is not of the form chain:N or ladder:N")
+    try:
+        build_lattice(kind, _number(int)(key, size))
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
     return text
 
 
@@ -131,12 +150,12 @@ class Option(NamedTuple):
 # and the RunConfig attribute; the flag is --key with '_' as '-', and the
 # environment variable is GUTZMC_KEY.
 OPTIONS = {
-    "lattice": Option("chain:4", "chain:N or ladder:N", _verbatim),
+    "lattice": Option("chain:4", "chain:N or ladder:N", _lattice_spec),
     "J": Option("1.0", "hopping amplitude", _number(float)),
     "U": Option("1,2,3,4", "comma-separated interaction strengths", _u_list),
     "g_min": Option("0.0", "first g of the grid (>= 0)", _number(float, 0)),
     "g_max": Option("2.0", "last g of the grid", _number(float)),
-    "g_step": Option("0.1", "g grid spacing", _number(float)),
+    "g_step": Option("0.1", "g grid spacing (> 0)", _positive),
     "nmc": Option("20000", "measurement sweeps per point", _number(int)),
     "bins": Option("20", "error-analysis bins", _number(int)),
     "burnin": Option("auto", "burn-in sweeps ('auto' = max(500, nmc/10))",
@@ -152,28 +171,24 @@ OPTIONS = {
 }
 
 
+# Largest g grid any command accepts.
+MAX_G_POINTS = 10_000
+
+
 class RunConfig(SimpleNamespace):
     """Fully resolved settings: ``command`` plus one attribute per OPTIONS key."""
 
     def g_grid(self) -> list[float]:
-        if self.g_step <= 0:
-            raise ConfigError(f"g-step must be positive, got {self.g_step}")
-        n = int(np.floor((self.g_max - self.g_min) / self.g_step + 1e-9)) + 1
-        if self.g_max < self.g_min or n < 1:
+        if self.g_max < self.g_min:
             raise ConfigError("empty g grid (g-max below g-min)")
-        return [self.g_min + i * self.g_step for i in range(n)]
+        span = (self.g_max - self.g_min) / self.g_step + 1e-9
+        if not span < MAX_G_POINTS:  # also an overflow to inf
+            raise ConfigError(f"g grid has more than {MAX_G_POINTS} points")
+        return [self.g_min + i * self.g_step for i in range(int(np.floor(span)) + 1)]
 
     def build_lattice(self) -> Lattice:
         kind, _, size = self.lattice.partition(":")
-        if not size:
-            raise ConfigError(
-                f"lattice spec {self.lattice!r} is not of the form chain:N or ladder:N"
-            )
-        n = _number(int)("lattice", size)
-        try:
-            return build_lattice(kind, n)
-        except ValueError as err:
-            raise ConfigError(str(err)) from err
+        return build_lattice(kind, int(size))
 
     def echo(self) -> dict:
         config = dict(vars(self))

@@ -15,15 +15,18 @@ weight backends share the same random stream.
 Two weight backends are provided.  The determinant backend carries one
 N x N matrix P = phi G^{-1} phi^H per spin sector (G the k x k dressed
 overlap, k = particles per spin): a proposal ratio is a scalar read off
-P's diagonal, an accepted flip a rank-one update of P, and every sweep
-ends with a from-scratch rebuild that re-anchors the weight.  The
-statevector backend sums diagonal dressing phases over the trial
-state's occupation support.  They are required to agree to 1e-10 and
-are cross-checked in the test suite.
+P's diagonal, and a site whose total field changed applies one rank-one
+update of P.  The chain runs on this tracked weight; every
+_ANCHOR_STACK sweeps one stacked rebuild re-derives the weight of each
+of those sweeps from scratch, records the largest drift, re-anchors the
+chain on the last one and yields the kinetic and double-occupancy
+estimators of all of them.  The statevector backend sums diagonal
+dressing phases over the trial state's occupation support.  They are
+required to agree to 1e-10 and are cross-checked in the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,9 +56,9 @@ BACKENDS = ("statevector", "determinant")
 _IMAG_TOL = 1e-8
 _NEG_TOL = 1e-8
 
-# Systems up to this many sites memoize the engine's rebuilds and the K/D
-# measurements.
-_MEMO_MAX_SITES = 6
+# Sweeps per stacked rebuild: the chain runs on its tracked weight for at
+# most this many sweeps before every one of them is checked from scratch.
+_ANCHOR_STACK = 50
 
 
 class PhaseProblemError(ArithmeticError):
@@ -111,8 +114,9 @@ class McSamples:
 
     Both observables are sampled jointly and are independent of U, so a
     single chain serves every interaction strength.  max_drift is the
-    largest relative gap between the incrementally tracked weight and its
-    per-sweep from-scratch rebuild.
+    largest relative gap, over every burn-in and measured sweep, between
+    the tracked weight at the sweep's end and its from-scratch value from
+    the stacked rebuild.
     """
 
     k_bins: np.ndarray
@@ -130,21 +134,26 @@ class _DeterminantEngine:
     G = phi^H diag(e^{i*alpha*t}) phi.  The engine carries
     P = phi G^{-1} phi^H.  A single flip changes one phase by dphase, a
     rank-one change of G, so by the matrix-determinant lemma the sector
-    ratio is e^{-i*alpha*dt/2} (1 + dphase * P[i, i]) and Sherman-Morrison
-    updates P on commit (Blankenbecler, Scalapino & Sugar, PRD 24, 2278).
-    reset rebuilds det(G) and P from scratch; the sampler calls it once
-    per sweep to re-anchor the weight.
+    ratio is e^{-i*alpha*dt/2} (1 + dphase * P[i, i]) (Blankenbecler,
+    Scalapino & Sugar, PRD 24, 2278).  Both proposals at a site read
+    P[i, i]; an accepted flip only moves that scalar to
+    P[i, i] / (1 + dphase * P[i, i]), its exact Sherman-Morrison value,
+    and settle applies the site's net phase change to P as one rank-one
+    update.  anchor rebuilds a whole stack of configurations from scratch
+    in one batched det and solve, re-anchors P on the last of them and
+    keeps the stack for measure.
     """
 
     def __init__(self, trial: TrialState, params: HSParams):
         self.alpha = params.alpha
+        self.lattice = trial.lattice
         if trial.spin_symmetric:
             self.phis = [trial.up.phi]
             self.symmetric = True
         else:
             self.phis = [trial.up.phi, trial.down.phi]
             self.symmetric = False
-        phase = {t: complex(np.exp(1j * self.alpha * t)) for t in (-2, 0, 2)}
+        self._phase = phase = {t: complex(np.exp(1j * self.alpha * t)) for t in (-2, 0, 2)}
         # (old t, new t) -> (dphase, prefactor ratio) for every single flip
         self._steps = {
             (t, u): (phase[u] - phase[t], complex(np.exp(-0.5j * self.alpha * (u - t))))
@@ -156,72 +165,71 @@ class _DeterminantEngine:
         self.projectors: list[np.ndarray] = []
         self.diagonals: list[list[complex]] = []
         self._pending: tuple | None = None
-        # At most 3^N distinct total fields exist; for small systems the
-        # rebuild repeats endlessly, so memoize it.  Memo-enabled engines
-        # keep P canonical (the from-scratch build for the current total
-        # field, also after commits), which makes every cache entry a
-        # pure function of its key; larger systems update P in place.
-        self._memo: dict | None = {} if trial.lattice.n_sites <= _MEMO_MAX_SITES else None
+        self._anchored: tuple | None = None
 
-    def reset(self, total: np.ndarray | list[int]) -> complex:
-        """Rebuild P for the given total field from scratch; return W."""
-        self.total = np.asarray(total).tolist()
-        self._pending = None
-        return self._load()
-
-    def _load(self) -> complex:
-        if self._memo is None:
-            hit = self._rebuild()
-        else:
-            key = tuple(self.total)
-            hit = self._memo.get(key)
-            if hit is None:
-                hit = self._memo[key] = self._rebuild()
-        self.projectors, self.diagonals, weight = hit
-        return weight
-
-    def _rebuild(self) -> tuple[list[np.ndarray], list[list[complex]], complex]:
-        total = np.array(self.total, dtype=np.float64)
-        phases = np.exp(1j * self.alpha * total)
-        prefactor = np.exp(-0.5j * self.alpha * total.sum())
-        projectors, w = [], 1.0 + 0.0j
+    def anchor(self, configs: np.ndarray) -> np.ndarray:
+        """From-scratch weights of a (B, N, 2) configuration stack."""
+        totals = configs.sum(axis=2)
+        phases = np.exp(1j * self.alpha * totals)
+        prefactor = np.exp(-0.5j * self.alpha * totals.sum(axis=1))
+        weights = np.ones(len(configs), dtype=complex)
+        stacks = []
         for phi in self.phis:
-            gram = phi.conj().T @ (phases[:, None] * phi)
-            w *= prefactor * complex(np.linalg.det(gram))
-            projectors.append(phi @ np.linalg.solve(gram, phi.conj().T))
+            grams = np.einsum("ia,ci,ib->cab", phi.conj(), phases, phi)
+            weights *= prefactor * np.linalg.det(grams)
+            stacks.append(phi @ np.linalg.solve(grams, phi.conj().T))
         if self.symmetric:
-            w *= w
-        return projectors, [p.diagonal().tolist() for p in projectors], complex(w)
+            weights = weights * weights
+        self._anchored = (configs, phases, stacks)
+        self.total = totals[-1].tolist()
+        self.projectors = [stack[-1].copy() for stack in stacks]
+        self.diagonals = [p.diagonal().tolist() for p in self.projectors]
+        self._pending = None
+        return weights
+
+    def measure(self, J: float) -> np.ndarray:
+        """Real K and D estimators of the last anchored stack, shape (2, B).
+
+        They come straight from the stack's P and the ket and bra phases:
+        the Green matrix is M = diag(ket) P diag(bra), so the hopping sum
+        is tr(T·M) = sum_ij T_ij bra_i ket_j P_ji per spin, and M's
+        diagonal is the total-field phase times P's.
+        """
+        configs, phases, stacks = self._anchored
+        ket = np.exp(1j * self.alpha * configs[:, :, 0])
+        bra = np.exp(1j * self.alpha * configs[:, :, 1])
+        hop = hopping_matrix(self.lattice, J) * bra[:, :, None] * ket[:, None, :]
+        kinetic = sum(np.einsum("cij,cji->c", hop, p) for p in stacks)
+        diags = [phases * np.diagonal(p, axis1=1, axis2=2) - 0.5 for p in stacks]
+        if self.symmetric:
+            kinetic = 2.0 * kinetic
+            diags.append(diags[0])
+        docc = np.sum(diags[0] * diags[1], axis=1)
+        return np.array([kinetic.real, docc.real])
 
     def proposal_ratio(self, site: int, new_total: int) -> complex:
         """W(t with t_site -> new_total) / W(t) from the diagonal of P."""
         dphase, pref = self._steps[self.total[site], new_total]
         factors = [1.0 + dphase * diag[site] for diag in self.diagonals]
-        self._pending = (site, new_total, dphase, factors)
+        self._pending = (site, new_total, factors)
         ratio = pref * factors[0]
         if self.symmetric:
             return ratio * ratio
         return ratio * pref * factors[1]
 
     def commit(self) -> None:
-        site, new_total, dphase, factors = self._pending
+        site, new_total, factors = self._pending
         self.total[site] = new_total
         self._pending = None
-        if self._memo is not None:
-            self._load()
-            return
-        for p, factor in zip(self.projectors, factors):
-            p -= (p[:, site] * (dphase / factor))[:, None] * p[site]
-        self.diagonals = [p.diagonal().tolist() for p in self.projectors]
+        for diag, factor in zip(self.diagonals, factors):
+            diag[site] /= factor
 
-    def green_functions(self, config: np.ndarray) -> list[np.ndarray]:
-        """Per-spin Green matrices M = e^{i*alpha*s1} P e^{i*alpha*s2}."""
-        ket_phase = np.exp(1j * self.alpha * config[:, 0].astype(np.float64))
-        bra_phase = np.exp(1j * self.alpha * config[:, 1].astype(np.float64))
-        greens = [ket_phase[:, None] * p * bra_phase[None, :] for p in self.projectors]
-        if self.symmetric:
-            greens.append(greens[0])
-        return greens
+    def settle(self, site: int, old_total: int) -> None:
+        """Apply the site's net change old_total -> total[site] to P."""
+        dphase = self._phase[self.total[site]] - self._phase[old_total]
+        for p in self.projectors:
+            p -= (p[:, site] * (dphase / (1.0 + dphase * p[site, site])))[:, None] * p[site]
+        self.diagonals = [p.diagonal().tolist() for p in self.projectors]
 
 
 class _StatevectorEngine:
@@ -229,12 +237,15 @@ class _StatevectorEngine:
 
     Both dressings are diagonal, so W(s) = sum_b |psi0(b)|^2
     e^{i*alpha*m(b)·t} with m(b) the per-site charge imbalance; only
-    basis states in the trial's support contribute.
+    basis states in the trial's support contribute.  Its estimators come
+    from the statevector local_estimator, one configuration at a time.
     """
 
     def __init__(self, trial: TrialState, params: HSParams):
         if trial.lattice.n_sites > 8:
             raise ValueError("statevector backend supports at most 8 sites")
+        self.trial = trial
+        self.params = params
         self.alpha = params.alpha
         layout = QubitLayout(trial.lattice.n_sites)
         psi = slater_to_statevector(trial.up, trial.down, layout)
@@ -245,15 +256,26 @@ class _StatevectorEngine:
         self.total = np.zeros(trial.lattice.n_sites, dtype=np.int64)
         self.current = 1.0 + 0.0j
         self._pending: tuple | None = None
+        self._anchored: np.ndarray | None = None
 
     def _weight_of(self, total: np.ndarray) -> complex:
         return complex(self.prob @ np.exp(1j * self.alpha * (self.m_support @ total)))
 
-    def reset(self, total: np.ndarray) -> complex:
-        self.total = np.asarray(total, dtype=np.int64).copy()
-        self.current = self._weight_of(self.total.astype(np.float64))
+    def anchor(self, configs: np.ndarray) -> np.ndarray:
+        totals = configs.sum(axis=2)
+        weights = np.exp(1j * self.alpha * (totals @ self.m_support.T)) @ self.prob
+        self._anchored = configs
+        self.total = totals[-1].copy()
+        self.current = complex(weights[-1])
         self._pending = None
-        return self.current
+        return weights
+
+    def measure(self, J: float) -> np.ndarray:
+        return np.array([
+            [local_estimator(config, obs, self.trial, self.params, "statevector", J).real
+             for config in self._anchored]
+            for obs in ("kinetic", "interaction")
+        ])
 
     def proposal_ratio(self, site: int, new_total: int) -> complex:
         trial_total = self.total.astype(np.float64)
@@ -268,15 +290,23 @@ class _StatevectorEngine:
         self.current = w_new
         self._pending = None
 
+    def settle(self, site: int, old_total: int) -> None:
+        """Nothing to do: every ratio is a from-scratch weight."""
+
 
 @dataclass
 class ChainState:
-    """One Markov chain: configuration, cached weight, weight engine."""
+    """One Markov chain: configuration, tracked weight, weight engine.
+
+    pending holds each sweep's end configuration and tracked weight since
+    the last stacked rebuild.
+    """
 
     config: np.ndarray
     weight: complex
     engine: _DeterminantEngine | _StatevectorEngine
     max_drift: float = 0.0
+    pending: list[tuple[list, complex]] = field(default_factory=list)
 
 
 def make_chain(trial: TrialState, params: HSParams, backend: str = "determinant") -> ChainState:
@@ -289,7 +319,7 @@ def make_chain(trial: TrialState, params: HSParams, backend: str = "determinant"
         engine = _StatevectorEngine(trial, params)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    weight = engine.reset(config.sum(axis=1))
+    weight = complex(engine.anchor(config[None])[0])
     _check_weight(weight, weight)
     return ChainState(config=config, weight=weight, engine=engine)
 
@@ -322,8 +352,10 @@ def metropolis_sweep(
     not the ratio decides deterministically, keeping random streams
     aligned across weight backends; the sweep's variates are drawn as
     one block, which yields the same stream as one draw per proposal.
-    The sweep ends by re-anchoring the cached weight against a
-    from-scratch evaluation.
+    The sweep's end configuration and tracked weight join the chain's
+    pending stack; the sweep that fills it runs the stacked rebuild
+    (_anchor), which checks every stacked weight from scratch and
+    re-anchors the chain.
     """
     accepted = 0
     engine = chain.engine
@@ -331,6 +363,7 @@ def metropolis_sweep(
     config = chain.config.tolist()
     draws = iter(rng.random(2 * len(config)).tolist())
     for site, fields in enumerate(config):
+        start = fields[0] + fields[1]
         for copy in (0, 1):
             u = next(draws)
             new_total = fields[0] + fields[1] - 2 * fields[copy]
@@ -342,12 +375,33 @@ def metropolis_sweep(
                 weight = w_new
                 engine.commit()
                 accepted += 1
+        if fields[0] + fields[1] != start:
+            engine.settle(site, start)
     chain.config[:] = config
-    fresh = engine.reset([a + b for a, b in config])
-    denom = max(abs(fresh), 1e-300)
-    chain.max_drift = max(chain.max_drift, abs(fresh - weight) / denom)
-    chain.weight = fresh
+    chain.weight = weight
+    chain.pending.append((config, weight))
+    if len(chain.pending) == _ANCHOR_STACK:
+        _anchor(chain)
     return chain, accepted
+
+
+def _anchor(chain: ChainState) -> None:
+    """One stacked rebuild of every pending sweep.
+
+    Each sweep's tracked weight is compared with its from-scratch value
+    (max_drift keeps the largest relative gap), and the chain re-anchors
+    its weight, and the engine its P, on the last configuration.  The
+    engine keeps the stack for measure.
+    """
+    if not chain.pending:
+        return
+    configs = np.array([config for config, _ in chain.pending])
+    tracked = np.array([weight for _, weight in chain.pending])
+    fresh = chain.engine.anchor(configs)
+    drift = np.abs(fresh - tracked) / np.maximum(np.abs(fresh), 1e-300)
+    chain.max_drift = max(chain.max_drift, float(drift.max()))
+    chain.weight = complex(fresh[-1])
+    chain.pending.clear()
 
 
 def weight_numerator(
@@ -435,44 +489,17 @@ def _kd_sums(greens: list[np.ndarray], t_mat: np.ndarray) -> tuple[complex, comp
     return complex(kinetic), complex(docc)
 
 
-def _measure_kd(
-    chain: ChainState,
-    trial: TrialState,
-    params: HSParams,
-    J: float,
-    t_mat: np.ndarray,
-    cache: dict[bytes, tuple[float, float]] | None = None,
-) -> tuple[float, float]:
-    """Kinetic and double-occupancy local estimators at the current config.
-
-    The exact weighted averages of these ratios are real; per-sample
-    imaginary parts average to zero by symmetry, so the real part is an
-    unbiased (and lower-variance) estimator.  Called between sweeps the
-    value is a pure function of the configuration, so the sampling loop
-    passes a memo dict for small systems.
-    """
-    if cache is not None:
-        key = chain.config.tobytes()
-        hit = cache.get(key)
-        if hit is None:
-            hit = _measure_kd(chain, trial, params, J, t_mat)
-            cache[key] = hit
-        return hit
-    if isinstance(chain.engine, _DeterminantEngine):
-        kinetic, docc = _kd_sums(chain.engine.green_functions(chain.config), t_mat)
-        return kinetic.real, docc.real
-    kinetic = local_estimator(chain.config, "kinetic", trial, params, "statevector", J)
-    docc = local_estimator(chain.config, "interaction", trial, params, "statevector", J)
-    return float(kinetic.real), float(docc.real)
-
-
 def sample_kinetic_interaction(
     lattice: Lattice, J: float, g: float, mc_params: McParams
 ) -> McSamples:
     """Run one chain and bin the kinetic and double-occupancy samples.
 
     Neither observable depends on U, so the returned bins can be combined
-    with any interaction strength afterwards.
+    with any interaction strength afterwards.  Each measured sweep's
+    estimators come from the stacked rebuild that checks its weight; the
+    burn-in ends with a rebuild of its own, so no stack mixes the two.
+    The real parts are kept: the exact weighted averages are real, and
+    the per-sample imaginary parts average to zero by symmetry.
     """
     trial = half_filled_trial(lattice)
     params = hs_params(g)
@@ -480,19 +507,18 @@ def sample_kinetic_interaction(
     chain = make_chain(trial, params, mc_params.backend)
     for _ in range(mc_params.burnin):
         metropolis_sweep(chain, trial, params, rng)
-    k_samples = np.empty(mc_params.n_sweeps)
-    d_samples = np.empty(mc_params.n_sweeps)
+    _anchor(chain)
+    measured = []
     accepted = 0
-    t_mat = hopping_matrix(lattice, J)
-    kd_cache: dict[bytes, tuple[float, float]] | None = (
-        {} if lattice.n_sites <= _MEMO_MAX_SITES else None
-    )
-    for sweep in range(mc_params.n_sweeps):
+    for _ in range(mc_params.n_sweeps):
         _, n_acc = metropolis_sweep(chain, trial, params, rng)
         accepted += n_acc
-        k_samples[sweep], d_samples[sweep] = _measure_kd(
-            chain, trial, params, J, t_mat, kd_cache
-        )
+        if not chain.pending:
+            measured.append(chain.engine.measure(J))
+    if chain.pending:
+        _anchor(chain)
+        measured.append(chain.engine.measure(J))
+    k_samples, d_samples = np.concatenate(measured, axis=1)
     per_bin = mc_params.n_sweeps // mc_params.n_bins
     return McSamples(
         k_bins=k_samples.reshape(mc_params.n_bins, per_bin).mean(axis=1),

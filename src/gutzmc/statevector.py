@@ -271,6 +271,13 @@ def apply_gate(state: StateVector | SupportState, gate: Gate) -> StateVector | S
     any drift a genuine bug, so a violation raises ``FloatingPointError``
     rather than warns.
     """
+    _apply_checked(state, gate, None)
+    return state
+
+
+def _apply_checked(state: StateVector | SupportState, gate: Gate, norm_in: float | None) -> float:
+    """apply_gate's work, given the input norm if it is already known;
+    returns the checked output norm."""
     n = state.n_qubits
     for q in gate.qubits:
         if not 0 <= q < n:
@@ -278,20 +285,26 @@ def apply_gate(state: StateVector | SupportState, gate: Gate) -> StateVector | S
     amps = state.amplitudes
     if not (amps.flags.c_contiguous and amps.flags.writeable):
         amps = state.amplitudes = amps.copy()
-    norm_in = math.sqrt(np.vdot(amps, amps).real)
+    if norm_in is None:
+        norm_in = math.sqrt(np.vdot(amps, amps).real)
     _KERNELS[gate.name](state, gate)
     norm_out = math.sqrt(np.vdot(amps, amps).real)
     if abs(norm_out - norm_in) > 1e-12 * max(1.0, norm_in):
         raise FloatingPointError(
             f"gate {gate.name} changed the norm by {abs(norm_out - norm_in):.3e}"
         )
-    return state
+    return norm_out
 
 
 def apply_circuit(state: StateVector | SupportState, gates) -> StateVector | SupportState:
-    """Apply the gates in order, each through :func:`apply_gate`."""
+    """Apply the gates in order, as :func:`apply_gate` does.
+
+    Each gate's input norm is the previous gate's checked output norm, so
+    a circuit takes one norm per gate plus one.
+    """
+    norm = None
     for g in gates:
-        apply_gate(state, g)
+        norm = _apply_checked(state, g, norm)
     return state
 
 

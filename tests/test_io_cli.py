@@ -216,23 +216,36 @@ class TestResolve:
         grid = cfg.g_grid()
         assert len(grid) == 21
         assert grid[0] == 0.0 and abs(grid[-1] - 2.0) < 1e-12
-        bad, _ = cli.merge_settings(make_namespace("mc", g_step="-0.1"))
         with pytest.raises(ConfigError, match="positive"):
-            bad.g_grid()
+            cli.merge_settings(make_namespace("mc", g_step="-0.1"))
+        with pytest.raises(ConfigError, match="positive"):
+            cli.merge_settings(make_namespace("mc", g_step="0"))
         empty, _ = cli.merge_settings(make_namespace("mc", g_min="2", g_max="1"))
         with pytest.raises(ConfigError, match="empty g grid"):
             empty.g_grid()
+
+    def test_g_grid_point_cap(self):
+        cap = cli.MAX_G_POINTS
+        at_cap, _ = cli.merge_settings(make_namespace("mc", g_max=str(cap - 1), g_step="1"))
+        assert len(at_cap.g_grid()) == cap
+        # one point past the cap, and a count that overflows to infinity
+        for g_max, g_step in ((str(cap), "1"), ("1e308", "1e-10")):
+            cfg, _ = cli.merge_settings(make_namespace("mc", g_max=g_max, g_step=g_step))
+            with pytest.raises(ConfigError, match=f"more than {cap} points"):
+                cfg.g_grid()
 
     def test_lattice_spec_parsing(self):
         cfg, _ = cli.merge_settings(make_namespace("mc", lattice="ladder:6"))
         lat = cfg.build_lattice()
         assert lat.kind == "ladder" and lat.n_sites == 6
-        bad, _ = cli.merge_settings(make_namespace("mc", lattice="chain4"))
         with pytest.raises(ConfigError, match="chain:N or ladder:N"):
-            bad.build_lattice()
-        mesh, _ = cli.merge_settings(make_namespace("mc", lattice="mesh:4"))
-        with pytest.raises(ConfigError):
-            mesh.build_lattice()
+            cli.merge_settings(make_namespace("mc", lattice="chain4"))
+        with pytest.raises(ConfigError, match="unsupported lattice kind"):
+            cli.merge_settings(make_namespace("mc", lattice="mesh:4"))
+        with pytest.raises(ConfigError, match="even site count"):
+            cli.merge_settings(make_namespace("mc", lattice="ladder:5"))
+        with pytest.raises(ConfigError, match="invalid integer"):
+            cli.merge_settings(make_namespace("mc", lattice="chain:x"))
 
 
 # key -> (flag, environment variable, text, value as echoed in the sidecar);
@@ -334,6 +347,28 @@ class TestInputRules:
                        "--nmc", "100", "--bins", "10", "--burnin", "10", "--out", str(out)])
         assert rc == 1
         assert "error: g_min must be nonnegative" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", list(DEFAULT_OUT))
+    @pytest.mark.parametrize("flags,message", [
+        (["--g-step", "-1"], "g_step must be positive"),
+        (["--lattice", "mesh:4"], "unsupported lattice kind"),
+    ], ids=["g_step", "lattice"])
+    def test_every_command_checks_lattice_and_g_step(self, command, flags, message,
+                                                     tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main([command, *flags, "--shots", "0", "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_g_grid_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main(["mc", "--lattice", "chain:2", "--g-max", "1e308", "--g-step", "1e-10",
+                       "--out", str(out)])
+        assert rc == 1
+        assert "points" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -480,6 +515,22 @@ class TestMcCommand:
         meta_b = json.loads(sidecar_path(b).read_text())
         meta_a["config"].pop("out"), meta_b["config"].pop("out")
         assert meta_a == meta_b
+
+    def test_reruns_are_byte_identical_on_the_stacked_path(self, tmp_path):
+        # chain:8 runs more sweeps than one stacked rebuild holds, and its
+        # chains carry P through rank-one updates between the rebuilds
+        flags = ["--lattice", "chain:8", "--U", "2,4", "--g-min", "0.5", "--g-max", "1.0",
+                 "--g-step", "0.5", "--nmc", "120", "--bins", "10", "--burnin", "30"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert cli.main(["mc", *flags, "--out", str(a)]) == 0
+        assert cli.main(["mc", *flags, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        meta_a = json.loads(sidecar_path(a).read_text())
+        meta_b = json.loads(sidecar_path(b).read_text())
+        meta_a["config"].pop("out"), meta_b["config"].pop("out")
+        assert meta_a == meta_b
+        assert len(meta_a["max_drift"]) == 2
+        assert all(0.0 < d < 1e-8 for d in meta_a["max_drift"].values())
 
     def test_sidecar_independent_of_cpu_count(self, tmp_path, monkeypatch):
         metas = []

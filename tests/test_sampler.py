@@ -12,6 +12,7 @@ import pytest
 from gutzmc.gutzwiller import full_sum_expectation, hs_params
 from gutzmc.lattice import QubitLayout, build_lattice, hubbard_terms
 from gutzmc.sampler import (
+    _ANCHOR_STACK,
     ChainState,
     McParams,
     PhaseProblemError,
@@ -189,8 +190,8 @@ class TestChain:
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_fast_update_drift_stays_tiny(self, n):
-        # above six sites the engine carries P = phi G^-1 phi^H through
-        # Sherman-Morrison commits between the per-sweep rebuilds
+        # the engine carries P = phi G^-1 phi^H through rank-one updates
+        # between the stacked rebuilds
         lat = build_lattice("chain", n)
         trial = half_filled_trial(lat)
         params = hs_params(1.0)
@@ -199,6 +200,14 @@ class TestChain:
         for _ in range(300):
             metropolis_sweep(chain, trial, params, rng)
         assert chain.max_drift < 1e-8
+
+    def test_drift_gate_is_not_vacuous(self):
+        # the chain runs on its tracked weight between stacked rebuilds, so
+        # a working run shows roundoff drift: zero would mean no check ran
+        lat = build_lattice("chain", 10)
+        mcp = McParams(n_sweeps=200, n_burnin=100, rng_seed=8, n_bins=10)
+        samples = sample_kinetic_interaction(lat, 1.0, 1.0, mcp)
+        assert 0.0 < samples.max_drift < 1e-8
 
     def test_samples_report_max_drift(self):
         lat = build_lattice("chain", 8)
@@ -252,21 +261,14 @@ class TestChain:
 
 
 class TestFastUpdate:
-    """The determinant engine's rank-one updates against from-scratch routes."""
+    """The determinant engine's fast updates against from-scratch routes."""
 
-    @pytest.mark.parametrize("kind,n", [("chain", 8), ("ladder", 8), ("chain", 12), ("chain", 9)])
-    def test_ratios_and_greens_follow_accepted_flips(self, kind, n):
-        lat = build_lattice(kind, n)
-        trial = half_filled_trial(lat)
-        assert trial.spin_symmetric == (n % 2 == 0)
-        params = hs_params(0.6)
-        chain = make_chain(trial, params)
-        engine = chain.engine
-        config = chain.config.copy()
-        rng = np.random.default_rng(n)
-        w_old = weight_numerator(config, trial, params)
-        for _ in range(4 * n):
-            site, copy = int(rng.integers(n)), int(rng.integers(2))
+    @staticmethod
+    def visit(engine, config, site, copies, trial, params, w_old):
+        """Propose and commit flips of the given copies at one site, as a
+        sweep does, checking every ratio; settle the site's net change."""
+        start = int(config[site].sum())
+        for copy in copies:
             new = config.copy()
             new[site, copy] = -new[site, copy]
             ratio = engine.proposal_ratio(site, int(new[site].sum()))
@@ -274,11 +276,59 @@ class TestFastUpdate:
             assert agree(ratio, w_new / w_old, 1e-10)
             engine.commit()
             config, w_old = new, w_new
-        greens = engine.green_functions(config)
-        sectors = [trial.up, trial.down]
-        for green, sector in zip(greens, sectors):
+        if int(config[site].sum()) != start:
+            engine.settle(site, start)
+        return config, w_old
+
+    @pytest.mark.parametrize("kind,n", [("chain", 8), ("ladder", 8), ("chain", 12), ("chain", 9)])
+    def test_ratios_and_greens_follow_accepted_flips(self, kind, n):
+        lat = build_lattice(kind, n)
+        trial = half_filled_trial(lat)
+        assert trial.spin_symmetric == (n % 2 == 0)
+        params = hs_params(0.6)
+        engine = make_chain(trial, params).engine
+        config = np.ones((n, 2), dtype=np.int64)
+        rng = np.random.default_rng(n)
+        w_old = weight_numerator(config, trial, params)
+        pairs = {"net change": 0, "net zero": 0}
+        for _ in range(4 * n):
+            site = int(rng.integers(n))
+            copies = [(0,), (1,), (0, 1)][int(rng.integers(3))]
+            if len(copies) == 2:
+                pairs["net change" if config[site, 0] == config[site, 1] else "net zero"] += 1
+            config, w_old = self.visit(engine, config, site, copies, trial, params, w_old)
+        # a same-site pair of each kind at every site: equal fields end at
+        # the opposite total, unequal fields end where they started
+        for site in range(n):
+            config, w_old = self.visit(engine, config, site, (0, 1), trial, params, w_old)
+            config, w_old = self.visit(engine, config, site, (0,), trial, params, w_old)
+            config, w_old = self.visit(engine, config, site, (1, 0), trial, params, w_old)
+        assert pairs["net change"] > 0 and pairs["net zero"] > 0
+        ket = np.exp(1j * params.alpha * config[:, 0])
+        bra = np.exp(1j * params.alpha * config[:, 1])
+        for p, sector in zip(engine.projectors, [trial.up, trial.down]):
             exact = dressed_green_function(sector, config[:, 1], config[:, 0], params.alpha)
-            np.testing.assert_allclose(green, exact, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(ket[:, None] * p * bra[None, :], exact, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("kind,n", [("chain", 8), ("chain", 9), ("ladder", 8)])
+    def test_stacked_rebuild_and_measurement(self, kind, n):
+        lat = build_lattice(kind, n)
+        trial = half_filled_trial(lat)
+        params = hs_params(0.5)
+        engine = make_chain(trial, params).engine
+        configs = np.random.default_rng(3 * n).choice([-1, 1], size=(12, n, 2))
+        weights = engine.anchor(configs)
+        kinetic, docc = engine.measure(1.0)
+        for config, w, k, d in zip(configs, weights, kinetic, docc):
+            assert agree(w, weight_numerator(config, trial, params), 1e-12)
+            assert agree(k, local_estimator(config, "kinetic", trial, params).real, 1e-12)
+            assert agree(d, local_estimator(config, "interaction", trial, params).real, 1e-12)
+        # the engine re-anchors on the stack's last configuration
+        last = configs[-1]
+        ratio = engine.proposal_ratio(0, int(last[0].sum()) - 2 * int(last[0, 0]))
+        flipped = last.copy()
+        flipped[0, 0] = -flipped[0, 0]
+        assert agree(ratio, weight_numerator(flipped, trial, params) / weights[-1], 1e-10)
 
 
 class TestParams:
@@ -348,8 +398,11 @@ class TestPhaseCheck:
         def commit(self):
             pass
 
-        def reset(self, total):
-            return 1.0 + 0.0j
+        def settle(self, site, old_total):
+            pass
+
+        def anchor(self, configs):
+            return np.ones(len(configs), dtype=complex)
 
     class AcceptAll:
         def random(self, n):
@@ -365,6 +418,19 @@ class TestPhaseCheck:
         # large the weights visited before.
         with pytest.raises(PhaseProblemError, match="scale 1.000e"):
             self.sweep(1.0 + 0.0j, [1e6, 1e-6, 1.0 + 1e-6j, 1.0])
+
+    def test_drift_is_checked_at_every_stacked_sweep(self):
+        # The tracked weight is off by 1e-3 after one mid-stack sweep and
+        # back on by the end of the stack; the stacked rebuild compares
+        # every sweep's weight, so the gap still shows in max_drift.
+        ratios = [1.0] * (4 * _ANCHOR_STACK)
+        ratios[4 * 10 + 3], ratios[4 * 11] = 1.001, 1 / 1.001
+        chain = ChainState(np.ones((2, 2), dtype=np.int64), 1.0 + 0.0j, self.Scripted(ratios))
+        for _ in range(_ANCHOR_STACK):
+            metropolis_sweep(chain, None, None, self.AcceptAll())
+        assert not chain.pending
+        assert abs(chain.weight - 1.0) < 1e-15
+        assert chain.max_drift == pytest.approx(1e-3, rel=1e-6)
 
     def test_guard_scales_with_a_large_current_weight(self):
         # the same imaginary part is roundoff next to a current weight of 1e6,

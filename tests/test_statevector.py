@@ -297,6 +297,31 @@ class TestGuards:
         with pytest.raises(FloatingPointError, match=f"gate {name} changed the norm"):
             apply_gate(state, gate)
 
+    def test_circuit_checks_every_gate_with_one_norm_each(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        gates = [hadamard(0), crz(0.3, 0, 2), pauli_x(1), rz(0.7, 2), hadamard(2)]
+        amps = random_amplitudes(rng, 3)
+        one_by_one = StateVector(3, amps.copy())
+        for gate in gates:
+            apply_gate(one_by_one, gate)
+        calls = []
+        vdot = np.vdot
+        monkeypatch.setattr(np, "vdot", lambda a, b: calls.append(1) or vdot(a, b))
+        circuit = apply_circuit(StateVector(3, amps.copy()), gates)
+        assert np.array_equal(circuit.amplitudes, one_by_one.amplitudes)
+        assert len(calls) == len(gates) + 1
+        # a leak in the circuit's last gate is still caught
+        kernel = statevector._KERNELS["H"]
+
+        def leaky(state, gate):
+            kernel(state, gate)
+            if gate.qubits == (2,):
+                state.amplitudes *= 1.0 + 1e-9
+
+        monkeypatch.setitem(statevector._KERNELS, "H", leaky)
+        with pytest.raises(FloatingPointError, match="gate H changed the norm"):
+            apply_circuit(StateVector(3, amps.copy()), gates)
+
     def test_gate_arity(self):
         with pytest.raises(ValueError, match="acts on 1 qubit"):
             Gate("H", (0, 1))
