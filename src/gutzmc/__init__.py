@@ -65,7 +65,6 @@ from .slater import (
     SlaterState,
     TrialState,
     dressed_green_function,
-    dressed_one_body,
     dressed_overlap,
     ground_state_of_K,
     half_filled_trial,
@@ -122,7 +121,6 @@ __all__ = [
     "diagonal_eigenvalues",
     "docc_from_success_probability",
     "dressed_green_function",
-    "dressed_one_body",
     "dressed_overlap",
     "exact_double_occupancy",
     "exact_ground_state",

@@ -9,7 +9,8 @@ The ``mc`` and ``sweep`` sidecars also carry ``max_drift``, each chain's
 largest relative gap between a sweep's tracked weight and its
 from-scratch value, keyed by the g cell as written in the CSV.
 
-Exit codes: 0 success, 1 usage/config error, 2 numerical check failure.
+Exit codes: 0 success, 1 usage/config error (a lattice whose half-filled
+shell is degenerate included), 2 numerical check failure.
 """
 from __future__ import annotations
 
@@ -40,7 +41,7 @@ from .sampler import (
     results_from_samples,
     sample_kinetic_interaction,
 )
-from .slater import half_filled_trial, slater_to_statevector
+from .slater import DegenerateFillingError, half_filled_trial, slater_to_statevector
 from .statevector import exact_ground_state, expectation
 from .zz_decomp import decompose_zz, verify_variant
 
@@ -463,7 +464,7 @@ def main(argv=None) -> int:
             return 1
         cfg, provided = merge_settings(args)
         return COMMANDS[args.command].run(cfg, provided)
-    except ConfigError as err:
+    except (ConfigError, DegenerateFillingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ArithmeticError as err:

@@ -94,13 +94,14 @@ def double_occupancy_counts(layout: QubitLayout) -> np.ndarray:
     return counts
 
 
-def field_coupling_matrix(layout: QubitLayout) -> np.ndarray:
-    """Per-site charge imbalance n_up + n_dn - 1 for every basis state.
+def field_coupling_matrix(layout: QubitLayout, basis: np.ndarray | None = None) -> np.ndarray:
+    """Per-site charge imbalance n_up + n_dn - 1 on register basis states.
 
-    Returns an int8 array of shape (2**n_register, n_sites); entry [b, i]
-    is the eigenvalue the site-i field couples to on basis state b.
+    Returns an int8 array of shape (len(basis), n_sites), over all
+    2**n_register states when basis is None; entry [b, i] is the
+    eigenvalue the site-i field couples to on basis state b.
     """
-    idx = np.arange(1 << layout.n_register, dtype=np.int64)
+    idx = np.arange(1 << layout.n_register) if basis is None else np.asarray(basis)
     m = np.empty((idx.size, layout.n_sites), dtype=np.int8)
     for site in range(layout.n_sites):
         up = (idx >> (layout.n_register - 1 - layout.qubit(site, "up"))) & 1
@@ -167,7 +168,7 @@ def full_sum_expectation(
     p = hs_params(g)
     support = np.flatnonzero(trial.amplitudes)
     amps = trial.amplitudes[support]
-    m = field_coupling_matrix(layout)[support]
+    m = field_coupling_matrix(layout, support)
     fields = all_field_vectors(layout.n_sites)
     # phases[b, c] = e^{i*alpha*sum_i s_c[i]*m_i(b)} = action of the c-th dressing
     phases = np.exp(1j * p.alpha * (m.astype(np.float64) @ fields.T.astype(np.float64)))

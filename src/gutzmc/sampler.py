@@ -21,8 +21,10 @@ _ANCHOR_STACK sweeps one stacked rebuild re-derives the weight of each
 of those sweeps from scratch, records the largest drift, re-anchors the
 chain on the last one and yields the kinetic and double-occupancy
 estimators of all of them.  The statevector backend sums diagonal
-dressing phases over the trial state's occupation support.  They are
-required to agree to 1e-10 and are cross-checked in the test suite.
+dressing phases over the trial state's occupation support, for a whole
+stack at once; the one-configuration weight_numerator and
+local_estimator are its stack of one.  The backends are required to
+agree to 1e-10 and are cross-checked in the test suite.
 """
 from __future__ import annotations
 
@@ -35,11 +37,12 @@ from .gutzwiller import (
     _validate_config,
     all_field_vectors,
     field_coupling_matrix,
-    field_rotation_circuit,
     hs_params,
 )
 from .lattice import Lattice, QubitLayout, hopping_matrix, hubbard_terms
-from .pauli import apply_pauli_sum
+# apply_pauli_sum is unused here but stays importable: the benchmark's tracer
+# wraps gutzmc.sampler.apply_pauli_sum by name.
+from .pauli import apply_pauli_sum, diagonal_eigenvalues  # noqa: F401
 from .slater import (
     TrialState,
     dressed_green_function,
@@ -47,7 +50,7 @@ from .slater import (
     half_filled_trial,
     slater_to_statevector,
 )
-from .statevector import StateVector, apply_circuit
+from .statevector import _compile_actions
 
 BACKENDS = ("statevector", "determinant")
 
@@ -233,26 +236,28 @@ class _DeterminantEngine:
 
 
 class _StatevectorEngine:
-    """Weights from the trial state's occupation support.
+    """Weights and estimators from the trial state's occupation support.
 
-    Both dressings are diagonal, so W(s) = sum_b |psi0(b)|^2
-    e^{i*alpha*m(b)·t} with m(b) the per-site charge imbalance; only
-    basis states in the trial's support contribute.  Its estimators come
-    from the statevector local_estimator, one configuration at a time.
+    Both dressings are diagonal: u(s) multiplies basis state b by
+    e^{i*alpha*m(b)·s}, with m(b) the per-site charge imbalance.  So
+    W(s) = sum_b |psi0(b)|^2 e^{i*alpha*m(b)·t} over the trial's support
+    b, and <psi0|u(s2) Ô u(s1)|psi0> needs Ô only between support states:
+    the hopping operator is compiled onto the support once, and the
+    double occupancy is its diagonal there.  estimators returns K and D
+    of a whole anchored stack in one vectorized pass.
     """
 
     def __init__(self, trial: TrialState, params: HSParams):
-        if trial.lattice.n_sites > 8:
-            raise ValueError("statevector backend supports at most 8 sites")
-        self.trial = trial
-        self.params = params
         self.alpha = params.alpha
         layout = QubitLayout(trial.lattice.n_sites)
-        psi = slater_to_statevector(trial.up, trial.down, layout)
-        prob = np.abs(psi.amplitudes) ** 2
+        amps = slater_to_statevector(trial.up, trial.down, layout).amplitudes
+        prob = np.abs(amps) ** 2
         support = np.flatnonzero(prob > 1e-28)
-        self.prob = prob[support]
-        self.m_support = field_coupling_matrix(layout)[support].astype(np.float64)
+        self.amps, self.prob = amps[support], prob[support]
+        self.m_support = field_coupling_matrix(layout, support).astype(np.float64)
+        kinetic, interaction = hubbard_terms(trial.lattice, 1.0, 1.0)
+        self.hop = _compile_actions(kinetic, support)
+        self.docc = diagonal_eigenvalues(interaction, support)
         self.total = np.zeros(trial.lattice.n_sites, dtype=np.int64)
         self.current = 1.0 + 0.0j
         self._pending: tuple | None = None
@@ -264,18 +269,25 @@ class _StatevectorEngine:
     def anchor(self, configs: np.ndarray) -> np.ndarray:
         totals = configs.sum(axis=2)
         weights = np.exp(1j * self.alpha * (totals @ self.m_support.T)) @ self.prob
-        self._anchored = configs
+        self._anchored = (configs, weights)
         self.total = totals[-1].copy()
         self.current = complex(weights[-1])
         self._pending = None
         return weights
 
+    def estimators(self, J: float) -> np.ndarray:
+        """Complex K and D ratios of the last anchored stack, shape (2, B)."""
+        configs, weights = self._anchored
+        if np.min(np.abs(weights)) < 1e-300:
+            raise ArithmeticError("vanishing weight denominator")
+        ket = self.amps * np.exp(1j * self.alpha * (configs[:, :, 0] @ self.m_support.T))
+        bra = self.amps.conj() * np.exp(1j * self.alpha * (configs[:, :, 1] @ self.m_support.T))
+        kinetic = J * np.sum(bra * (self.hop @ ket.T).T, axis=1)
+        docc = (bra * ket) @ self.docc
+        return np.array([kinetic, docc]) / weights
+
     def measure(self, J: float) -> np.ndarray:
-        return np.array([
-            [local_estimator(config, obs, self.trial, self.params, "statevector", J).real
-             for config in self._anchored]
-            for obs in ("kinetic", "interaction")
-        ])
+        return self.estimators(J).real
 
     def proposal_ratio(self, site: int, new_total: int) -> complex:
         trial_total = self.total.astype(np.float64)
@@ -316,6 +328,8 @@ def make_chain(trial: TrialState, params: HSParams, backend: str = "determinant"
     if backend == "determinant":
         engine: _DeterminantEngine | _StatevectorEngine = _DeterminantEngine(trial, params)
     elif backend == "statevector":
+        if n > 8:
+            raise ValueError("statevector backend supports at most 8 sites")
         engine = _StatevectorEngine(trial, params)
     else:
         raise ValueError(f"unknown backend {backend!r}")
@@ -413,22 +427,16 @@ def weight_numerator(
     """Unnormalized weight W(s) of one configuration.
 
     The determinant backend multiplies the two sector overlaps; the
-    statevector backend applies both dressing circuits to the trial
-    register and takes the inner product.
+    statevector backend anchors its engine on a stack of one.
     """
-    n = trial.lattice.n_sites
-    _validate_config(config, n)
+    config = _validate_config(config, trial.lattice.n_sites)
     if backend == "determinant":
         w = dressed_overlap(trial.up, config, params.alpha)
         if trial.spin_symmetric:
             return w * w
         return w * dressed_overlap(trial.down, config, params.alpha)
     if backend == "statevector":
-        layout = QubitLayout(n)
-        psi = slater_to_statevector(trial.up, trial.down, layout)
-        dressed = apply_circuit(psi.copy(), field_rotation_circuit(config, 1, params, layout))
-        dressed = apply_circuit(dressed, field_rotation_circuit(config, 2, params, layout))
-        return psi.inner(dressed)
+        return complex(_StatevectorEngine(trial, params).anchor(config[None])[0])
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -446,13 +454,12 @@ def local_estimator(
     determinant backend evaluates the hopping sum as tr(T·M) per spin
     sector and the double-occupancy sum from the Green diagonals; both
     derive from the same per-spin Green matrices.  The statevector
-    backend applies the Pauli form of the observable between the two
-    dressing circuits.
+    backend anchors its engine on a stack of one and reads both off its
+    support sums.
     """
     if observable not in ("kinetic", "interaction"):
         raise ValueError(f"unknown observable {observable!r}")
-    n = trial.lattice.n_sites
-    config = _validate_config(config, n)
+    config = _validate_config(config, trial.lattice.n_sites)
     if backend == "determinant":
         greens = [
             dressed_green_function(trial.up, config[:, 1], config[:, 0], params.alpha)
@@ -464,22 +471,13 @@ def local_estimator(
                 dressed_green_function(trial.down, config[:, 1], config[:, 0], params.alpha)
             )
         kinetic, docc = _kd_sums(greens, hopping_matrix(trial.lattice, J))
-        return kinetic if observable == "kinetic" else docc
-    if backend == "statevector":
-        kinetic_op, interaction_op = hubbard_terms(trial.lattice, J, 1.0)
-        op = kinetic_op if observable == "kinetic" else interaction_op
-        layout = QubitLayout(n)
-        psi = slater_to_statevector(trial.up, trial.down, layout)
-        ket = apply_circuit(psi.copy(), field_rotation_circuit(config, 1, params, layout))
-        obs_amps = apply_pauli_sum(ket.amplitudes, op)
-        obs_ket = StateVector(ket.n_qubits, obs_amps)
-        obs_ket = apply_circuit(obs_ket, field_rotation_circuit(config, 2, params, layout))
-        dressed = apply_circuit(ket, field_rotation_circuit(config, 2, params, layout))
-        w = psi.inner(dressed)
-        if abs(w) < 1e-300:
-            raise ArithmeticError("vanishing weight denominator")
-        return psi.inner(obs_ket) / w
-    raise ValueError(f"unknown backend {backend!r}")
+    elif backend == "statevector":
+        engine = _StatevectorEngine(trial, params)
+        engine.anchor(config[None])
+        kinetic, docc = engine.estimators(J)[:, 0]
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    return complex(kinetic if observable == "kinetic" else docc)
 
 
 def _kd_sums(greens: list[np.ndarray], t_mat: np.ndarray) -> tuple[complex, complex]:
@@ -585,18 +583,10 @@ def phase_problem_check(
         raise ValueError(f"{n} sites is too large for 4^N weight enumeration (max 5)")
     if trial is None:
         trial = half_filled_trial(lattice)
-    params = hs_params(g)
     singles = all_field_vectors(n)
-    # total field t = s1 + s2 for every ordered pair of single-copy vectors
-    totals = (singles[:, None, :] + singles[None, :, :]).reshape(-1, n).astype(np.float64)
-    weights = np.ones(totals.shape[0], dtype=complex)
-    prefactors = np.exp(-0.5j * params.alpha * totals.sum(axis=1))
-    sectors = [trial.up] if trial.spin_symmetric else [trial.up, trial.down]
-    powers = 2 if trial.spin_symmetric else 1
-    for sector in sectors:
-        phases = np.exp(1j * params.alpha * totals)
-        grams = np.einsum("ia,ci,ib->cab", sector.phi.conj(), phases, sector.phi)
-        weights *= (prefactors * np.linalg.det(grams)) ** powers
+    # every ordered pair (ket vector, bra vector) of single-copy fields
+    configs = np.stack(np.broadcast_arrays(singles[:, None], singles[None, :]), axis=-1)
+    weights = _DeterminantEngine(trial, hs_params(g)).anchor(configs.reshape(-1, n, 2))
     return PhaseCheckReport(
         n_sites=n,
         g=float(g),

@@ -210,22 +210,3 @@ def dressed_green_function(
         raise SingularOverlapError("dressed overlap matrix near singular")
     return b_mat @ np.linalg.solve(overlap, a_mat.conj().T)
 
-
-def dressed_one_body(
-    slater: SlaterState,
-    bra_fields: np.ndarray,
-    ket_fields: np.ndarray,
-    one_body_matrix: np.ndarray,
-    alpha: float,
-) -> complex:
-    """Dressed one-body expectation ratio for one spin sector.
-
-    Returns <phi|u(bra) Ô u(ket)|phi> / <phi|u(bra) u(ket)|phi> where
-    Ô = sum_ij O[i, j] c†_i c_j is given by its n_sites x n_sites matrix.
-    """
-    o = np.asarray(one_body_matrix)
-    if o.shape != (slater.n_sites,) * 2:
-        raise ValueError("one-body matrix has the wrong shape")
-    green = dressed_green_function(slater, bra_fields, ket_fields, alpha)
-    # tr(O M) with M[j, i] = <c†_i c_j>.
-    return complex(np.sum(o * green.T))

@@ -371,6 +371,18 @@ class TestInputRules:
         assert "points" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["mc", "sweep", "lcu", "phase-check"])
+    def test_degenerate_lattice_is_config_error(self, command, tmp_path, capsys):
+        # the half-filled shell of ladder:4 is degenerate: no canonical trial
+        out = tmp_path / "x.csv"
+        rc = cli.main([command, "--lattice", "ladder:4", "--g-min", "0.5", "--g-max", "0.5",
+                       "--nmc", "100", "--bins", "10", "--burnin", "10", "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "degenerate" in err
+        assert not out.exists()
+
 
 class TestMainExitCodes:
     def test_no_command_prints_help(self, capsys):
@@ -516,11 +528,15 @@ class TestMcCommand:
         meta_a["config"].pop("out"), meta_b["config"].pop("out")
         assert meta_a == meta_b
 
-    def test_reruns_are_byte_identical_on_the_stacked_path(self, tmp_path):
-        # chain:8 runs more sweeps than one stacked rebuild holds, and its
+    @pytest.mark.parametrize("backend,lattice", [
+        ("determinant", "chain:8"), ("statevector", "chain:4"),
+    ], ids=["determinant", "statevector"])
+    def test_reruns_are_byte_identical_on_the_stacked_path(self, backend, lattice, tmp_path):
+        # both runs hold more sweeps than one stacked rebuild; the chain:8
         # chains carry P through rank-one updates between the rebuilds
-        flags = ["--lattice", "chain:8", "--U", "2,4", "--g-min", "0.5", "--g-max", "1.0",
-                 "--g-step", "0.5", "--nmc", "120", "--bins", "10", "--burnin", "30"]
+        flags = ["--lattice", lattice, "--U", "2,4", "--g-min", "0.5", "--g-max", "1.0",
+                 "--g-step", "0.5", "--nmc", "120", "--bins", "10", "--burnin", "30",
+                 "--backend", backend]
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["mc", *flags, "--out", str(a)]) == 0
         assert cli.main(["mc", *flags, "--out", str(b)]) == 0

@@ -9,8 +9,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gutzmc.gutzwiller import full_sum_expectation, hs_params
+from gutzmc.gutzwiller import field_rotation_circuit, full_sum_expectation, hs_params
 from gutzmc.lattice import QubitLayout, build_lattice, hubbard_terms
+from gutzmc.pauli import apply_pauli_sum
 from gutzmc.sampler import (
     _ANCHOR_STACK,
     ChainState,
@@ -32,6 +33,7 @@ from gutzmc.slater import (
     half_filled_trial,
     slater_to_statevector,
 )
+from gutzmc.statevector import StateVector, apply_circuit
 
 
 def all_configs(n_sites: int):
@@ -45,8 +47,39 @@ def agree(a: complex, b: complex, tol: float) -> bool:
     return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
 
 
+def circuit_route(config, trial, params, J=1.0):
+    """W, K and D of one configuration by dressing circuits on the full register.
+
+    The reference for the statevector backend: the ket dressing circuit
+    acts on the trial register, the Pauli form of the observable follows,
+    then the bra dressing circuit, and the inner product with the trial.
+    """
+    layout = QubitLayout(trial.lattice.n_sites)
+    psi = slater_to_statevector(trial.up, trial.down, layout)
+    ket = apply_circuit(psi.copy(), field_rotation_circuit(config, 1, params, layout))
+    bra_circuit = field_rotation_circuit(config, 2, params, layout)
+
+    def bra_side(amps):
+        return psi.inner(apply_circuit(StateVector(ket.n_qubits, amps), bra_circuit))
+
+    w = bra_side(ket.amplitudes.copy())
+    kinetic_op, interaction_op = hubbard_terms(trial.lattice, J, 1.0)
+    k = bra_side(apply_pauli_sum(ket.amplitudes, kinetic_op)) / w
+    d = bra_side(apply_pauli_sum(ket.amplitudes, interaction_op)) / w
+    return w, k, d
+
+
+def statevector_route(config, trial, params, J=1.0):
+    """W, K and D of one configuration from the statevector backend."""
+    return (
+        weight_numerator(config, trial, params, backend="statevector"),
+        local_estimator(config, "kinetic", trial, params, "statevector", J),
+        local_estimator(config, "interaction", trial, params, "statevector", J),
+    )
+
+
 class TestWeights:
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_backends_agree_exhaustively(self, n):
         lat = build_lattice("chain", n)
         trial = half_filled_trial(lat)
@@ -55,6 +88,7 @@ class TestWeights:
             w_det = weight_numerator(config, trial, params)
             w_sv = weight_numerator(config, trial, params, backend="statevector")
             assert agree(w_det, w_sv, 1e-10)
+            assert agree(w_sv, circuit_route(config, trial, params)[0], 1e-12)
 
     def test_random_configs_at_six_sites(self):
         lat = build_lattice("chain", 6)
@@ -66,6 +100,7 @@ class TestWeights:
             w_det = weight_numerator(config, trial, params)
             w_sv = weight_numerator(config, trial, params, backend="statevector")
             assert agree(w_det, w_sv, 1e-10)
+            assert agree(w_sv, circuit_route(config, trial, params)[0], 1e-12)
 
     def test_reference_configuration_has_unit_weight(self):
         # all fields +1: the dressing is e^{i*alpha*(n_up+n_dn-1)} twice,
@@ -112,6 +147,31 @@ class TestLocalEstimators:
                     config, obs, trial, params, backend="statevector", J=1.0
                 )
                 assert agree(e_det, e_sv, 1e-10)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_statevector_matches_dressing_circuits(self, n):
+        # every config up to four sites, 60 random ones at six; g = 0.5
+        # keeps them far from singular, as in the chain:4 test above
+        trial = half_filled_trial(build_lattice("chain", n))
+        params = hs_params(0.5)
+        configs = list(all_configs(n)) if n <= 4 else (
+            np.random.default_rng(6).choice([-1, 1], size=(60, n, 2)))
+        for config in configs:
+            got = statevector_route(config, trial, params, J=1.3)
+            for a, b in zip(got, circuit_route(config, trial, params, J=1.3)):
+                assert agree(a, b, 1e-12)
+
+    def test_one_config_reach_at_nine_sites(self):
+        # chains stop at 8 sites on this backend; one configuration does not
+        trial = half_filled_trial(build_lattice("chain", 9))
+        params = hs_params(0.6)
+        config = np.random.default_rng(9).choice([-1, 1], size=(9, 2))
+        w, k, d = statevector_route(config, trial, params)
+        assert agree(w, weight_numerator(config, trial, params), 1e-12)
+        assert agree(k, local_estimator(config, "kinetic", trial, params), 1e-12)
+        assert agree(d, local_estimator(config, "interaction", trial, params), 1e-12)
+        with pytest.raises(ValueError, match="at most 8 sites"):
+            make_chain(trial, params, "statevector")
 
     def test_reference_config_reproduces_trial_averages(self):
         # at the all-(+1) configuration both dressings are the same pure

@@ -19,7 +19,6 @@ from gutzmc.slater import (
     SlaterState,
     TrialState,
     dressed_green_function,
-    dressed_one_body,
     dressed_overlap,
     ground_state_of_K,
     half_filled_trial,
@@ -194,36 +193,6 @@ class TestDressedGreenFunction:
                 op = c[i].conj().T @ c[j]
                 num = np.vdot(amps, u_bra * (op @ (u_ket * amps)))
                 np.testing.assert_allclose(M[j, i], num / den, atol=1e-10)
-
-    def test_one_body_contraction(self):
-        lat = build_lattice("chain", 4)
-        slater = ground_state_of_K(lat, 2)
-        rng = np.random.default_rng(9)
-        bra = rng.choice([-1, 1], size=4)
-        ket = rng.choice([-1, 1], size=4)
-        alpha = 0.55
-        # diagonal observable n_1
-        number = np.zeros((4, 4))
-        number[1, 1] = 1.0
-        amps = sector_amplitudes(slater)
-        c1 = annihilator(1, 4)
-        u_bra, u_ket = field_phases(bra, alpha, 4), field_phases(ket, alpha, 4)
-        expected = np.vdot(amps, u_bra * ((c1.conj().T @ c1) @ (u_ket * amps)))
-        expected /= np.vdot(amps, u_bra * u_ket * amps)
-        got = dressed_one_body(slater, bra, ket, number, alpha)
-        assert abs(got - expected) < 1e-10
-        # and the hopping matrix itself as a nontrivial off-diagonal case
-        t = hopping_matrix(lat, 1.0)
-        expected_t = 0.0j
-        for i in range(4):
-            for j in range(4):
-                if t[i, j] != 0:
-                    ci, cj = annihilator(i, 4), annihilator(j, 4)
-                    expected_t += t[i, j] * np.vdot(
-                        amps, u_bra * ((ci.conj().T @ cj) @ (u_ket * amps))
-                    )
-        expected_t /= np.vdot(amps, u_bra * u_ket * amps)
-        assert abs(dressed_one_body(slater, bra, ket, t, alpha) - expected_t) < 1e-10
 
     def test_singular_dressing_raises(self):
         # alpha = pi/4 with opposite field sums makes A†B exactly singular
