@@ -20,8 +20,8 @@ import numpy as np
 from .lattice import QubitLayout
 # apply_pauli_sum is unused here but stays importable: the benchmark's tracer
 # wraps gutzmc.gutzwiller.apply_pauli_sum by name.
-from .pauli import PauliSum, apply_pauli_sum, diagonal_eigenvalues  # noqa: F401
-from .statevector import Gate, StateVector, _compile_actions, rz
+from .pauli import PauliSum, apply_pauli_sum, basis_matrix, diagonal_eigenvalues  # noqa: F401
+from .statevector import Gate, StateVector, rz
 
 
 @dataclass(frozen=True)
@@ -83,17 +83,6 @@ def apply_gutzwiller_exact(state: StateVector, g: float, D_pauli: PauliSum) -> S
     return StateVector(state.n_qubits, out)
 
 
-def double_occupancy_counts(layout: QubitLayout) -> np.ndarray:
-    """Number of doubly occupied sites for each register basis state."""
-    idx = np.arange(1 << layout.n_register, dtype=np.int64)
-    counts = np.zeros(idx.shape, dtype=np.int64)
-    for site in range(layout.n_sites):
-        up = (idx >> (layout.n_register - 1 - layout.qubit(site, "up"))) & 1
-        dn = (idx >> (layout.n_register - 1 - layout.qubit(site, "down"))) & 1
-        counts += up & dn
-    return counts
-
-
 def field_coupling_matrix(layout: QubitLayout, basis: np.ndarray | None = None) -> np.ndarray:
     """Per-site charge imbalance n_up + n_dn - 1 on register basis states.
 
@@ -110,12 +99,13 @@ def field_coupling_matrix(layout: QubitLayout, basis: np.ndarray | None = None) 
     return m
 
 
-def _validate_config(config: np.ndarray, n_sites: int) -> np.ndarray:
+def _validate_config(config: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """±1 fields as int64: shape (n_sites, 2) for a config, (rows, n_sites) for a stack."""
     s = np.asarray(config, dtype=np.int64)
-    if s.shape != (n_sites, 2):
-        raise ValueError(f"expected field config of shape ({n_sites}, 2), got {s.shape}")
+    if s.shape != shape:
+        raise ValueError(f"expected ±1 field vectors of shape {shape}, got {s.shape}")
     if np.any(np.abs(s) != 1):
-        raise ValueError("field entries must be ±1")
+        raise ValueError("field vectors must be ±1")
     return s
 
 
@@ -132,7 +122,7 @@ def field_rotation_circuit(
     """
     if tau not in (1, 2):
         raise ValueError(f"tau must be 1 or 2, got {tau}")
-    s = _validate_config(config, layout.n_sites)
+    s = _validate_config(config, (layout.n_sites, 2))
     gates = []
     for site in range(layout.n_sites):
         angle = float(s[site, tau - 1]) * params.alpha
@@ -174,7 +164,7 @@ def full_sum_expectation(
     phases = np.exp(1j * p.alpha * (m.astype(np.float64) @ fields.T.astype(np.float64)))
     kets = phases * amps[:, None]
     bras = phases * amps.conj()[:, None]
-    obs_kets = _compile_actions(observable, support) @ kets
+    obs_kets = basis_matrix(observable, support) @ kets
     numerator = np.sum(bras.T @ obs_kets)
     denominator = np.sum(bras.T @ kets)
     value = numerator / denominator

@@ -36,19 +36,29 @@ every primitive would.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .gutzwiller import HSParams, hs_params
+from .gutzwiller import HSParams, _validate_config, hs_params
 from .lattice import build_lattice
 from .pauli import PauliSum, apply_pauli_sum
 from .slater import ground_state_of_K, sector_amplitudes
 from .statevector import StateVector, _rz_phases, _scale
 
-# Measurement-circuit depth per primitive family; the synthetic contrast
-# loss compounds with depth, so different families shrink differently.
-_FAMILY_DEPTH = {"II": 1, "ZI": 2, "XX": 3}
-_FAMILY_PART = {"II": "real", "ZI": "imag", "XX": "real"}
+
+class _Family(NamedTuple):
+    operator: PauliSum | None  # None for the identity
+    depth: int  # measurement-circuit depth; the contrast loss compounds with it
+    quadrature: str  # "real" or "imag": the part the family has on this trial
+
+
+# Shots are drawn family by family in this order.
+_FAMILIES = {
+    "II": _Family(None, 1, "real"),
+    "ZI": _Family(PauliSum.from_ops(2, {0: "Z"}), 2, "imag"),
+    "XX": _Family(PauliSum.from_ops(2, {0: "X", 1: "X"}), 3, "real"),
+}
 
 
 @dataclass(frozen=True)
@@ -138,10 +148,7 @@ def _primitive_rows(
     n = trial_sector.n_qubits
     if observable is not None and observable.n_qubits != n:
         raise ValueError("observable does not match the sector register")
-    sides = [np.asarray(c, dtype=np.int64) for c in (u1_configs, u2_configs)]
-    for s in sides:
-        if s.shape != (len(sides[0]), n) or np.any(np.abs(s) != 1):
-            raise ValueError(f"expected length-{n} ±1 field vectors, one per row")
+    sides = [_validate_config(c, (len(u1_configs), n)) for c in (u1_configs, u2_configs)]
     rows = np.tile(trial_sector.amplitudes, (len(sides[0]), 1))
     _dress(rows, sides[0], params.alpha)
     if observable is not None:
@@ -220,16 +227,6 @@ def two_site_sector_trial() -> StateVector:
     return StateVector(2, amps).normalized()
 
 
-def _family_operator(name: str) -> PauliSum | None:
-    if name == "II":
-        return None
-    if name == "ZI":
-        return PauliSum.from_ops(2, {0: "Z"})
-    if name == "XX":
-        return PauliSum.from_ops(2, {0: "X", 1: "X"})
-    raise ValueError(f"unknown primitive family {name!r}")
-
-
 def _all_config_pairs() -> list[tuple[np.ndarray, np.ndarray]]:
     singles = [np.array(s, dtype=np.int64) for s in
                ((1, 1), (1, -1), (-1, 1), (-1, -1))]
@@ -248,9 +245,9 @@ def _exact_values(
     if bias is not None and bias.phase_offset != 0.0:
         eff = HSParams(params.g, params.alpha + bias.phase_offset, params.gamma)
     s1, s2 = (np.array(side) for side in zip(*_all_config_pairs()))
-    values = _primitive_rows(s2, _family_operator(family), s1, trial, eff)
+    values = _primitive_rows(s2, _FAMILIES[family].operator, s1, trial, eff)
     if bias is not None:
-        values = [v * bias.scale ** _FAMILY_DEPTH[family] for v in values]
+        values = [v * bias.scale ** _FAMILIES[family].depth for v in values]
     return values
 
 
@@ -266,7 +263,7 @@ def _measured(
     are real, ZI purely imaginary), so only that part is kept; with shots
     it is sampled, drawing both parts of each value in list order.
     """
-    real = _FAMILY_PART[family] == "real"
+    real = _FAMILIES[family].quadrature == "real"
     out = []
     for value in values:
         if shots is not None:
@@ -364,9 +361,9 @@ def two_site_energy_from_primitives(
     elif rng is None:
         rng = np.random.default_rng(0)
     trial = two_site_sector_trial()
-    exact = {f: _exact_values(f, params, trial, None) for f in _FAMILY_DEPTH}
+    exact = {f: _exact_values(f, params, trial, None) for f in _FAMILIES}
     biased = exact if bias is None else {
-        f: _exact_values(f, params, trial, bias) for f in _FAMILY_DEPTH
+        f: _exact_values(f, params, trial, bias) for f in _FAMILIES
     }
     if mitigate:
         anchors = _anchor_values(trial, bias)

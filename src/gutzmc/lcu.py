@@ -182,11 +182,9 @@ def _log_success_probability(weights: np.ndarray, n_sites: int, g: float) -> flo
     return -g * n_sites / 2 + log_norm
 
 
-def success_probability(lattice: Lattice, g: float, trial: TrialState | None = None) -> float:
+def success_probability(lattice: Lattice, g: float) -> float:
     """Closed-form p = e^{-g*N/2} <psi0|e^{-2g*D}|psi0> for the half-filled trial."""
-    if trial is None:
-        trial = half_filled_trial(lattice)
-    weights = pair_distance_weights(trial)
+    weights = pair_distance_weights(half_filled_trial(lattice))
     return float(np.exp(_log_success_probability(weights, lattice.n_sites, g)))
 
 
@@ -203,11 +201,9 @@ def success_probability_curve(
     ]
 
 
-def exact_double_occupancy(lattice: Lattice, g: float, trial: TrialState | None = None) -> float:
+def exact_double_occupancy(lattice: Lattice, g: float) -> float:
     """⟨D⟩ in the projected state, from the distance-binned weights."""
-    if trial is None:
-        trial = half_filled_trial(lattice)
-    weights = pair_distance_weights(trial)
+    weights = pair_distance_weights(half_filled_trial(lattice))
     n = lattice.n_sites
     support = np.flatnonzero(weights > 0)
     d = (n - 2 * support) / 4.0

@@ -42,7 +42,7 @@ from .gutzwiller import (
 from .lattice import Lattice, QubitLayout, hopping_matrix, hubbard_terms
 # apply_pauli_sum is unused here but stays importable: the benchmark's tracer
 # wraps gutzmc.sampler.apply_pauli_sum by name.
-from .pauli import apply_pauli_sum, diagonal_eigenvalues  # noqa: F401
+from .pauli import apply_pauli_sum, basis_matrix, diagonal_eigenvalues  # noqa: F401
 from .slater import (
     TrialState,
     dressed_green_function,
@@ -50,7 +50,6 @@ from .slater import (
     half_filled_trial,
     slater_to_statevector,
 )
-from .statevector import _compile_actions
 
 BACKENDS = ("statevector", "determinant")
 
@@ -256,7 +255,7 @@ class _StatevectorEngine:
         self.amps, self.prob = amps[support], prob[support]
         self.m_support = field_coupling_matrix(layout, support).astype(np.float64)
         kinetic, interaction = hubbard_terms(trial.lattice, 1.0, 1.0)
-        self.hop = _compile_actions(kinetic, support)
+        self.hop = basis_matrix(kinetic, support)
         self.docc = diagonal_eigenvalues(interaction, support)
         self.total = np.zeros(trial.lattice.n_sites, dtype=np.int64)
         self.current = 1.0 + 0.0j
@@ -429,7 +428,7 @@ def weight_numerator(
     The determinant backend multiplies the two sector overlaps; the
     statevector backend anchors its engine on a stack of one.
     """
-    config = _validate_config(config, trial.lattice.n_sites)
+    config = _validate_config(config, (trial.lattice.n_sites, 2))
     if backend == "determinant":
         w = dressed_overlap(trial.up, config, params.alpha)
         if trial.spin_symmetric:
@@ -459,7 +458,7 @@ def local_estimator(
     """
     if observable not in ("kinetic", "interaction"):
         raise ValueError(f"unknown observable {observable!r}")
-    config = _validate_config(config, trial.lattice.n_sites)
+    config = _validate_config(config, (trial.lattice.n_sites, 2))
     if backend == "determinant":
         greens = [
             dressed_green_function(trial.up, config[:, 1], config[:, 0], params.alpha)

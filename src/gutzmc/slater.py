@@ -176,7 +176,7 @@ def dressed_overlap(slater: SlaterState, config: np.ndarray, alpha: float) -> co
         exp(-i*alpha*sum(s1+s2)/2) * det(phi^† diag(e^{i*alpha*(s1+s2)}) phi),
         with the -1/2 shifts kept as the explicit scalar prefactor.
     """
-    m = _validate_config(config, slater.n_sites).sum(axis=1)
+    m = _validate_config(config, (slater.n_sites, 2)).sum(axis=1)
     overlap = slater.phi.conj().T @ (np.exp(1j * alpha * m)[:, None] * slater.phi)
     prefactor = np.exp(-0.5j * alpha * m.sum())
     return complex(prefactor * np.linalg.det(overlap))

@@ -21,12 +21,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 # apply_pauli_sum is unused here but stays importable: the benchmark's tracer
 # wraps gutzmc.statevector.apply_pauli_sum by name.
-from .pauli import PauliSum, _masks, apply_pauli_sum, support_matrix_element  # noqa: F401
+from .pauli import PauliSum, apply_pauli_sum, basis_matrix, support_matrix_element  # noqa: F401
 
 _GATE_ARITY = {"H": 1, "X": 1, "RZ": 1, "CRZ": 2}
 
@@ -341,9 +340,6 @@ def _sector_indices(n_qubits: int, particle_sector) -> np.ndarray:
     """Basis indices of the requested occupation sector (sorted)."""
     if particle_sector is None:
         return np.arange(1 << n_qubits, dtype=np.int64)
-    if isinstance(particle_sector, int):
-        idx = np.arange(1 << n_qubits, dtype=np.int64)
-        return idx[np.bitwise_count(idx) == particle_sector]
     n_up, n_down = particle_sector
     if n_qubits % 2:
         raise ValueError("per-spin sectors require an even qubit count")
@@ -355,38 +351,10 @@ def _sector_indices(n_qubits: int, particle_sector) -> np.ndarray:
     return ((ups[:, None] << half) | downs[None, :]).ravel()
 
 
-def _compile_actions(op: PauliSum, basis: np.ndarray) -> sp.csr_matrix:
-    """Compile ``op`` restricted to a basis into one sparse matrix.
-
-    Entry [i, j] is <basis[i]|Ô|basis[j]>.  Contributions that scatter out
-    of the basis are dropped.  That is exact in two cases: for a
-    number-conserving sum on a particle sector (the out-of-sector parts of
-    the individual strings cancel in the sum), and for any operator when
-    only matrix elements against states supported on ``basis`` are read.
-    """
-    dim = len(basis)
-    position = np.full(1 << op.n_qubits, -1, dtype=np.int64)
-    position[basis] = np.arange(dim)
-    rows, cols, vals = [], [], []
-    for t in op.terms:
-        flip, sign, n_y = _masks(t.operators)
-        dst = position[basis ^ flip]
-        src = np.flatnonzero(dst >= 0)
-        parity = (np.bitwise_count(basis[src] & sign) & 1).astype(np.float64)
-        rows.append(dst[src])
-        cols.append(src)
-        vals.append(t.coefficient * (1j) ** (n_y % 4) * (1.0 - 2.0 * parity))
-    data = np.concatenate(vals)
-    if not data.imag.any():
-        data = data.real  # real matrices take the faster real eigensolvers
-    coo = (data, (np.concatenate(rows), np.concatenate(cols)))
-    return sp.csr_matrix(coo, shape=(dim, dim))
-
-
 def exact_ground_state(
     op: PauliSum,
     n_qubits: int,
-    particle_sector: int | tuple[int, int] | None = None,
+    particle_sector: tuple[int, int] | None = None,
 ) -> GroundStateResult:
     """Lowest eigenpair of a Hermitian PauliSum inside a particle sector.
 
@@ -401,9 +369,10 @@ def exact_ground_state(
         Hermitian operator on ``n_qubits`` qubits.
     n_qubits : int
         Register width, at most 24.
-    particle_sector : int, (n_up, n_down) tuple, or None
-        Restrict to a fixed number of set bits — either in total, or per
-        spin block for registers laid out as up-block then down-block.
+    particle_sector : (n_up, n_down) tuple, or None
+        Restrict to fixed numbers of set bits per spin block, for
+        registers laid out as up-block then down-block; None keeps the
+        full register.
         The restriction is exact: iterates live entirely inside the
         sector, which is equivalent to projecting every iterate.
 
@@ -423,7 +392,7 @@ def exact_ground_state(
     dim = len(basis)
     if dim == 0:
         raise ValueError("empty particle sector")
-    matrix = _compile_actions(op, basis)
+    matrix = basis_matrix(op, basis)
 
     if dim <= 2048:
         vals, vecs = np.linalg.eigh(matrix.toarray())

@@ -13,7 +13,6 @@ import pytest
 from gutzmc.gutzwiller import (
     all_field_vectors,
     apply_gutzwiller_exact,
-    double_occupancy_counts,
     field_coupling_matrix,
     field_rotation_circuit,
     full_sum_expectation,
@@ -36,6 +35,21 @@ from gutzmc.statevector import StateVector, apply_circuit, expectation
 def trial_state(kind: str, n: int) -> StateVector:
     trial = half_filled_trial(build_lattice(kind, n))
     return slater_to_statevector(trial.up, trial.down, QubitLayout(n))
+
+
+def double_occupancy_counts(layout: QubitLayout) -> np.ndarray:
+    """Number of doubly occupied sites for each register basis state.
+
+    An independent reference for the projector: it counts occupations bit
+    by bit instead of reading the double-occupancy operator's eigenvalues.
+    """
+    idx = np.arange(1 << layout.n_register, dtype=np.int64)
+    counts = np.zeros(idx.shape, dtype=np.int64)
+    for site in range(layout.n_sites):
+        up = (idx >> (layout.n_register - 1 - layout.qubit(site, "up"))) & 1
+        dn = (idx >> (layout.n_register - 1 - layout.qubit(site, "down"))) & 1
+        counts += up & dn
+    return counts
 
 
 class TestHSParams:

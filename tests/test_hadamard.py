@@ -14,8 +14,7 @@ import pytest
 from gutzmc import hadamard
 from gutzmc.gutzwiller import HSParams, hs_params, two_site_curves, two_site_energy
 from gutzmc.hadamard import (
-    _FAMILY_DEPTH,
-    _FAMILY_PART,
+    _FAMILIES,
     AssembledPrimitives,
     BiasModel,
     TwoSiteEstimate,
@@ -23,7 +22,6 @@ from gutzmc.hadamard import (
     _assemble,
     _energy_parts,
     _exact_values,
-    _family_operator,
     _sampled_estimate,
     hadamard_exact,
     hadamard_shots,
@@ -49,7 +47,7 @@ class TestPrimitiveClosedForms:
     def test_z_family_is_purely_imaginary(self, g):
         params = hs_params(g)
         trial = two_site_sector_trial()
-        op = _family_operator("ZI")
+        op = _FAMILIES["ZI"].operator
         for s2, s1 in _all_config_pairs():
             k = ((s1[1] + s2[1]) - (s1[0] + s2[0])) / 2
             value = hadamard_exact(s2, op, s1, trial, params)
@@ -59,7 +57,7 @@ class TestPrimitiveClosedForms:
     def test_x_family(self, g):
         params = hs_params(g)
         trial = two_site_sector_trial()
-        op = _family_operator("XX")
+        op = _FAMILIES["XX"].operator
         for s2, s1 in _all_config_pairs():
             k_diff = ((s1[1] - s2[1]) - (s1[0] - s2[0])) / 2
             value = hadamard_exact(s2, op, s1, trial, params)
@@ -92,13 +90,12 @@ class TestBatchedPrimitives:
         eff = params
         if bias is not None:
             eff = HSParams(g, params.alpha + bias.phase_offset, params.gamma)
-        for family in _FAMILY_DEPTH:
-            op = _family_operator(family)
+        for family, (op, depth, _) in _FAMILIES.items():
             ref = [circuit_primitive(s2, op, s1, trial, eff) for s1, s2 in _all_config_pairs()]
             assert [hadamard_exact(s2, op, s1, trial, eff)
                     for s1, s2 in _all_config_pairs()] == ref
             if bias is not None:
-                ref = [v * bias.scale ** _FAMILY_DEPTH[family] for v in ref]
+                ref = [v * bias.scale ** depth for v in ref]
             assert _exact_values(family, params, trial, bias) == ref
 
     def test_non_unitary_dressing_raises(self, monkeypatch):
@@ -243,10 +240,11 @@ def _per_rep_primitive(family, s2, s1, trial, params, bias, shots, rng):
     eff = params
     if bias is not None and bias.phase_offset != 0.0:
         eff = HSParams(params.g, params.alpha + bias.phase_offset, params.gamma)
-    value = hadamard_exact(s2, _family_operator(family), s1, trial, eff)
+    op, depth, quadrature = _FAMILIES[family]
+    value = hadamard_exact(s2, op, s1, trial, eff)
     if bias is not None:
-        value *= bias.scale ** _FAMILY_DEPTH[family]
-    real = _FAMILY_PART[family] == "real"
+        value *= bias.scale ** depth
+    real = quadrature == "real"
     if shots is None:
         return complex(value.real) if real else 1j * value.imag
     est = _sampled_estimate(value, shots, rng)
@@ -260,7 +258,7 @@ def per_rep_reference(g, J, U, shots, reps, bias, rng, mitigate):
 
     def families(p, b, n_shots, r):
         return {f: np.array([_per_rep_primitive(f, s2, s1, trial, p, b, n_shots, r)
-                             for (s1, s2) in configs]) for f in _FAMILY_DEPTH}
+                             for (s1, s2) in configs]) for f in _FAMILIES}
 
     exact_prim = _assemble(families(params, None, None, None), params)
     e_r, k_r, ud_r, reported, raw_only = [], [], [], [], []
@@ -275,7 +273,7 @@ def per_rep_reference(g, J, U, shots, reps, bias, rng, mitigate):
                 factors[f] = float(np.mean([r.real for r in raws]))
             ratios = []
             for s1, s2 in configs:
-                ideal = hadamard_exact(s2, _family_operator("ZI"), s1, trial, hs_params(10.0))
+                ideal = hadamard_exact(s2, _FAMILIES["ZI"].operator, s1, trial, hs_params(10.0))
                 if abs(ideal) > 0.2:
                     raw = _per_rep_primitive("ZI", s2, s1, trial, hs_params(10.0), bias,
                                              shots, rng)

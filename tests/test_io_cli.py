@@ -418,6 +418,15 @@ class TestMainExitCodes:
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowing_estimate_is_exit_two(self, tmp_path, capsys):
+        # K = -J * (kinetic ratio) overflows to -inf at J = 1e308.
+        out = tmp_path / "x.csv"
+        rc = cli.main(["mc", "--lattice", "chain:2", "--J", "1e308", "--nmc", "20",
+                       "--bins", "10", "--g-max", "0.1", "--U", "1", "--out", str(out)])
+        assert rc == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_catalog_deviation_is_exit_two(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "verify_variant", lambda v, J: 1.0)
         rc = cli.main(["hst-verify", "--out", str(tmp_path / "v.csv")])
@@ -475,6 +484,18 @@ class TestLcuCommand:
         assert len(rows) == 1 + 3
         assert all(r[0] == "3" for r in rows[1:])
         assert all(0.0 < float(r[2]) <= 1.0 for r in rows[1:])
+
+    def test_size_cap_checked_before_any_trial(self, monkeypatch, tmp_path, capsys):
+        built = []
+        monkeypatch.setattr(cli, "success_probability_curve",
+                            lambda lattice, grid: built.append(lattice.n_sites) or [])
+        assert cli.main(["lcu", "--lattice", "chain:20",
+                         "--out", str(tmp_path / "l.csv")]) == 0
+        out = tmp_path / "big.csv"
+        assert cli.main(["lcu", "--lattice", "chain:22", "--out", str(out)]) == 1
+        assert built == [20]
+        assert "at most 20 sites" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_default_size_ladder(self, tmp_path):
         out = tmp_path / "l.csv"

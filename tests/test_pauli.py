@@ -4,7 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gutzmc.pauli import PauliSum, PauliTerm, apply_pauli_sum, diagonal_eigenvalues
+from gutzmc.pauli import (
+    PauliSum,
+    PauliTerm,
+    apply_pauli_sum,
+    basis_matrix,
+    diagonal_eigenvalues,
+)
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -88,3 +94,29 @@ def test_y_phase_convention():
     psi = np.array([1.0, 0.0], dtype=complex)
     out = apply_pauli_sum(psi, PauliSum.from_ops(1, {0: "Y"}, 1.0))
     np.testing.assert_allclose(out, [0.0, 1.0j], atol=1e-15)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_basis_matrix_is_the_dense_matrix_restricted_to_the_basis(seed):
+    rng = np.random.default_rng(seed)
+    n = 5
+    strings = ["XIIYZ", "YYIII", "ZIZIZ", "IXXII", "IIIIY", "ZZZZZ", "XYZIX"]
+    op = PauliSum.from_terms(
+        PauliTerm(complex(*rng.standard_normal(2)), ops) for ops in strings
+    )
+    basis = np.sort(rng.choice(1 << n, size=12, replace=False))
+    dense = op.to_matrix()
+    outside = np.setdiff1d(np.arange(1 << n), basis)
+    # Some entries scatter out of the basis; the compiled matrix drops them.
+    assert np.abs(dense[np.ix_(outside, basis)]).max() > 0.1
+    compiled = basis_matrix(op, basis)
+    assert compiled.shape == (basis.size, basis.size)
+    np.testing.assert_allclose(compiled.toarray(), dense[np.ix_(basis, basis)], atol=1e-14)
+
+
+def test_basis_matrix_is_real_for_a_real_operator():
+    op = PauliSum.from_terms([PauliTerm(0.5, "XX"), PauliTerm(-1.5, "ZI"), PauliTerm(2.0, "YY")])
+    basis = np.array([0, 1, 3])
+    compiled = basis_matrix(op, basis)
+    assert compiled.dtype == np.float64
+    np.testing.assert_array_equal(compiled.toarray(), op.to_matrix().real[np.ix_(basis, basis)])

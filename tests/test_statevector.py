@@ -343,7 +343,7 @@ class TestGuards:
 
     def test_ground_state_register_cap(self):
         with pytest.raises(ValueError, match="24 qubits"):
-            exact_ground_state(PauliSum.identity(25), 25, 1)
+            exact_ground_state(PauliSum.identity(25), 25, (1, 1))
 
     def test_ground_state_residual_check(self, monkeypatch):
         eigh = np.linalg.eigh
