@@ -20,7 +20,9 @@ import numpy as np
 from .lattice import QubitLayout
 # apply_pauli_sum is unused here but stays importable: the benchmark's tracer
 # wraps gutzmc.gutzwiller.apply_pauli_sum by name.
-from .pauli import PauliSum, apply_pauli_sum, basis_matrix, diagonal_eigenvalues  # noqa: F401
+from .pauli import (  # noqa: F401
+    PauliSum, apply_pauli_sum, basis_matrix, diagonal_eigenvalues, support_of,
+)
 from .statevector import Gate, StateVector, rz
 
 
@@ -76,9 +78,10 @@ def apply_gutzwiller_exact(state: StateVector, g: float, D_pauli: PauliSum) -> S
     normalization denominator.  d and the damping are evaluated only on
     the state's support; the result is a full-register StateVector.
     """
-    support = np.flatnonzero(state.amplitudes)
+    support = support_of(state.amplitudes)
     d = diagonal_eigenvalues(D_pauli, support)
-    out = np.zeros_like(state.amplitudes)
+    # np.zeros may take pages the system has already zeroed; zeros_like writes every one
+    out = np.zeros(state.amplitudes.shape, dtype=complex)
     out[support] = state.amplitudes[support] * np.exp(-g * d)
     return StateVector(state.n_qubits, out)
 
@@ -156,7 +159,7 @@ def full_sum_expectation(
     if trial.n_qubits != layout.n_register:
         raise ValueError("trial state does not match layout register")
     p = hs_params(g)
-    support = np.flatnonzero(trial.amplitudes)
+    support = support_of(trial.amplitudes)
     amps = trial.amplitudes[support]
     m = field_coupling_matrix(layout, support)
     fields = all_field_vectors(layout.n_sites)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .gutzwiller import hs_params
 from .lattice import Lattice, QubitLayout
+from .pauli import support_of
 from .slater import TrialState, half_filled_trial, sector_amplitudes
 from .statevector import Gate, StateVector, SupportState, apply_circuit, crz, hadamard, pauli_x, rz
 
@@ -101,7 +102,7 @@ def build_lcu_state(
     if trial.n_qubits != layout.n_register:
         raise ValueError("trial state does not match the register size")
     params = hs_params(g)
-    support = np.flatnonzero(trial.amplitudes)
+    support = support_of(trial.amplitudes)
     amps = np.zeros((1 << layout.n_sites, support.size), dtype=complex)
     amps[0] = trial.amplitudes[support]
     whole = SupportState(layout.n_register, layout.n_sites, support, amps.reshape(-1))

@@ -8,12 +8,15 @@ then applied to amplitude arrays with vectorized gathers, so no dense
 operator is ever materialized outside of small test helpers.
 
 Matrix elements and diagonal eigenvalues are evaluated on a support:
-:func:`support_matrix_element` sums only over the basis states where the
-bra is nonzero, and :func:`diagonal_eigenvalues` takes the basis indices
-it is needed on; :func:`basis_matrix` compiles an operator onto a basis
-as one sparse matrix.  A half-filled trial at chain:10 lives on 63,504
-of the 1,048,576 register states, so these kernels cost in proportion to
-the occupied sector rather than the register.
+:func:`support_of` is the one rule for the nonzero amplitudes of a
+register, :func:`support_matrix_element` sums only over the basis states
+where the bra is nonzero, and :func:`diagonal_eigenvalues` takes the basis
+indices it is needed on; :func:`basis_matrix` compiles an operator onto a
+basis as one sparse matrix.  These two group terms by flip mask, so the
+Z/I terms share one pass and each XZ…ZX / YZ…ZY pair shares one gather.
+A half-filled trial at chain:10 lives on 63,504 of the 1,048,576 register
+states, so these kernels cost in proportion to the occupied sector rather
+than the register.
 """
 from __future__ import annotations
 
@@ -86,9 +89,8 @@ def _term_action(term: PauliTerm, amps: np.ndarray, dim: int) -> np.ndarray:
     flip, sign, n_y = _masks(term.operators)
     src = np.arange(dim) ^ flip
     # Matrix element <b|P|b^flip>: sign is evaluated at the source index.
-    parity = (np.bitwise_count(src & sign) & 1).astype(np.float64)
-    phase = term.coefficient * (1j) ** (n_y % 4) * (1.0 - 2.0 * parity)
-    return amps[..., src] * phase
+    c = term.coefficient * (1j) ** (n_y % 4)
+    return amps[..., src] * np.where(np.bitwise_count(src & sign) & 1, -c, c)
 
 
 @dataclass(frozen=True)
@@ -204,6 +206,40 @@ def apply_pauli_sum(amps: np.ndarray, op: PauliSum) -> np.ndarray:
     return out
 
 
+def support_of(amps: np.ndarray) -> np.ndarray:
+    """Indices of the nonzero amplitudes of a full-register complex array.
+
+    An amplitude is nonzero when its real or its imaginary part is (a -0.0
+    part counts as zero), which gives the same indices as
+    ``np.flatnonzero(amps)``.  The parts are compared as one contiguous
+    float array: on a 2**20 register that takes 2.3 ms against 5.7 ms
+    for ``np.flatnonzero`` and 3.7 ms for separate real and imaginary scans.
+    """
+    parts = np.ascontiguousarray(amps, dtype=complex).view(np.float64) != 0
+    return np.flatnonzero(parts[0::2] | parts[1::2])
+
+
+def _flip_groups(op: PauliSum) -> dict[int, list[tuple[complex, int]]]:
+    """Terms grouped by flip mask, each as (coefficient * i**n_y, sign_mask)."""
+    groups: dict[int, list[tuple[complex, int]]] = {}
+    for t in op.terms:
+        flip, sign, n_y = _masks(t.operators)
+        groups.setdefault(flip, []).append((t.coefficient * (1j) ** (n_y % 4), sign))
+    return groups
+
+
+def _group_elements(parts: list[tuple[complex, int]], src: np.ndarray) -> np.ndarray:
+    """Summed matrix elements <b|P|src> of one flip group, b = src ^ flip.
+
+    Each term's sign (-1)^popcount(src & sign) is evaluated at the source
+    index and applied as a choice between c and -c.
+    """
+    elements = np.zeros(src.size, dtype=complex)
+    for c, sign in parts:
+        elements += np.where(np.bitwise_count(src & sign) & 1, -c, c)
+    return elements
+
+
 def support_matrix_element(bra: np.ndarray, op: PauliSum, ket: np.ndarray) -> complex:
     """⟨bra|Ô|ket⟩ summed over the basis states where ``bra`` is nonzero.
 
@@ -218,20 +254,12 @@ def support_matrix_element(bra: np.ndarray, op: PauliSum, ket: np.ndarray) -> co
         raise ValueError(
             f"dimension mismatch: {bra.shape}/{ket.shape} amplitudes vs {op.n_qubits} qubits"
         )
-    support = np.flatnonzero(bra)
+    support = support_of(bra)
     bra_s = bra[support]
-    groups: dict[int, list[tuple[complex, int]]] = {}
-    for t in op.terms:
-        flip, sign, n_y = _masks(t.operators)
-        groups.setdefault(flip, []).append((t.coefficient * (1j) ** (n_y % 4), sign))
     total = 0j
-    for flip, parts in groups.items():
+    for flip, parts in _flip_groups(op).items():
         src = support ^ flip
-        # Matrix element <b|P|b^flip>: sign is evaluated at the source index.
-        coef = np.zeros(support.size, dtype=complex)
-        for c, sign in parts:
-            coef += c * (1.0 - 2.0 * (np.bitwise_count(src & sign) & 1))
-        total += np.vdot(bra_s, coef * ket[src])
+        total += np.vdot(bra_s, _group_elements(parts, src) * ket[src])
     return complex(total)
 
 
@@ -250,8 +278,8 @@ def diagonal_eigenvalues(op: PauliSum, basis: np.ndarray | None = None) -> np.nd
         _, sign, _ = _masks(t.operators)
         if abs(t.coefficient.imag) > 1e-14:
             raise ValueError("diagonal operator with non-real coefficient")
-        parity = (np.bitwise_count(idx & sign) & 1).astype(np.float64)
-        vals += t.coefficient.real * (1.0 - 2.0 * parity)
+        c = t.coefficient.real
+        vals += np.where(np.bitwise_count(idx & sign) & 1, -c, c)
     return vals
 
 
@@ -263,19 +291,20 @@ def basis_matrix(op: PauliSum, basis: np.ndarray) -> sp.csr_matrix:
     number-conserving sum on a particle sector (the out-of-sector parts of
     the individual strings cancel in the sum), and for any operator when
     only matrix elements against states supported on ``basis`` are read.
+    Terms that flip the same qubits share one gather and one block of
+    entries, so the matrix is built from (distinct flips) x len(basis)
+    entries whatever the number of terms.
     """
     dim = len(basis)
     position = np.full(1 << op.n_qubits, -1, dtype=np.int64)
     position[basis] = np.arange(dim)
     rows, cols, vals = [], [], []
-    for t in op.terms:
-        flip, sign, n_y = _masks(t.operators)
+    for flip, parts in _flip_groups(op).items():
         dst = position[basis ^ flip]
         src = np.flatnonzero(dst >= 0)
-        parity = (np.bitwise_count(basis[src] & sign) & 1).astype(np.float64)
         rows.append(dst[src])
         cols.append(src)
-        vals.append(t.coefficient * (1j) ** (n_y % 4) * (1.0 - 2.0 * parity))
+        vals.append(_group_elements(parts, basis[src]))
     data = np.concatenate(vals)
     if not data.imag.any():
         data = data.real  # real matrices take the faster real eigensolvers

@@ -14,9 +14,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gutzmc import cli
+from gutzmc import cli, statevector
 from gutzmc.io_utils import (
     GENERATOR_ID,
     VERSION,
@@ -27,6 +28,8 @@ from gutzmc.io_utils import (
     write_csv,
     write_metadata,
 )
+from gutzmc.lattice import build_lattice, hubbard_terms
+from gutzmc.pauli import apply_pauli_sum
 from gutzmc.sampler import PhaseProblemError
 
 
@@ -684,3 +687,24 @@ class TestSweepCommand:
         assert abs(meta["exact_ground_energy"]["4"] + 2.8284271247461903) < 1e-9
         assert sorted(meta["max_drift"]) == g_strings
         assert all(math.isfinite(d) for d in meta["max_drift"].values())
+
+    def test_sidecar_ground_energies_match_a_dense_sector_solve(self, tmp_path):
+        # chain:6 at half filling has 400 states, which the oracle solves by
+        # Lanczos; the reference applies H to every sector basis state
+        # (matrix-free) and diagonalizes the 400 x 400 block densely
+        out = tmp_path / "sw.csv"
+        assert cli.main(["sweep", "--lattice", "chain:6", "--U", "1.3,2,4",
+                         "--g-min", "0.5", "--g-max", "0.5",
+                         "--nmc", "100", "--bins", "10", "--burnin", "10",
+                         "--out", str(out)]) == 0
+        meta = json.loads(sidecar_path(out).read_text())
+        index = np.arange(1 << 12)
+        sector = index[(np.bitwise_count(index >> 6) == 3) & (np.bitwise_count(index & 63) == 3)]
+        assert sector.size == 400 > statevector.DENSE_MAX_DIM
+        columns = np.zeros((sector.size, 1 << 12))
+        columns[np.arange(sector.size), sector] = 1.0
+        kinetic, interaction = (apply_pauli_sum(columns, op)[:, sector]
+                                for op in hubbard_terms(build_lattice("chain", 6), 1.0, 1.0))
+        for u in ("1.3", "2", "4"):
+            reference = np.linalg.eigvalsh(kinetic + float(u) * interaction)[0]
+            assert abs(meta["exact_ground_energy"][u] - reference) < 1e-10

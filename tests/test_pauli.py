@@ -10,6 +10,8 @@ from gutzmc.pauli import (
     apply_pauli_sum,
     basis_matrix,
     diagonal_eigenvalues,
+    support_matrix_element,
+    support_of,
 )
 
 I2 = np.eye(2)
@@ -120,3 +122,41 @@ def test_basis_matrix_is_real_for_a_real_operator():
     compiled = basis_matrix(op, basis)
     assert compiled.dtype == np.float64
     np.testing.assert_array_equal(compiled.toarray(), op.to_matrix().real[np.ix_(basis, basis)])
+
+
+def _sparse_bra(rng, n: int) -> np.ndarray:
+    """A bra on about half the register: generic, pure-imaginary, real and
+    signed-zero entries, with -0.0 parts both on and off the support."""
+    bra = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    kind = rng.integers(0, 5, size=bra.size)
+    bra[kind == 1] = 1j * bra[kind == 1].imag
+    bra[kind == 2] = bra[kind == 2].real - 0.0j
+    bra[kind == 3] = complex(-0.0, 0.0)
+    bra[kind == 4] = complex(0.0, -0.0)
+    return bra
+
+
+def test_support_of_is_flatnonzero():
+    bra = _sparse_bra(np.random.default_rng(3), 6)
+    for part in (bra.real, bra.imag):
+        assert np.any((part == 0) & np.signbit(part))
+    np.testing.assert_array_equal(support_of(bra), np.flatnonzero(bra))
+    # strided and real arrays too
+    np.testing.assert_array_equal(support_of(bra[::3]), np.flatnonzero(bra[::3]))
+    np.testing.assert_array_equal(support_of(bra.real), np.flatnonzero(bra.real))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_support_matrix_element_matches_dense(seed):
+    rng = np.random.default_rng(seed)
+    n = 5
+    strings = ["XIIYZ", "YYIII", "ZIZIZ", "IXXII", "IIIIY", "ZZZZZ", "XYZIX", "IIIII", "XIIYZ"]
+    op = PauliSum.from_terms(
+        PauliTerm(complex(*rng.standard_normal(2)), ops) for ops in strings
+    )
+    bra = _sparse_bra(rng, n)
+    ket = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+    outside = np.setdiff1d(np.arange(1 << n), support_of(bra))
+    assert outside.size > 0 and np.abs(ket[outside]).min() > 0
+    expected = bra.conj() @ op.to_matrix() @ ket
+    assert abs(support_matrix_element(bra, op, ket) - expected) < 1e-12 * max(1.0, abs(expected))

@@ -380,18 +380,28 @@ class TestExactGroundState:
         assert half < empty
 
     def test_iterative_path_agrees_with_dense(self):
-        # chain-4 at half filling has dim 36 (dense); force the sparse path
-        # by comparing against an unrestricted 8-qubit solve at larger dim
-        lat = build_lattice("chain", 4)
+        # chain:5's whole 10-qubit register (1,024 states) takes the Lanczos
+        # path; its lowest level is a doublet
+        lat = build_lattice("chain", 5)
         H = hubbard_hamiltonian(lat, 1.0, 2.0)
-        res = exact_ground_state(H, 8, (2, 2))
-        full = exact_ground_state(H, 8, None)
-        assert full.energy <= res.energy + 1e-12
-        # residual check: H|psi> = E|psi> on the returned vector
-        dense = H.to_matrix()
+        assert 1 << 10 > statevector.DENSE_MAX_DIM
+        res = exact_ground_state(H, 10, None)
+        levels = np.linalg.eigvalsh(H.to_matrix())
+        assert abs(res.energy - levels[0]) < 1e-12
+        assert res.degeneracy == np.sum(levels < levels[0] + statevector.DEGENERACY_TOL) == 2
         v = res.state.amplitudes
-        residual = np.linalg.norm(dense @ v - res.energy * v)
-        assert residual < 1e-8
+        assert np.linalg.norm(apply_pauli_sum(v, H) - res.energy * v) < 1e-8
+
+    def test_lanczos_window_widens_over_the_ground_level(self):
+        # at U=0 chain:5's lowest level is fourfold, more than the two
+        # eigenpairs Lanczos asks for first
+        H = hubbard_hamiltonian(build_lattice("chain", 5), 1.0, 0.0)
+        levels = np.linalg.eigvalsh(H.to_matrix())
+        res = exact_ground_state(H, 10, None)
+        assert res.degeneracy == np.sum(levels < levels[0] + statevector.DEGENERACY_TOL) == 4
+        assert abs(res.energy - levels[0]) < 1e-12
+        # a ground level of half the register outgrows every window
+        assert exact_ground_state(PauliSum.from_ops(8, {0: "Z"}), 8, None).degeneracy == 128
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_complex_hermitian_operator(self, seed):
