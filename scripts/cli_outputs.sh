@@ -1,0 +1,68 @@
+#!/usr/bin/env bash
+# Reference CLI runs: write every CSV and JSON sidecar of a fixed set of
+# gutzmc commands into one directory, so that two source trees can be
+# compared with a single `diff -r`.
+#
+# Usage: scripts/cli_outputs.sh SRC OUT
+#   SRC  root of a gutzmc checkout (the directory holding src/gutzmc)
+#   OUT  directory for the outputs; created if missing, must be empty
+#
+# Example, a change against its parent commit:
+#   git archive HEAD~1 | tar -x -C /tmp/parent
+#   scripts/cli_outputs.sh /tmp/parent /tmp/out-parent
+#   scripts/cli_outputs.sh .           /tmp/out-change
+#   diff -r /tmp/out-parent /tmp/out-change
+#
+# Each run writes with a relative --out inside OUT, so the sidecars' config
+# echo is the same whatever OUT is.  GUTZMC_* settings in the environment
+# are ignored and BLAS runs on one thread.  The whole set takes ~10 s on a
+# 2 vCPU host.
+set -euo pipefail
+
+if [ $# -ne 2 ]; then
+    echo "usage: $0 SRC OUT" >&2
+    exit 1
+fi
+src=$(cd "$1" && pwd)/src
+if [ ! -d "$src/gutzmc" ]; then
+    echo "error: $src/gutzmc not found" >&2
+    exit 1
+fi
+mkdir -p "$2"
+out=$(cd "$2" && pwd)
+if [ -n "$(ls -A "$out")" ]; then
+    echo "error: $out is not empty" >&2
+    exit 1
+fi
+
+for var in $(env | sed -n 's/^\(GUTZMC_[A-Za-z_]*\)=.*/\1/p'); do
+    unset "$var"
+done
+export OPENBLAS_NUM_THREADS=1
+export PYTHONPATH="$src"
+
+run() {
+    local name=$1
+    shift
+    echo "== $name: gutzmc $*"
+    (cd "$out" && python3 -m gutzmc.cli "$@" --out "$name.csv" >/dev/null)
+}
+
+grid=(--g-min 0.5 --g-max 1.5 --g-step 0.5)
+short=(--nmc 1000 --bins 10 --burnin 200)
+
+run mc_chain4_determinant mc --lattice chain:4 "${grid[@]}" "${short[@]}"
+run mc_chain4_statevector mc --lattice chain:4 --backend statevector "${grid[@]}" "${short[@]}"
+run mc_ladder6_statevector mc --lattice ladder:6 --backend statevector "${grid[@]}" "${short[@]}"
+run mc_chain8 mc --lattice chain:8 "${grid[@]}" "${short[@]}"
+run sweep_chain6 sweep --lattice chain:6 "${grid[@]}" "${short[@]}"
+run sweep_ladder6 sweep --lattice ladder:6 "${grid[@]}" "${short[@]}"
+run sweep_ladder8 sweep --lattice ladder:8 "${grid[@]}" "${short[@]}"
+run two_site_shots two-site --shots 512 --reps 4 --bias 0.9,0.05
+run two_site_exact two-site --shots 0
+run lcu_default lcu
+run lcu_ladder8 lcu --lattice ladder:8
+run hst_verify hst-verify
+run phase_check_chain4 phase-check --lattice chain:4
+
+echo "$(ls "$out" | wc -l) files in $out"

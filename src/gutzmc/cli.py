@@ -27,6 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .gutzwiller import (
+    FULL_SUM_MAX_SITES,
     apply_gutzwiller_exact,
     full_sum_expectation,
     two_site_curves,
@@ -37,6 +38,8 @@ from .lattice import Lattice, QubitLayout, build_lattice, hubbard_hamiltonian, h
 from .lcu import success_probability_curve
 from .sampler import (
     BACKENDS,
+    PHASE_CHECK_MAX_SITES,
+    STATEVECTOR_MAX_SITES,
     McParams,
     phase_problem_check,
     results_from_samples,
@@ -258,8 +261,8 @@ def _mc_params(cfg: RunConfig, lattice: Lattice) -> McParams:
     """Chain parameters shared by every g point, after the MC size checks."""
     if lattice.n_sites > 12:
         raise ConfigError(f"MC supports at most 12 sites, got {lattice.n_sites}")
-    if cfg.backend == "statevector" and lattice.n_sites > 8:
-        raise ConfigError("statevector backend supports at most 8 sites")
+    if cfg.backend == "statevector" and lattice.n_sites > STATEVECTOR_MAX_SITES:
+        raise ConfigError(f"statevector backend supports at most {STATEVECTOR_MAX_SITES} sites")
     try:
         return McParams(n_sweeps=cfg.nmc, n_burnin=cfg.burnin, n_bins=cfg.bins,
                         backend=cfg.backend)
@@ -297,7 +300,7 @@ def cmd_sweep(cfg: RunConfig, provided: set[str]) -> int:
     for gi, g in enumerate(grid):
         point_rows, drifts[format_cell(g)] = _mc_point(cfg, lattice, params, gi, g)
         rows.extend(["mc"] + row for row in point_rows)
-        if n <= 7:
+        if n <= FULL_SUM_MAX_SITES:
             k_val = full_sum_expectation(kinetic_op, g, trial_sv, layout)
             d_val = full_sum_expectation(interaction_op, g, trial_sv, layout)
             for u in cfg.U:
@@ -418,9 +421,10 @@ def cmd_hst_verify(cfg: RunConfig, provided: set[str]) -> int:
 
 def cmd_phase_check(cfg: RunConfig, provided: set[str]) -> int:
     lattice = cfg.build_lattice()
-    if lattice.n_sites > 5:
+    if lattice.n_sites > PHASE_CHECK_MAX_SITES:
         raise ConfigError(
-            f"phase check enumerates 4^N configs; {lattice.n_sites} sites is above the 5-site cap"
+            f"phase check enumerates 4^N configs; {lattice.n_sites} sites is above "
+            f"the {PHASE_CHECK_MAX_SITES}-site cap"
         )
     if provided & {"g_min", "g_max", "g_step"}:
         g_values = cfg.g_grid()

@@ -25,6 +25,8 @@ from .pauli import (  # noqa: F401
 )
 from .statevector import Gate, StateVector, rz
 
+FULL_SUM_MAX_SITES = 7  # full_sum_expectation enumerates all 4^N field pairs
+
 
 @dataclass(frozen=True)
 class HSParams:
@@ -78,6 +80,8 @@ def apply_gutzwiller_exact(state: StateVector, g: float, D_pauli: PauliSum) -> S
     normalization denominator.  d and the damping are evaluated only on
     the state's support; the result is a full-register StateVector.
     """
+    if D_pauli.n_qubits != state.n_qubits:
+        raise ValueError(f"{D_pauli.n_qubits}-qubit D on a {state.n_qubits}-qubit state")
     support = support_of(state.amplitudes)
     d = diagonal_eigenvalues(D_pauli, support)
     # np.zeros may take pages the system has already zeroed; zeros_like writes every one
@@ -154,10 +158,12 @@ def full_sum_expectation(
     dressed bra vanishes outside it, so the observable is applied as an
     in-support sparse matrix and the dropped rows contribute exactly 0.
     """
-    if layout.n_sites > 7:
-        raise ValueError(f"{layout.n_sites} sites is too large for 4^N enumeration (max 7)")
-    if trial.n_qubits != layout.n_register:
-        raise ValueError("trial state does not match layout register")
+    if layout.n_sites > FULL_SUM_MAX_SITES:
+        raise ValueError(
+            f"{layout.n_sites} sites is too large for 4^N enumeration (max {FULL_SUM_MAX_SITES})"
+        )
+    if trial.n_qubits != layout.n_register or observable.n_qubits != layout.n_register:
+        raise ValueError("trial state or observable does not match layout register")
     p = hs_params(g)
     support = support_of(trial.amplitudes)
     amps = trial.amplitudes[support]

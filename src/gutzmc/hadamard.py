@@ -145,10 +145,8 @@ def _primitive_rows(
     params: HSParams,
 ) -> list[complex]:
     """Exact <psi0| u(s2_r) O u(s1_r) |psi0> for every row r of the config arrays."""
-    n = trial_sector.n_qubits
-    if observable is not None and observable.n_qubits != n:
-        raise ValueError("observable does not match the sector register")
-    sides = [_validate_config(c, (len(u1_configs), n)) for c in (u1_configs, u2_configs)]
+    shape = (len(u1_configs), trial_sector.n_qubits)
+    sides = [_validate_config(c, shape) for c in (u1_configs, u2_configs)]
     rows = np.tile(trial_sector.amplitudes, (len(sides[0]), 1))
     _dress(rows, sides[0], params.alpha)
     if observable is not None:

@@ -2,21 +2,20 @@
 
 A term is a complex coefficient attached to a symbol string such as
 ``"XXIZ"``; the leftmost symbol acts on qubit 0, which is the most
-significant bit of the amplitude index.  All application routines are
-matrix-free: each string is compiled once into XOR/parity bit masks and
-then applied to amplitude arrays with vectorized gathers, so no dense
-operator is ever materialized outside of small test helpers.
+significant bit of the amplitude index.  Each string is compiled once into
+XOR/parity bit masks; no dense operator is materialized outside of small
+test helpers.
 
-Matrix elements and diagonal eigenvalues are evaluated on a support:
-:func:`support_of` is the one rule for the nonzero amplitudes of a
-register, :func:`support_matrix_element` sums only over the basis states
-where the bra is nonzero, and :func:`diagonal_eigenvalues` takes the basis
-indices it is needed on; :func:`basis_matrix` compiles an operator onto a
-basis as one sparse matrix.  These two group terms by flip mask, so the
-Z/I terms share one pass and each XZ…ZX / YZ…ZY pair shares one gather.
-A half-filled trial at chain:10 lives on 63,504 of the 1,048,576 register
-states, so these kernels cost in proportion to the occupied sector rather
-than the register.
+Every routine makes one pass per flip mask: terms that flip the same
+qubits share one gather (the Z/I terms one pass, each XZ…ZX / YZ…ZY pair
+one gather), and :func:`_group_elements` is the one rule that turns masks
+into matrix elements.  :func:`apply_pauli_sum` acts on whole registers;
+:func:`support_matrix_element` sums only over the bra's nonzero basis
+states (:func:`support_of`), :func:`diagonal_eigenvalues` over the basis
+indices it is given, and :func:`basis_matrix` compiles an operator onto a
+basis as one sparse matrix.  A half-filled trial at chain:10 lives on
+63,504 of the 1,048,576 register states, so the support kernels cost in
+proportion to the occupied sector rather than the register.
 """
 from __future__ import annotations
 
@@ -82,15 +81,6 @@ class PauliTerm:
     @property
     def is_diagonal(self) -> bool:
         return set(self.operators) <= {"I", "Z"}
-
-
-def _term_action(term: PauliTerm, amps: np.ndarray, dim: int) -> np.ndarray:
-    """Return term|amps> for amplitude arrays indexed on the last axis."""
-    flip, sign, n_y = _masks(term.operators)
-    src = np.arange(dim) ^ flip
-    # Matrix element <b|P|b^flip>: sign is evaluated at the source index.
-    c = term.coefficient * (1j) ** (n_y % 4)
-    return amps[..., src] * np.where(np.bitwise_count(src & sign) & 1, -c, c)
 
 
 @dataclass(frozen=True)
@@ -200,9 +190,11 @@ def apply_pauli_sum(amps: np.ndarray, op: PauliSum) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: {dim} amplitudes vs {op.n_qubits} qubits"
         )
+    basis = np.arange(dim)
     out = np.zeros(amps.shape, dtype=complex)
-    for t in op.terms:
-        out += _term_action(t, amps, dim)
+    for flip, parts in _flip_groups(op).items():
+        src = basis ^ flip
+        out += amps[..., src] * _group_elements(parts, src)
     return out
 
 
@@ -232,9 +224,10 @@ def _group_elements(parts: list[tuple[complex, int]], src: np.ndarray) -> np.nda
     """Summed matrix elements <b|P|src> of one flip group, b = src ^ flip.
 
     Each term's sign (-1)^popcount(src & sign) is evaluated at the source
-    index and applied as a choice between c and -c.
+    index and applied as a choice between c and -c.  The sum is kept in the
+    coefficients' result type, so real coefficients give a real array.
     """
-    elements = np.zeros(src.size, dtype=complex)
+    elements = np.zeros(src.shape, dtype=np.result_type(*(c for c, _ in parts)))
     for c, sign in parts:
         elements += np.where(np.bitwise_count(src & sign) & 1, -c, c)
     return elements
@@ -272,15 +265,11 @@ def diagonal_eigenvalues(op: PauliSum, basis: np.ndarray | None = None) -> np.nd
     """
     if not op.is_diagonal:
         raise ValueError("operator has X/Y content; not diagonal")
+    (parts,) = _flip_groups(op).values()  # Z/I terms all have flip mask 0
+    if any(abs(c.imag) > 1e-14 for c, _ in parts):
+        raise ValueError("diagonal operator with non-real coefficient")
     idx = np.arange(1 << op.n_qubits) if basis is None else np.asarray(basis)
-    vals = np.zeros(idx.shape, dtype=np.float64)
-    for t in op.terms:
-        _, sign, _ = _masks(t.operators)
-        if abs(t.coefficient.imag) > 1e-14:
-            raise ValueError("diagonal operator with non-real coefficient")
-        c = t.coefficient.real
-        vals += np.where(np.bitwise_count(idx & sign) & 1, -c, c)
-    return vals
+    return _group_elements([(c.real, sign) for c, sign in parts], idx)
 
 
 def basis_matrix(op: PauliSum, basis: np.ndarray) -> sp.csr_matrix:

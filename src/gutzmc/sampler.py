@@ -52,6 +52,8 @@ from .slater import (
 )
 
 BACKENDS = ("statevector", "determinant")
+STATEVECTOR_MAX_SITES = 8  # the statevector engine holds a 4^N-state trial register
+PHASE_CHECK_MAX_SITES = 5  # phase_problem_check enumerates all 4^N field pairs
 
 # Weights are mathematically real positive in the supported regime;
 # these relative tolerances separate roundoff from a genuine violation.
@@ -251,6 +253,7 @@ class _StatevectorEngine:
         layout = QubitLayout(trial.lattice.n_sites)
         amps = slater_to_statevector(trial.up, trial.down, layout).amplitudes
         prob = np.abs(amps) ** 2
+        # not support_of: ladder roundoff (|amp|² ≤ 1.2e-33) is 1,300 of ladder:8's 4,900 states
         support = np.flatnonzero(prob > 1e-28)
         self.amps, self.prob = amps[support], prob[support]
         self.m_support = field_coupling_matrix(layout, support).astype(np.float64)
@@ -327,8 +330,8 @@ def make_chain(trial: TrialState, params: HSParams, backend: str = "determinant"
     if backend == "determinant":
         engine: _DeterminantEngine | _StatevectorEngine = _DeterminantEngine(trial, params)
     elif backend == "statevector":
-        if n > 8:
-            raise ValueError("statevector backend supports at most 8 sites")
+        if n > STATEVECTOR_MAX_SITES:
+            raise ValueError(f"statevector backend supports at most {STATEVECTOR_MAX_SITES} sites")
         engine = _StatevectorEngine(trial, params)
     else:
         raise ValueError(f"unknown backend {backend!r}")
@@ -578,8 +581,10 @@ def phase_problem_check(
 ) -> PhaseCheckReport:
     """Enumerate all 4^N weights and report the worst imaginary/negative parts."""
     n = lattice.n_sites
-    if n > 5:
-        raise ValueError(f"{n} sites is too large for 4^N weight enumeration (max 5)")
+    if n > PHASE_CHECK_MAX_SITES:
+        raise ValueError(
+            f"{n} sites is too large for 4^N weight enumeration (max {PHASE_CHECK_MAX_SITES})"
+        )
     if trial is None:
         trial = half_filled_trial(lattice)
     singles = all_field_vectors(n)

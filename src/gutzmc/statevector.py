@@ -311,19 +311,13 @@ def apply_circuit(state: StateVector | SupportState, gates) -> StateVector | Sup
 
 def expectation(state: StateVector, op: PauliSum) -> complex:
     """<state|Ô|state>.  Real to 1e-10 whenever Ô is Hermitian."""
-    if op.n_qubits != state.n_qubits:
-        raise ValueError("qubit count mismatch")
     return support_matrix_element(state.amplitudes, op, state.amplitudes)
 
 
 def matrix_element(bra: StateVector, op: PauliSum | None, ket: StateVector) -> complex:
     """<bra|Ô|ket> with Ô = identity when op is None."""
-    if bra.n_qubits != ket.n_qubits:
-        raise ValueError("qubit count mismatch")
     if op is None:
         return bra.inner(ket)
-    if op.n_qubits != ket.n_qubits:
-        raise ValueError("qubit count mismatch")
     return support_matrix_element(bra.amplitudes, op, ket.amplitudes)
 
 

@@ -159,6 +159,11 @@ class TestProjectedState:
                 assert out.n_qubits == 2 * n
                 assert np.max(np.abs(out.amplitudes - sv.amplitudes * np.exp(-g * d))) <= 1e-12
 
+    def test_operator_for_another_register_rejected(self):
+        _, inter = hubbard_terms(build_lattice("chain", 2), 1.0, 1.0)
+        with pytest.raises(ValueError, match="4-qubit D on a 8-qubit state"):
+            apply_gutzwiller_exact(trial_state("chain", 4), 0.5, inter)
+
     def test_double_occupancy_counts_spot_values(self):
         layout = QubitLayout(2)
         counts = double_occupancy_counts(layout)
@@ -265,6 +270,11 @@ class TestFullSum:
                 inter, g, sv, layout
             )
             assert abs(e - two_site_energy(g, 1.0, u)) < 1e-10
+
+    def test_observable_for_another_register_rejected(self):
+        for op in hubbard_terms(build_lattice("chain", 3), 1.0, 1.0):
+            with pytest.raises(ValueError, match="does not match layout register"):
+                full_sum_expectation(op, 0.5, trial_state("chain", 2), QubitLayout(2))
 
     def test_size_guard(self):
         lat = build_lattice("chain", 8)

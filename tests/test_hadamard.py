@@ -29,7 +29,7 @@ from gutzmc.hadamard import (
     two_site_energy_from_primitives,
     two_site_sector_trial,
 )
-from gutzmc.pauli import apply_pauli_sum
+from gutzmc.pauli import PauliSum, apply_pauli_sum
 from gutzmc.statevector import StateVector, _scale, apply_circuit, rz
 
 
@@ -113,6 +113,12 @@ class TestBatchedPrimitives:
             hadamard_exact(np.array([1, 1, 1]), None, np.array([1, 1]), trial, params)
         with pytest.raises(ValueError, match="field vectors"):
             hadamard_exact(np.array([1, 0]), None, np.array([1, 1]), trial, params)
+
+    def test_rejects_an_observable_of_another_width(self):
+        params, trial = hs_params(0.5), two_site_sector_trial()
+        wide = PauliSum.from_ops(3, {0: "Z"})
+        with pytest.raises(ValueError):
+            hadamard_exact(np.array([1, 1]), wide, np.array([1, 1]), trial, params)
 
 
 class TestAssembly:

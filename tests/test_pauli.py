@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from gutzmc.lattice import build_lattice, hubbard_terms
 from gutzmc.pauli import (
     PauliSum,
     PauliTerm,
@@ -37,13 +38,22 @@ def test_to_matrix_matches_kron(ops):
 
 def test_apply_matches_dense_on_random_states():
     rng = np.random.default_rng(42)
-    op = PauliSum.from_terms(
+    kin, inter = hubbard_terms(build_lattice("chain", 3), 1.0, 1.0)
+    shared = (0.7 - 0.4j) * (kin + inter) + PauliSum.identity(6, 0.3)
+    # hopping pairs XZ..ZX / YZ..ZY and all Z/I terms share flip masks
+    flips = [tuple(sym in "XY" for sym in t.operators) for t in shared]
+    assert len(set(flips)) < len(flips) - 1
+    three = PauliSum.from_terms(
         [PauliTerm(0.5, "XZY"), PauliTerm(-1.25j, "YIZ"), PauliTerm(2.0, "III")]
     )
-    dense = op.to_matrix()
-    for _ in range(5):
-        psi = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        np.testing.assert_allclose(apply_pauli_sum(psi, op), dense @ psi, atol=1e-13)
+    for op in (three, shared):
+        dense = op.to_matrix()
+        dim = dense.shape[0]
+        for _ in range(5):
+            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            np.testing.assert_allclose(apply_pauli_sum(psi, op), dense @ psi, atol=1e-13)
+        block = rng.standard_normal((4, dim)) + 1j * rng.standard_normal((4, dim))
+        np.testing.assert_allclose(apply_pauli_sum(block, op), block @ dense.T, atol=1e-13)
 
 
 def test_apply_batched_last_axis():
@@ -89,6 +99,18 @@ def test_diagonal_eigenvalues_matches_dense_diagonal():
     np.testing.assert_allclose(diagonal_eigenvalues(op), np.diag(op.to_matrix()).real, atol=1e-14)
     with pytest.raises(ValueError):
         diagonal_eigenvalues(PauliSum.from_ops(2, {0: "X"}, 1.0))
+
+
+def test_diagonal_eigenvalues_on_a_basis_subset():
+    rng = np.random.default_rng(11)
+    _, inter = hubbard_terms(build_lattice("chain", 3), 1.0, 1.0)
+    op = inter + PauliSum.from_ops(6, {1: "Z", 4: "Z"}, -0.75)
+    basis = rng.choice(64, size=20, replace=False)
+    got = diagonal_eigenvalues(op, basis)
+    assert got.dtype == np.float64
+    np.testing.assert_allclose(got, np.diag(op.to_matrix()).real[basis], atol=1e-14)
+    with pytest.raises(ValueError, match="non-real"):
+        diagonal_eigenvalues(op + PauliSum.from_ops(6, {2: "Z"}, 1e-12j), basis)
 
 
 def test_y_phase_convention():

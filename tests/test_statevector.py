@@ -328,6 +328,17 @@ class TestGuards:
         with pytest.raises(ValueError, match="acts on 2 qubit"):
             Gate("CRZ", (0,), 0.3)
 
+    def test_width_mismatch(self):
+        two, three = StateVector.zero_state(2), StateVector.zero_state(3)
+        op = PauliSum.from_ops(3, {0: "Z"})
+        with pytest.raises(ValueError, match="mismatch"):
+            expectation(two, op)
+        for bra, ket in ((two, two), (two, three), (three, two)):
+            with pytest.raises(ValueError, match="mismatch"):
+                matrix_element(bra, op, ket)
+        with pytest.raises(ValueError, match="mismatch"):
+            matrix_element(two, None, three)
+
     def test_statevector_shape(self):
         with pytest.raises(ValueError, match="expected 8 amplitudes"):
             StateVector(3, np.zeros(7))
