@@ -64,8 +64,6 @@ from .sampler import (
 from .slater import (
     SlaterState,
     TrialState,
-    dressed_green_function,
-    dressed_overlap,
     ground_state_of_K,
     half_filled_trial,
     sector_amplitudes,
@@ -120,8 +118,6 @@ __all__ = [
     "decompose_zz",
     "diagonal_eigenvalues",
     "docc_from_success_probability",
-    "dressed_green_function",
-    "dressed_overlap",
     "exact_double_occupancy",
     "exact_ground_state",
     "expectation",

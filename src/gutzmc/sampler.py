@@ -22,9 +22,11 @@ of those sweeps from scratch, records the largest drift, re-anchors the
 chain on the last one and yields the kinetic and double-occupancy
 estimators of all of them.  The statevector backend sums diagonal
 dressing phases over the trial state's occupation support, for a whole
-stack at once; the one-configuration weight_numerator and
-local_estimator are its stack of one.  The backends are required to
-agree to 1e-10 and are cross-checked in the test suite.
+stack at once.  Both engines share one interface, anchor(configs) plus
+estimators(J), and on either backend the one-configuration
+weight_numerator and local_estimator are the engine's stack of one.  The
+backends are required to agree to 1e-10 and are cross-checked in the
+test suite.
 """
 from __future__ import annotations
 
@@ -43,15 +45,8 @@ from .lattice import Lattice, QubitLayout, hopping_matrix, hubbard_terms
 # apply_pauli_sum is unused here but stays importable: the benchmark's tracer
 # wraps gutzmc.sampler.apply_pauli_sum by name.
 from .pauli import apply_pauli_sum, basis_matrix, diagonal_eigenvalues  # noqa: F401
-from .slater import (
-    TrialState,
-    dressed_green_function,
-    dressed_overlap,
-    half_filled_trial,
-    slater_to_statevector,
-)
+from .slater import TrialState, half_filled_trial, slater_to_statevector
 
-BACKENDS = ("statevector", "determinant")
 STATEVECTOR_MAX_SITES = 8  # the statevector engine holds a 4^N-state trial register
 PHASE_CHECK_MAX_SITES = 5  # phase_problem_check enumerates all 4^N field pairs
 
@@ -59,6 +54,8 @@ PHASE_CHECK_MAX_SITES = 5  # phase_problem_check enumerates all 4^N field pairs
 # these relative tolerances separate roundoff from a genuine violation.
 _IMAG_TOL = 1e-8
 _NEG_TOL = 1e-8
+# A sector Gram with sigma_min below this (times max(1, sigma_max)) is singular.
+_SINGULAR_TOL = 1e-12
 
 # Sweeps per stacked rebuild: the chain runs on its tracked weight for at
 # most this many sweeps before every one of them is checked from scratch.
@@ -67,6 +64,10 @@ _ANCHOR_STACK = 50
 
 class PhaseProblemError(ArithmeticError):
     """A sampled weight turned complex or negative beyond tolerance."""
+
+
+class SingularOverlapError(ArithmeticError):
+    """A dressed sector overlap matrix is numerically singular."""
 
 
 @dataclass(frozen=True)
@@ -145,7 +146,7 @@ class _DeterminantEngine:
     and settle applies the site's net phase change to P as one rank-one
     update.  anchor rebuilds a whole stack of configurations from scratch
     in one batched det and solve, re-anchors P on the last of them and
-    keeps the stack for measure.
+    keeps the stack for estimators.
     """
 
     def __init__(self, trial: TrialState, params: HSParams):
@@ -177,29 +178,41 @@ class _DeterminantEngine:
         phases = np.exp(1j * self.alpha * totals)
         prefactor = np.exp(-0.5j * self.alpha * totals.sum(axis=1))
         weights = np.ones(len(configs), dtype=complex)
-        stacks = []
-        for phi in self.phis:
-            grams = np.einsum("ia,ci,ib->cab", phi.conj(), phases, phi)
-            weights *= prefactor * np.linalg.det(grams)
-            stacks.append(phi @ np.linalg.solve(grams, phi.conj().T))
+        grams = [np.einsum("ia,ci,ib->cab", phi.conj(), phases, phi) for phi in self.phis]
+        dets = [np.linalg.det(gram) for gram in grams]
+        stacks = [phi @ np.linalg.solve(gram, phi.conj().T) for phi, gram in zip(self.phis, grams)]
+        for det in dets:
+            weights *= prefactor * det
         if self.symmetric:
             weights = weights * weights
-        self._anchored = (configs, phases, stacks)
+        self._anchored = (configs, phases, grams, dets, stacks)
         self.total = totals[-1].tolist()
         self.projectors = [stack[-1].copy() for stack in stacks]
         self.diagonals = [p.diagonal().tolist() for p in self.projectors]
         self._pending = None
         return weights
 
-    def measure(self, J: float) -> np.ndarray:
-        """Real K and D estimators of the last anchored stack, shape (2, B).
+    def estimators(self, J: float) -> np.ndarray:
+        """Complex K and D estimators of the last anchored stack, shape (2, B).
 
         They come straight from the stack's P and the ket and bra phases:
         the Green matrix is M = diag(ket) P diag(bra), so the hopping sum
         is tr(T·M) = sum_ij T_ij bra_i ket_j P_ji per spin, and M's
         diagonal is the total-field phase times P's.
+
+        P is noise where a sector Gram is numerically singular
+        (sigma_min < _SINGULAR_TOL * max(1, sigma_max)), so such a stack
+        raises SingularOverlapError.  Every singular value of G is at most
+        one, so |det G| <= sigma_min: only the Grams whose |det| falls
+        below twice the threshold (a margin for roundoff) need an SVD.
         """
-        configs, phases, stacks = self._anchored
+        configs, phases, grams, dets, stacks = self._anchored
+        for gram, det in zip(grams, dets):
+            suspect = gram[np.abs(det) < 2 * _SINGULAR_TOL]
+            if len(suspect):
+                sv = np.linalg.svd(suspect, compute_uv=False)
+                if np.any(sv[:, -1] < _SINGULAR_TOL * np.maximum(1.0, sv[:, 0])):
+                    raise SingularOverlapError("dressed overlap matrix near singular")
         ket = np.exp(1j * self.alpha * configs[:, :, 0])
         bra = np.exp(1j * self.alpha * configs[:, :, 1])
         hop = hopping_matrix(self.lattice, J) * bra[:, :, None] * ket[:, None, :]
@@ -209,7 +222,7 @@ class _DeterminantEngine:
             kinetic = 2.0 * kinetic
             diags.append(diags[0])
         docc = np.sum(diags[0] * diags[1], axis=1)
-        return np.array([kinetic.real, docc.real])
+        return np.array([kinetic, docc])
 
     def proposal_ratio(self, site: int, new_total: int) -> complex:
         """W(t with t_site -> new_total) / W(t) from the diagonal of P."""
@@ -288,9 +301,6 @@ class _StatevectorEngine:
         docc = (bra * ket) @ self.docc
         return np.array([kinetic, docc]) / weights
 
-    def measure(self, J: float) -> np.ndarray:
-        return self.estimators(J).real
-
     def proposal_ratio(self, site: int, new_total: int) -> complex:
         trial_total = self.total.astype(np.float64)
         trial_total[site] = new_total
@@ -306,6 +316,18 @@ class _StatevectorEngine:
 
     def settle(self, site: int, old_total: int) -> None:
         """Nothing to do: every ratio is a from-scratch weight."""
+
+
+_ENGINES = {"statevector": _StatevectorEngine, "determinant": _DeterminantEngine}
+BACKENDS = tuple(_ENGINES)
+
+
+def _engine(
+    trial: TrialState, params: HSParams, backend: str
+) -> _DeterminantEngine | _StatevectorEngine:
+    if backend not in _ENGINES:
+        raise ValueError(f"unknown backend {backend!r}")
+    return _ENGINES[backend](trial, params)
 
 
 @dataclass
@@ -326,15 +348,10 @@ class ChainState:
 def make_chain(trial: TrialState, params: HSParams, backend: str = "determinant") -> ChainState:
     """Fresh chain at the all-(+1) configuration."""
     n = trial.lattice.n_sites
+    if backend == "statevector" and n > STATEVECTOR_MAX_SITES:
+        raise ValueError(f"statevector backend supports at most {STATEVECTOR_MAX_SITES} sites")
+    engine = _engine(trial, params, backend)
     config = np.ones((n, 2), dtype=np.int64)
-    if backend == "determinant":
-        engine: _DeterminantEngine | _StatevectorEngine = _DeterminantEngine(trial, params)
-    elif backend == "statevector":
-        if n > STATEVECTOR_MAX_SITES:
-            raise ValueError(f"statevector backend supports at most {STATEVECTOR_MAX_SITES} sites")
-        engine = _StatevectorEngine(trial, params)
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
     weight = complex(engine.anchor(config[None])[0])
     _check_weight(weight, weight)
     return ChainState(config=config, weight=weight, engine=engine)
@@ -407,7 +424,7 @@ def _anchor(chain: ChainState) -> None:
     Each sweep's tracked weight is compared with its from-scratch value
     (max_drift keeps the largest relative gap), and the chain re-anchors
     its weight, and the engine its P, on the last configuration.  The
-    engine keeps the stack for measure.
+    engine keeps the stack for estimators.
     """
     if not chain.pending:
         return
@@ -426,20 +443,9 @@ def weight_numerator(
     params: HSParams,
     backend: str = "determinant",
 ) -> complex:
-    """Unnormalized weight W(s) of one configuration.
-
-    The determinant backend multiplies the two sector overlaps; the
-    statevector backend anchors its engine on a stack of one.
-    """
+    """Unnormalized weight W(s) of one configuration: the engine's stack of one."""
     config = _validate_config(config, (trial.lattice.n_sites, 2))
-    if backend == "determinant":
-        w = dressed_overlap(trial.up, config, params.alpha)
-        if trial.spin_symmetric:
-            return w * w
-        return w * dressed_overlap(trial.down, config, params.alpha)
-    if backend == "statevector":
-        return complex(_StatevectorEngine(trial, params).anchor(config[None])[0])
-    raise ValueError(f"unknown backend {backend!r}")
+    return complex(_engine(trial, params, backend).anchor(config[None])[0])
 
 
 def local_estimator(
@@ -452,41 +458,16 @@ def local_estimator(
 ) -> complex:
     """Ratio <psi0|u(s2) Ô u(s1)|psi0> / W(s) for one configuration.
 
-    observable is "kinetic" or "interaction" on either backend.  The
-    determinant backend evaluates the hopping sum as tr(T·M) per spin
-    sector and the double-occupancy sum from the Green diagonals; both
-    derive from the same per-spin Green matrices.  The statevector
-    backend anchors its engine on a stack of one and reads both off its
-    support sums.
+    observable is "kinetic" or "interaction" on either backend; both are
+    read off the engine's estimators for a stack of one.
     """
     if observable not in ("kinetic", "interaction"):
         raise ValueError(f"unknown observable {observable!r}")
     config = _validate_config(config, (trial.lattice.n_sites, 2))
-    if backend == "determinant":
-        greens = [
-            dressed_green_function(trial.up, config[:, 1], config[:, 0], params.alpha)
-        ]
-        if trial.spin_symmetric:
-            greens.append(greens[0])
-        else:
-            greens.append(
-                dressed_green_function(trial.down, config[:, 1], config[:, 0], params.alpha)
-            )
-        kinetic, docc = _kd_sums(greens, hopping_matrix(trial.lattice, J))
-    elif backend == "statevector":
-        engine = _StatevectorEngine(trial, params)
-        engine.anchor(config[None])
-        kinetic, docc = engine.estimators(J)[:, 0]
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    engine = _engine(trial, params, backend)
+    engine.anchor(config[None])
+    kinetic, docc = engine.estimators(J)[:, 0]
     return complex(kinetic if observable == "kinetic" else docc)
-
-
-def _kd_sums(greens: list[np.ndarray], t_mat: np.ndarray) -> tuple[complex, complex]:
-    """Hopping sum tr(T·M) over both spins and sum_i (M_up[i,i]-1/2)(M_dn[i,i]-1/2)."""
-    kinetic = sum(np.sum(t_mat * m.T) for m in greens)
-    docc = np.sum((np.diagonal(greens[0]) - 0.5) * (np.diagonal(greens[1]) - 0.5))
-    return complex(kinetic), complex(docc)
 
 
 def sample_kinetic_interaction(
@@ -514,10 +495,10 @@ def sample_kinetic_interaction(
         _, n_acc = metropolis_sweep(chain, trial, params, rng)
         accepted += n_acc
         if not chain.pending:
-            measured.append(chain.engine.measure(J))
+            measured.append(chain.engine.estimators(J).real)
     if chain.pending:
         _anchor(chain)
-        measured.append(chain.engine.measure(J))
+        measured.append(chain.engine.estimators(J).real)
     k_samples, d_samples = np.concatenate(measured, axis=1)
     per_bin = mc_params.n_sweeps // mc_params.n_bins
     return McSamples(

@@ -1,4 +1,4 @@
-"""Free-fermion trial states and determinant evaluation of dressed overlaps.
+"""Free-fermion trial states and their occupation-basis amplitudes.
 
 A trial sector is an orbital matrix phi (n_sites x n_particles) with
 orthonormal columns.  Because the qubit layout keeps each spin block
@@ -6,11 +6,8 @@ contiguous and ordered by site, the amplitude of an occupation bitstring
 within one sector is det(phi[occupied_rows, :]) with no extra fermionic
 sign, and the two sectors combine as a plain Kronecker product.
 
-Field dressing means the diagonal unitary u(f) = prod_i exp(i*alpha*f_i*
-(n_i - 1/2)).  Overlaps of dressed Slater states reduce to k x k
-determinants and one-body expectations to the associated single-particle
-Green's function; both formulas are validated against the statevector
-route in the test suite rather than trusted.
+The determinant algebra of field-dressed overlaps and Green functions
+lives in one place, the sampler's determinant engine.
 """
 from __future__ import annotations
 
@@ -19,17 +16,12 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .gutzwiller import _validate_config
 from .lattice import Lattice, QubitLayout, hopping_matrix
 from .statevector import StateVector
 
 
 class DegenerateFillingError(ValueError):
     """Requested filling cuts through a degenerate single-particle level."""
-
-
-class SingularOverlapError(ArithmeticError):
-    """Dressed overlap matrix is numerically singular."""
 
 
 @dataclass(frozen=True)
@@ -156,57 +148,3 @@ def slater_to_statevector(
         raise ValueError("sector size does not match layout")
     full = np.kron(sector_amplitudes(slater_up), sector_amplitudes(slater_down))
     return StateVector(layout.n_register, full).normalized()
-
-
-def dressed_overlap(slater: SlaterState, config: np.ndarray, alpha: float) -> complex:
-    """<phi| u(s2) u(s1) |phi> for one spin sector.
-
-    Parameters
-    ----------
-    slater : SlaterState
-    config : (n_sites, 2) array of ±1
-        Column 0 dresses the ket (tau=1), column 1 the bra side (tau=2);
-        neither copy is conjugated, so only the per-site sums s1+s2 enter.
-    alpha : float
-        Rotation angle from the Gutzwiller parameters.
-
-    Returns
-    -------
-    complex
-        exp(-i*alpha*sum(s1+s2)/2) * det(phi^† diag(e^{i*alpha*(s1+s2)}) phi),
-        with the -1/2 shifts kept as the explicit scalar prefactor.
-    """
-    m = _validate_config(config, (slater.n_sites, 2)).sum(axis=1)
-    overlap = slater.phi.conj().T @ (np.exp(1j * alpha * m)[:, None] * slater.phi)
-    prefactor = np.exp(-0.5j * alpha * m.sum())
-    return complex(prefactor * np.linalg.det(overlap))
-
-
-def dressed_green_function(
-    slater: SlaterState,
-    bra_fields: np.ndarray,
-    ket_fields: np.ndarray,
-    alpha: float,
-) -> np.ndarray:
-    """Single-particle Green matrix M of a dressed Slater pair.
-
-    M[j, i] = <phi| u(bra) c†_i c_j u(ket) |phi> / <phi| u(bra) u(ket) |phi>.
-
-    With B = diag(e^{i*alpha*ket}) phi and A = diag(e^{-i*alpha*bra}) phi
-    (the bra copy enters undaggered, hence the sign flip), the matrix is
-    M = B (A^† B)^{-1} A^†.
-    """
-    ket = np.asarray(ket_fields, dtype=np.float64)
-    bra = np.asarray(bra_fields, dtype=np.float64)
-    b_mat = np.exp(1j * alpha * ket)[:, None] * slater.phi
-    a_mat = np.exp(-1j * alpha * bra)[:, None] * slater.phi
-    overlap = a_mat.conj().T @ b_mat
-    # A and B have unit-norm columns, so the overlap's natural scale is
-    # O(1); a tiny smallest singular value (not the ratio s_max/s_min,
-    # which is blind to a uniformly vanishing matrix) marks the solve
-    # as meaningless.
-    singular_values = np.linalg.svd(overlap, compute_uv=False)
-    if singular_values[-1] < 1e-12 * max(1.0, singular_values[0]):
-        raise SingularOverlapError("dressed overlap matrix near singular")
-    return b_mat @ np.linalg.solve(overlap, a_mat.conj().T)
-

@@ -475,6 +475,14 @@ class TestPhaseCheckCommand:
                          "--out", str(tmp_path / "q.csv")]) == 1
         assert "5-site cap" in capsys.readouterr().err
 
+    def test_singular_gram_weights_pass(self, tmp_path):
+        # g = ln 2 puts alpha at pi/4, where chain:2 holds a sector Gram of
+        # 6e-17: its weight vanishes, which is no phase problem
+        out = tmp_path / "p.csv"
+        assert cli.main(["phase-check", "--lattice", "chain:2", "--g-min", "0.6931471805599453",
+                         "--g-max", "0.6931471805599453", "--out", str(out)]) == 0
+        assert read_rows(out)[1][5] == "true"
+
 
 class TestLcuCommand:
     def test_single_lattice_when_requested(self, tmp_path):

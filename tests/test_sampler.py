@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 from gutzmc.gutzwiller import field_rotation_circuit, full_sum_expectation, hs_params
-from gutzmc.lattice import QubitLayout, build_lattice, hubbard_terms
+from gutzmc.lattice import QubitLayout, build_lattice, hopping_matrix, hubbard_terms
 from gutzmc.pauli import apply_pauli_sum
 from gutzmc.sampler import (
     _ANCHOR_STACK,
     ChainState,
     McParams,
     PhaseProblemError,
+    SingularOverlapError,
+    _DeterminantEngine,
     local_estimator,
     make_chain,
     metropolis_sweep,
@@ -28,7 +30,6 @@ from gutzmc.sampler import (
 )
 from gutzmc.slater import (
     TrialState,
-    dressed_green_function,
     ground_state_of_K,
     half_filled_trial,
     slater_to_statevector,
@@ -66,6 +67,36 @@ def circuit_route(config, trial, params, J=1.0):
     kinetic_op, interaction_op = hubbard_terms(trial.lattice, J, 1.0)
     k = bra_side(apply_pauli_sum(ket.amplitudes, kinetic_op)) / w
     d = bra_side(apply_pauli_sum(ket.amplitudes, interaction_op)) / w
+    return w, k, d
+
+
+def dressed_green_function(slater, bra_fields, ket_fields, alpha):
+    """Green matrix M[j, i] = <phi| u(bra) c†_i c_j u(ket) |phi> / <phi| u(bra) u(ket) |phi>.
+
+    With B = diag(e^{i*alpha*ket}) phi and A = diag(e^{-i*alpha*bra}) phi
+    (the bra copy enters undaggered, hence the sign flip), the matrix is
+    M = B (A^† B)^{-1} A^†.
+    """
+    b_mat = np.exp(1j * alpha * ket_fields)[:, None] * slater.phi
+    a_mat = np.exp(-1j * alpha * bra_fields)[:, None] * slater.phi
+    return b_mat @ np.linalg.solve(a_mat.conj().T @ b_mat, a_mat.conj().T)
+
+
+def green_route(config, trial, params, J=1.0):
+    """W, K and D of one configuration from per-sector overlaps and Green matrices.
+
+    The reference for the determinant engine: W multiplies the sectors'
+    e^{-i*alpha*sum(t)/2} det(A^† B), K is tr(T·M) summed over both
+    spins and D is sum_i (M_up[i,i] - 1/2)(M_dn[i,i] - 1/2).
+    """
+    alpha, total = params.alpha, config.sum(axis=1)
+    w, greens = 1.0, []
+    for slater in (trial.up, trial.down):
+        gram = slater.phi.conj().T @ (np.exp(1j * alpha * total)[:, None] * slater.phi)
+        w *= np.exp(-0.5j * alpha * total.sum()) * np.linalg.det(gram)
+        greens.append(dressed_green_function(slater, config[:, 1], config[:, 0], alpha))
+    k = sum(np.sum(hopping_matrix(trial.lattice, J) * m.T) for m in greens)
+    d = np.sum((np.diagonal(greens[0]) - 0.5) * (np.diagonal(greens[1]) - 0.5))
     return w, k, d
 
 
@@ -378,17 +409,68 @@ class TestFastUpdate:
         engine = make_chain(trial, params).engine
         configs = np.random.default_rng(3 * n).choice([-1, 1], size=(12, n, 2))
         weights = engine.anchor(configs)
-        kinetic, docc = engine.measure(1.0)
-        for config, w, k, d in zip(configs, weights, kinetic, docc):
-            assert agree(w, weight_numerator(config, trial, params), 1e-12)
-            assert agree(k, local_estimator(config, "kinetic", trial, params).real, 1e-12)
-            assert agree(d, local_estimator(config, "interaction", trial, params).real, 1e-12)
+        kinetic, docc = engine.estimators(1.3)
+        for config, *got in zip(configs, weights, kinetic, docc):
+            for a, b in zip(got, green_route(config, trial, params, J=1.3)):
+                assert agree(a, b, 1e-12)
         # the engine re-anchors on the stack's last configuration
         last = configs[-1]
         ratio = engine.proposal_ratio(0, int(last[0].sum()) - 2 * int(last[0, 0]))
         flipped = last.copy()
         flipped[0, 0] = -flipped[0, 0]
         assert agree(ratio, weight_numerator(flipped, trial, params) / weights[-1], 1e-10)
+
+
+class TestSingularGuard:
+    """The engine's estimators refuse a stack with a singular sector Gram."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_flags_match_a_full_svd(self, n):
+        # reference: an SVD of every sector Gram, singular where
+        # sigma_min < 1e-12 * max(1, sigma_max); g = ln 2 (alpha = pi/4)
+        # holds singular configurations at every size, 0.5 and 2.0 none.
+        # local_estimator runs the engine on a stack of one.
+        trial = half_filled_trial(build_lattice("chain", n))
+        for g in (0.5, np.log(2), 2.0):
+            params = hs_params(g)
+            flagged, expected = [], []
+            for index, config in enumerate(all_configs(n)):
+                try:
+                    local_estimator(config, "interaction", trial, params)
+                except SingularOverlapError:
+                    flagged.append(index)
+                phases = np.exp(1j * params.alpha * config.sum(axis=1))
+                for slater in (trial.up, trial.down):
+                    sv = np.linalg.svd(slater.phi.conj().T @ (phases[:, None] * slater.phi),
+                                       compute_uv=False)
+                    if sv[-1] < 1e-12 * max(1.0, sv[0]):
+                        expected.append(index)
+                        break
+            assert flagged == expected
+            assert bool(flagged) == (g == np.log(2))
+
+    def test_singular_configuration_in_a_stack_raises(self):
+        # chain:2 at alpha = pi/4 with opposite site totals: the bonding
+        # orbital's Gram is 6e-17.  The stack's weights are still given
+        # (phase-check scans them), but its estimators are not.
+        trial = half_filled_trial(build_lattice("chain", 2))
+        engine = _DeterminantEngine(trial, hs_params(np.log(2)))
+        stack = np.array([np.ones((2, 2)), [[1, 1], [-1, -1]], [[1, -1], [1, 1]]], dtype=np.int64)
+        weights = engine.anchor(stack)
+        assert abs(weights[1]) < 1e-30 and abs(weights[0] - 1.0) < 1e-12
+        with pytest.raises(SingularOverlapError):
+            engine.estimators(1.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda trial, config, params: make_chain(trial, params, "bogus"),
+    lambda trial, config, params: weight_numerator(config, trial, params, "bogus"),
+    lambda trial, config, params: local_estimator(config, "kinetic", trial, params, "bogus"),
+], ids=["make_chain", "weight_numerator", "local_estimator"])
+def test_unknown_backend_rejected(call):
+    trial = half_filled_trial(build_lattice("chain", 2))
+    with pytest.raises(ValueError, match="unknown backend 'bogus'"):
+        call(trial, np.ones((2, 2), dtype=int), hs_params(0.5))
 
 
 class TestParams:

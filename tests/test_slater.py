@@ -1,9 +1,10 @@
-"""Slater sector states and the dressed Green's-function machinery.
+"""Slater sector states and the determinant engine's dressed overlaps.
 
-The determinant formulas here are the load-bearing piece of the fast
-sampler backend, so they are validated against a dense statevector
-oracle built from explicit fermionic ladder matrices — including odd
-particle numbers, where sign bookkeeping mistakes like to hide.
+The engine's determinant formulas are the load-bearing piece of the fast
+sampler backend, so its weights and Green matrices are validated against
+a dense statevector oracle built from explicit fermionic ladder
+matrices — including odd particle numbers, where sign bookkeeping
+mistakes like to hide.
 """
 from __future__ import annotations
 
@@ -12,14 +13,13 @@ import itertools
 import numpy as np
 import pytest
 
+from gutzmc.gutzwiller import HSParams
 from gutzmc.lattice import QubitLayout, build_lattice, hopping_matrix, hubbard_terms
+from gutzmc.sampler import SingularOverlapError, _DeterminantEngine
 from gutzmc.slater import (
     DegenerateFillingError,
-    SingularOverlapError,
     SlaterState,
     TrialState,
-    dressed_green_function,
-    dressed_overlap,
     ground_state_of_K,
     half_filled_trial,
     sector_amplitudes,
@@ -52,6 +52,22 @@ def random_slater(n_sites: int, n_particles: int, seed: int) -> SlaterState:
     mat = rng.standard_normal((n_sites, n_particles))
     q, _ = np.linalg.qr(mat)
     return SlaterState(q)
+
+
+def engine_for(up: SlaterState, down: SlaterState, alpha: float) -> _DeterminantEngine:
+    """The determinant engine on a chain trial of the two given sectors."""
+    trial = TrialState(build_lattice("chain", up.n_sites), up, down)
+    # the engine reads only alpha off its parameters
+    return _DeterminantEngine(trial, HSParams(g=np.nan, alpha=alpha, gamma=np.nan))
+
+
+def sector_overlap(amps: np.ndarray, config: np.ndarray, alpha: float) -> complex:
+    """Dense <phi| u(s2) u(s1) |phi> of one sector, with the -1/2 shifts."""
+    n = config.shape[0]
+    ket, bra = config[:, 0], config[:, 1]
+    prefactor = np.exp(-0.5j * alpha * (ket + bra).sum())
+    phases = field_phases(bra, alpha, n) * field_phases(ket, alpha, n)
+    return prefactor * np.vdot(amps, phases * amps)
 
 
 def loop_sector_amplitudes(slater: SlaterState) -> np.ndarray:
@@ -140,43 +156,44 @@ class TestSlaterBasics:
 class TestDressedOverlap:
     @pytest.mark.parametrize("n_sites,n_particles", [(2, 1), (3, 2), (4, 2), (5, 3), (6, 3)])
     def test_matches_statevector_oracle(self, n_sites, n_particles):
+        # two different sectors, the down one holding n_sites - n_particles
+        # particles, so both overlaps enter the product
         rng = np.random.default_rng(n_sites * 10 + n_particles)
-        slater = random_slater(n_sites, n_particles, seed=n_sites)
-        amps = sector_amplitudes(slater)
+        up = random_slater(n_sites, n_particles, seed=n_sites)
+        down = random_slater(n_sites, n_sites - n_particles, seed=20 + n_sites)
         alpha = 0.73
-        for _ in range(4):
-            config = rng.choice([-1, 1], size=(n_sites, 2))
-            ket, bra = config[:, 0], config[:, 1]
-            prefactor = np.exp(-0.5j * alpha * (ket + bra).sum())
-            phases = field_phases(bra, alpha, n_sites) * field_phases(ket, alpha, n_sites)
-            expected = prefactor * np.vdot(amps, phases * amps)
-            got = dressed_overlap(slater, config, alpha)
-            assert abs(got - expected) < 1e-10
+        configs = rng.choice([-1, 1], size=(4, n_sites, 2))
+        got = engine_for(up, down, alpha).anchor(configs)
+        for config, w in zip(configs, got):
+            expected = sector_overlap(sector_amplitudes(up), config, alpha) * sector_overlap(
+                sector_amplitudes(down), config, alpha)
+            assert abs(w - expected) < 1e-10
 
     def test_two_site_all_plus(self):
         # both field sums = +2 on both sites: pure phase e^{-2i*alpha} x identity
         slater = ground_state_of_K(build_lattice("chain", 2), 1)
         alpha = 0.4
         config = np.ones((2, 2), dtype=int)
-        got = dressed_overlap(slater, config, alpha)
+        got = engine_for(slater, slater, alpha).anchor(config[None])[0]
         phases = field_phases(np.ones(2), alpha, 2) ** 2
         amps = sector_amplitudes(slater)
         expected = np.exp(-2j * alpha) * np.vdot(amps, phases * amps)
-        assert abs(got - expected) < 1e-12
+        assert abs(got - expected**2) < 1e-12
 
     def test_depends_only_on_field_sums(self):
-        slater = random_slater(4, 2, seed=3)
         alpha = 0.9
         a = np.array([[1, -1], [1, 1], [-1, 1], [-1, -1]])
         b = np.array([[-1, 1], [1, 1], [1, -1], [-1, -1]])  # same per-site sums
-        va = dressed_overlap(slater, a, alpha)
-        vb = dressed_overlap(slater, b, alpha)
+        engine = engine_for(random_slater(4, 2, seed=3), random_slater(4, 1, seed=4), alpha)
+        va, vb = engine.anchor(np.stack([a, b]))
         assert abs(va - vb) < 1e-14
 
 
 class TestDressedGreenFunction:
     @pytest.mark.parametrize("n_sites,n_particles", [(3, 1), (4, 2), (5, 3), (6, 2)])
     def test_matches_dense_ratio(self, n_sites, n_particles):
+        # M[j, i] = <phi| u(bra) c†_i c_j u(ket) |phi> / <phi| u(bra) u(ket) |phi>
+        # is diag(ket phases) P diag(bra phases) of the up sector's P
         rng = np.random.default_rng(100 + n_sites)
         slater = random_slater(n_sites, n_particles, seed=50 + n_sites)
         amps = sector_amplitudes(slater)
@@ -187,7 +204,9 @@ class TestDressedGreenFunction:
         u_bra = field_phases(bra, alpha, n_sites)
         u_ket = field_phases(ket, alpha, n_sites)
         den = np.vdot(amps, u_bra * u_ket * amps)
-        M = dressed_green_function(slater, bra, ket, alpha)
+        engine = engine_for(slater, random_slater(n_sites, 1, seed=n_sites), alpha)
+        engine.anchor(np.stack([ket, bra], axis=1)[None])
+        M = np.exp(1j * alpha * ket)[:, None] * engine.projectors[0] * np.exp(1j * alpha * bra)
         for i in range(n_sites):
             for j in range(n_sites):
                 op = c[i].conj().T @ c[j]
@@ -195,12 +214,14 @@ class TestDressedGreenFunction:
                 np.testing.assert_allclose(M[j, i], num / den, atol=1e-10)
 
     def test_singular_dressing_raises(self):
-        # alpha = pi/4 with opposite field sums makes A†B exactly singular
+        # alpha = pi/4 (g = ln 2) with opposite field sums makes the Gram
+        # vanish to roundoff: the weight is still given, the estimators not
         slater = SlaterState(np.array([[1.0], [1.0]]) / np.sqrt(2))
-        bra = np.array([1, -1])
-        ket = np.array([1, -1])
+        config = np.array([[1, 1], [-1, -1]])
+        engine = engine_for(slater, slater, np.pi / 4)
+        assert abs(engine.anchor(config[None])[0]) < 1e-30
         with pytest.raises(SingularOverlapError):
-            dressed_green_function(slater, bra, ket, np.pi / 4)
+            engine.estimators(1.0)
 
 
 def test_trial_state_requires_matching_lattice():
