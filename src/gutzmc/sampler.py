@@ -22,11 +22,13 @@ of those sweeps from scratch, records the largest drift, re-anchors the
 chain on the last one and yields the kinetic and double-occupancy
 estimators of all of them.  The statevector backend sums diagonal
 dressing phases over the trial state's occupation support, for a whole
-stack at once.  Both engines share one interface, anchor(configs) plus
-estimators(J), and on either backend the one-configuration
-weight_numerator and local_estimator are the engine's stack of one.  The
-backends are required to agree to 1e-10 and are cross-checked in the
-test suite.
+stack at once.  Both engines share one interface: anchor(configs) gives
+a stack's from-scratch weights and re-anchors the engine on its last
+configuration, estimators(J) gives the stack's K and D, and
+sweep(config, weight, draws) runs one Metropolis pass from the anchored
+state.  On either backend the one-configuration weight_numerator and
+local_estimator are the engine's stack of one.  The backends are
+required to agree to 1e-10 and are cross-checked in the test suite.
 """
 from __future__ import annotations
 
@@ -143,10 +145,10 @@ class _DeterminantEngine:
     Scalapino & Sugar, PRD 24, 2278).  Both proposals at a site read
     P[i, i]; an accepted flip only moves that scalar to
     P[i, i] / (1 + dphase * P[i, i]), its exact Sherman-Morrison value,
-    and settle applies the site's net phase change to P as one rank-one
-    update.  anchor rebuilds a whole stack of configurations from scratch
-    in one batched det and solve, re-anchors P on the last of them and
-    keeps the stack for estimators.
+    and a site whose total changed applies its net phase change to P as
+    one rank-one update.  anchor rebuilds a whole stack of configurations
+    from scratch in one batched det, solves P for the last of them and
+    keeps the stack for estimators, which solves it whole.
     """
 
     def __init__(self, trial: TrialState, params: HSParams):
@@ -169,27 +171,30 @@ class _DeterminantEngine:
         self.total: list[int] = []
         self.projectors: list[np.ndarray] = []
         self.diagonals: list[list[complex]] = []
-        self._pending: tuple | None = None
         self._anchored: tuple | None = None
 
     def anchor(self, configs: np.ndarray) -> np.ndarray:
-        """From-scratch weights of a (B, N, 2) configuration stack."""
+        """From-scratch weights of a (B, N, 2) configuration stack.
+
+        P is solved for the last configuration only, the one the chain
+        continues from; estimators solves the whole stack.
+        """
         totals = configs.sum(axis=2)
         phases = np.exp(1j * self.alpha * totals)
         prefactor = np.exp(-0.5j * self.alpha * totals.sum(axis=1))
         weights = np.ones(len(configs), dtype=complex)
         grams = [np.einsum("ia,ci,ib->cab", phi.conj(), phases, phi) for phi in self.phis]
         dets = [np.linalg.det(gram) for gram in grams]
-        stacks = [phi @ np.linalg.solve(gram, phi.conj().T) for phi, gram in zip(self.phis, grams)]
         for det in dets:
             weights *= prefactor * det
         if self.symmetric:
             weights = weights * weights
-        self._anchored = (configs, phases, grams, dets, stacks)
+        self._anchored = (configs, phases, grams, dets)
         self.total = totals[-1].tolist()
-        self.projectors = [stack[-1].copy() for stack in stacks]
+        self.projectors = [
+            phi @ np.linalg.solve(gram[-1], phi.conj().T) for phi, gram in zip(self.phis, grams)
+        ]
         self.diagonals = [p.diagonal().tolist() for p in self.projectors]
-        self._pending = None
         return weights
 
     def estimators(self, J: float) -> np.ndarray:
@@ -206,13 +211,14 @@ class _DeterminantEngine:
         one, so |det G| <= sigma_min: only the Grams whose |det| falls
         below twice the threshold (a margin for roundoff) need an SVD.
         """
-        configs, phases, grams, dets, stacks = self._anchored
+        configs, phases, grams, dets = self._anchored
         for gram, det in zip(grams, dets):
             suspect = gram[np.abs(det) < 2 * _SINGULAR_TOL]
             if len(suspect):
                 sv = np.linalg.svd(suspect, compute_uv=False)
                 if np.any(sv[:, -1] < _SINGULAR_TOL * np.maximum(1.0, sv[:, 0])):
                     raise SingularOverlapError("dressed overlap matrix near singular")
+        stacks = [phi @ np.linalg.solve(gram, phi.conj().T) for phi, gram in zip(self.phis, grams)]
         ket = np.exp(1j * self.alpha * configs[:, :, 0])
         bra = np.exp(1j * self.alpha * configs[:, :, 1])
         hop = hopping_matrix(self.lattice, J) * bra[:, :, None] * ket[:, None, :]
@@ -224,29 +230,51 @@ class _DeterminantEngine:
         docc = np.sum(diags[0] * diags[1], axis=1)
         return np.array([kinetic, docc])
 
-    def proposal_ratio(self, site: int, new_total: int) -> complex:
-        """W(t with t_site -> new_total) / W(t) from the diagonal of P."""
-        dphase, pref = self._steps[self.total[site], new_total]
-        factors = [1.0 + dphase * diag[site] for diag in self.diagonals]
-        self._pending = (site, new_total, factors)
-        ratio = pref * factors[0]
-        if self.symmetric:
-            return ratio * ratio
-        return ratio * pref * factors[1]
+    def sweep(self, config: list, weight: complex, draws: list) -> tuple[complex, int]:
+        """One Metropolis pass over config's fields, in place; see metropolis_sweep.
 
-    def commit(self) -> None:
-        site, new_total, factors = self._pending
-        self.total[site] = new_total
-        self._pending = None
-        for diag, factor in zip(self.diagonals, factors):
-            diag[site] /= factor
-
-    def settle(self, site: int, old_total: int) -> None:
-        """Apply the site's net change old_total -> total[site] to P."""
-        dphase = self._phase[self.total[site]] - self._phase[old_total]
-        for p in self.projectors:
-            p -= (p[:, site] * (dphase / (1.0 + dphase * p[site, site])))[:, None] * p[site]
-        self.diagonals = [p.diagonal().tolist() for p in self.projectors]
+        Returns the tracked weight and the accept count.  Each proposal
+        reads its sector factors 1 + dphase * P[i, i] off the tracked
+        diagonals, an accepted flip divides each tracked P[i, i] by its
+        factor, and a site whose total changed gets its one rank-one
+        update of P.
+        """
+        steps, phase, total, projectors = self._steps, self._phase, self.total, self.projectors
+        diag = self.diagonals[0]
+        diag_dn = None if self.symmetric else self.diagonals[1]
+        accepted = 0
+        draw = iter(draws)
+        for site, fields in enumerate(config):
+            start = total[site]
+            for copy in (0, 1):
+                u = next(draw)
+                old = total[site]
+                new = old - 2 * fields[copy]
+                dphase, pref = steps[old, new]
+                f = 1.0 + dphase * diag[site]
+                if diag_dn is None:
+                    ratio = pref * f
+                    w_new = weight * (ratio * ratio)
+                else:
+                    f_dn = 1.0 + dphase * diag_dn[site]
+                    w_new = weight * (pref * f * pref * f_dn)
+                _check_weight(w_new, weight)
+                r = w_new.real / weight.real
+                if r >= 1.0 or u < r:
+                    fields[copy] = -fields[copy]
+                    total[site] = new
+                    weight = w_new
+                    accepted += 1
+                    diag[site] /= f
+                    if diag_dn is not None:
+                        diag_dn[site] /= f_dn
+            if total[site] != start:
+                dphase = phase[total[site]] - phase[start]
+                for p, tracked in zip(projectors, self.diagonals):
+                    coef = dphase / (1.0 + dphase * p[site, site])
+                    p -= np.multiply.outer(p[:, site] * coef, p[site])
+                    tracked[:] = p.diagonal().tolist()
+        return weight, accepted
 
 
 class _StatevectorEngine:
@@ -275,7 +303,6 @@ class _StatevectorEngine:
         self.docc = diagonal_eigenvalues(interaction, support)
         self.total = np.zeros(trial.lattice.n_sites, dtype=np.int64)
         self.current = 1.0 + 0.0j
-        self._pending: tuple | None = None
         self._anchored: np.ndarray | None = None
 
     def _weight_of(self, total: np.ndarray) -> complex:
@@ -287,7 +314,6 @@ class _StatevectorEngine:
         self._anchored = (configs, weights)
         self.total = totals[-1].copy()
         self.current = complex(weights[-1])
-        self._pending = None
         return weights
 
     def estimators(self, J: float) -> np.ndarray:
@@ -301,21 +327,31 @@ class _StatevectorEngine:
         docc = (bra * ket) @ self.docc
         return np.array([kinetic, docc]) / weights
 
-    def proposal_ratio(self, site: int, new_total: int) -> complex:
-        trial_total = self.total.astype(np.float64)
-        trial_total[site] = new_total
-        w_new = self._weight_of(trial_total)
-        self._pending = (site, new_total, w_new)
-        return complex(w_new / self.current)
+    def sweep(self, config: list, weight: complex, draws: list) -> tuple[complex, int]:
+        """One Metropolis pass over config's fields, in place; see metropolis_sweep.
 
-    def commit(self) -> None:
-        site, new_total, w_new = self._pending
-        self.total[site] = new_total
-        self.current = w_new
-        self._pending = None
-
-    def settle(self, site: int, old_total: int) -> None:
-        """Nothing to do: every ratio is a from-scratch weight."""
+        Every proposal's ratio is its from-scratch weight over the current one.
+        """
+        total = self.total
+        accepted = 0
+        draw = iter(draws)
+        for site, fields in enumerate(config):
+            for copy in (0, 1):
+                u = next(draw)
+                new = fields[0] + fields[1] - 2 * fields[copy]
+                trial_total = total.astype(np.float64)
+                trial_total[site] = new
+                w_fresh = self._weight_of(trial_total)
+                w_new = weight * complex(w_fresh / self.current)
+                _check_weight(w_new, weight)
+                r = w_new.real / weight.real
+                if r >= 1.0 or u < r:
+                    fields[copy] = -fields[copy]
+                    total[site] = new
+                    self.current = w_fresh
+                    weight = w_new
+                    accepted += 1
+        return weight, accepted
 
 
 _ENGINES = {"statevector": _StatevectorEngine, "determinant": _DeterminantEngine}
@@ -385,31 +421,15 @@ def metropolis_sweep(
     not the ratio decides deterministically, keeping random streams
     aligned across weight backends; the sweep's variates are drawn as
     one block, which yields the same stream as one draw per proposal.
-    The sweep's end configuration and tracked weight join the chain's
+    The chain's engine runs the proposals (its sweep method).  The
+    sweep's end configuration and tracked weight join the chain's
     pending stack; the sweep that fills it runs the stacked rebuild
     (_anchor), which checks every stacked weight from scratch and
     re-anchors the chain.
     """
-    accepted = 0
-    engine = chain.engine
-    weight = chain.weight
     config = chain.config.tolist()
-    draws = iter(rng.random(2 * len(config)).tolist())
-    for site, fields in enumerate(config):
-        start = fields[0] + fields[1]
-        for copy in (0, 1):
-            u = next(draws)
-            new_total = fields[0] + fields[1] - 2 * fields[copy]
-            w_new = weight * engine.proposal_ratio(site, new_total)
-            _check_weight(w_new, weight)
-            r = w_new.real / weight.real
-            if r >= 1.0 or u < r:
-                fields[copy] = -fields[copy]
-                weight = w_new
-                engine.commit()
-                accepted += 1
-        if fields[0] + fields[1] != start:
-            engine.settle(site, start)
+    draws = rng.random(2 * len(config)).tolist()
+    weight, accepted = chain.engine.sweep(config, chain.weight, draws)
     chain.config[:] = config
     chain.weight = weight
     chain.pending.append((config, weight))

@@ -11,13 +11,16 @@ import pytest
 
 from gutzmc.gutzwiller import field_rotation_circuit, full_sum_expectation, hs_params
 from gutzmc.lattice import QubitLayout, build_lattice, hopping_matrix, hubbard_terms
+from gutzmc import sampler
 from gutzmc.pauli import apply_pauli_sum
 from gutzmc.sampler import (
     _ANCHOR_STACK,
+    BACKENDS,
     ChainState,
     McParams,
     PhaseProblemError,
     SingularOverlapError,
+    _check_weight,
     _DeterminantEngine,
     local_estimator,
     make_chain,
@@ -308,8 +311,10 @@ class TestChain:
         again = sample_kinetic_interaction(lat, 1.0, 0.8, mcp)
         assert again.max_drift == samples.max_drift
 
-    def test_backends_produce_identical_runs(self):
-        lat = build_lattice("chain", 4)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_backends_produce_identical_runs(self, n):
+        # chain:4 is spin-symmetric (one P); chain:5 carries both sectors
+        lat = build_lattice("chain", n)
         mcp_det = McParams(n_sweeps=400, rng_seed=13, n_bins=10)
         mcp_sv = McParams(n_sweeps=400, rng_seed=13, n_bins=10, backend="statevector")
         s_det = sample_kinetic_interaction(lat, 1.0, 0.7, mcp_det)
@@ -351,55 +356,51 @@ class TestChain:
         assert energy.stderr <= kinetic.stderr + interaction.stderr + 1e-12
 
 
+@pytest.fixture
+def checked_weights(monkeypatch):
+    """Every (proposed weight, current weight) pair the phase guard sees."""
+    calls = []
+
+    def record(w, current):
+        calls.append((w, current))
+        _check_weight(w, current)
+
+    monkeypatch.setattr(sampler, "_check_weight", record)
+    return calls
+
+
 class TestFastUpdate:
     """The determinant engine's fast updates against from-scratch routes."""
 
-    @staticmethod
-    def visit(engine, config, site, copies, trial, params, w_old):
-        """Propose and commit flips of the given copies at one site, as a
-        sweep does, checking every ratio; settle the site's net change."""
-        start = int(config[site].sum())
-        for copy in copies:
-            new = config.copy()
-            new[site, copy] = -new[site, copy]
-            ratio = engine.proposal_ratio(site, int(new[site].sum()))
-            w_new = weight_numerator(new, trial, params)
-            assert agree(ratio, w_new / w_old, 1e-10)
-            engine.commit()
-            config, w_old = new, w_new
-        if int(config[site].sum()) != start:
-            engine.settle(site, start)
-        return config, w_old
-
     @pytest.mark.parametrize("kind,n", [("chain", 8), ("ladder", 8), ("chain", 12), ("chain", 9)])
-    def test_ratios_and_greens_follow_accepted_flips(self, kind, n):
+    def test_ratios_and_greens_follow_accepted_flips(self, kind, n, checked_weights):
         lat = build_lattice(kind, n)
         trial = half_filled_trial(lat)
         assert trial.spin_symmetric == (n % 2 == 0)
         params = hs_params(0.6)
-        engine = make_chain(trial, params).engine
-        config = np.ones((n, 2), dtype=np.int64)
-        rng = np.random.default_rng(n)
-        w_old = weight_numerator(config, trial, params)
-        pairs = {"net change": 0, "net zero": 0}
-        for _ in range(4 * n):
-            site = int(rng.integers(n))
-            copies = [(0,), (1,), (0, 1)][int(rng.integers(3))]
-            if len(copies) == 2:
-                pairs["net change" if config[site, 0] == config[site, 1] else "net zero"] += 1
-            config, w_old = self.visit(engine, config, site, copies, trial, params, w_old)
-        # a same-site pair of each kind at every site: equal fields end at
-        # the opposite total, unequal fields end where they started
-        for site in range(n):
-            config, w_old = self.visit(engine, config, site, (0, 1), trial, params, w_old)
-            config, w_old = self.visit(engine, config, site, (0,), trial, params, w_old)
-            config, w_old = self.visit(engine, config, site, (1, 0), trial, params, w_old)
-        assert pairs["net change"] > 0 and pairs["net zero"] > 0
+        engine = _DeterminantEngine(trial, params)
+        config = np.random.default_rng(n).choice([-1, 1], size=(n, 2))
+        # all-zero draws accept every positive ratio, so both copies flip at
+        # every site: equal fields end at the opposite total (a net change,
+        # one rank-one update), unequal fields where they started (net zero)
+        equal = config[:, 0] == config[:, 1]
+        assert equal.any() and not equal.all()
+        weight = complex(engine.anchor(config[None])[0])
+        fields = config.tolist()
+        weight, accepted = engine.sweep(fields, weight, [0.0] * (2 * n))
+        assert accepted == 2 * n and len(checked_weights) == 2 * n
+        # every proposal's weight, then the tracked weight, from scratch
+        for index, (w_new, _) in enumerate(checked_weights):
+            config[divmod(index, 2)] *= -1
+            assert agree(w_new, weight_numerator(config, trial, params), 1e-10)
+        assert np.array_equal(np.array(fields), config)
+        assert agree(weight, weight_numerator(config, trial, params), 1e-10)
         ket = np.exp(1j * params.alpha * config[:, 0])
         bra = np.exp(1j * params.alpha * config[:, 1])
-        for p, sector in zip(engine.projectors, [trial.up, trial.down]):
+        for p, diag, sector in zip(engine.projectors, engine.diagonals, [trial.up, trial.down]):
             exact = dressed_green_function(sector, config[:, 1], config[:, 0], params.alpha)
             np.testing.assert_allclose(ket[:, None] * p * bra[None, :], exact, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(diag, np.diagonal(p), rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("kind,n", [("chain", 8), ("chain", 9), ("ladder", 8)])
     def test_stacked_rebuild_and_measurement(self, kind, n):
@@ -413,12 +414,12 @@ class TestFastUpdate:
         for config, *got in zip(configs, weights, kinetic, docc):
             for a, b in zip(got, green_route(config, trial, params, J=1.3)):
                 assert agree(a, b, 1e-12)
-        # the engine re-anchors on the stack's last configuration
-        last = configs[-1]
-        ratio = engine.proposal_ratio(0, int(last[0].sum()) - 2 * int(last[0, 0]))
-        flipped = last.copy()
-        flipped[0, 0] = -flipped[0, 0]
-        assert agree(ratio, weight_numerator(flipped, trial, params) / weights[-1], 1e-10)
+        # the engine re-anchors on the stack's last configuration: a sweep
+        # from there accepting every flip tracks that configuration's weight
+        fields = configs[-1].tolist()
+        weight, accepted = engine.sweep(fields, complex(weights[-1]), [0.0] * (2 * n))
+        assert accepted == 2 * n
+        assert agree(weight, weight_numerator(-configs[-1], trial, params), 1e-10)
 
 
 class TestSingularGuard:
@@ -529,19 +530,25 @@ class TestPhaseCheck:
             phase_problem_check(build_lattice("chain", 6), 0.5)
 
     class Scripted:
-        """Weight engine that returns scripted proposal ratios."""
+        """Weight engine whose proposal ratios are scripted."""
 
         def __init__(self, ratios):
             self.ratios = iter(ratios)
 
-        def proposal_ratio(self, site, new_total):
-            return next(self.ratios)
-
-        def commit(self):
-            pass
-
-        def settle(self, site, old_total):
-            pass
+        def sweep(self, config, weight, draws):
+            accepted = 0
+            draw = iter(draws)
+            for fields in config:
+                for copy in (0, 1):
+                    u = next(draw)
+                    w_new = weight * next(self.ratios)
+                    _check_weight(w_new, weight)
+                    r = w_new.real / weight.real
+                    if r >= 1.0 or u < r:
+                        fields[copy] = -fields[copy]
+                        weight = w_new
+                        accepted += 1
+            return weight, accepted
 
         def anchor(self, configs):
             return np.ones(len(configs), dtype=complex)
@@ -573,6 +580,30 @@ class TestPhaseCheck:
         assert not chain.pending
         assert abs(chain.weight - 1.0) < 1e-15
         assert chain.max_drift == pytest.approx(1e-3, rel=1e-6)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_every_proposal_is_checked_against_the_current_weight(
+        self, n, backend, checked_weights
+    ):
+        # the guard sees each proposal once, with the weight the chain holds
+        # just before it: the last accepted proposal's, or the sweep's start
+        trial = half_filled_trial(build_lattice("chain", n))
+        params = hs_params(0.8)
+        chain = make_chain(trial, params, backend)
+        rng, replay = np.random.default_rng(17), np.random.default_rng(17)
+        for _ in range(6):
+            checked_weights.clear()
+            current, counted = chain.weight, 0
+            _, accepted = metropolis_sweep(chain, trial, params, rng)
+            assert len(checked_weights) == 2 * n
+            for (w_new, seen), u in zip(checked_weights, replay.random(2 * n)):
+                assert seen == current
+                r = w_new.real / seen.real
+                if r >= 1.0 or u < r:
+                    current, counted = w_new, counted + 1
+            assert counted == accepted
+            assert chain.weight == current
 
     def test_guard_scales_with_a_large_current_weight(self):
         # the same imaginary part is roundoff next to a current weight of 1e6,
