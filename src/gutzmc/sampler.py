@@ -12,23 +12,23 @@ in a fixed order (one sweep proposes every field exactly once), always
 consuming one uniform draw per proposal so that runs with different
 weight backends share the same random stream.
 
-Two weight backends are provided.  The determinant backend carries one
-N x N matrix P = phi G^{-1} phi^H per spin sector (G the k x k dressed
-overlap, k = particles per spin): a proposal ratio is a scalar read off
-P's diagonal, and a site whose total field changed applies one rank-one
-update of P.  The chain runs on this tracked weight; every
-_ANCHOR_STACK sweeps one stacked rebuild re-derives the weight of each
-of those sweeps from scratch, records the largest drift, re-anchors the
-chain on the last one and yields the kinetic and double-occupancy
-estimators of all of them.  The statevector backend sums diagonal
-dressing phases over the trial state's occupation support, for a whole
-stack at once.  Both engines share one interface: anchor(configs) gives
-a stack's from-scratch weights and re-anchors the engine on its last
-configuration, estimators(J) gives the stack's K and D, and
-sweep(config, weight, draws) runs one Metropolis pass from the anchored
-state.  On either backend the one-configuration weight_numerator and
-local_estimator are the engine's stack of one.  The backends are
-required to agree to 1e-10 and are cross-checked in the test suite.
+Two weight engines are provided, each a pure kernel over (trial, alpha)
+that holds no chain: weights(configs) gives a stack's from-scratch
+weights, estimators(configs, J) its weights and K and D estimators from
+the same pass, start(config, weight) builds one chain's state and
+sweep(state, config, weight, draws) runs one Metropolis pass on it.  A
+ChainState holds the configuration, the tracked weight and that state.
+The determinant engine's state carries one N x N matrix
+P = phi G^{-1} phi^H per spin sector (G the k x k dressed overlap,
+k = particles per spin): a proposal ratio is a scalar read off P's
+diagonal, and a site whose total field changed applies one rank-one
+update of P.  The statevector engine sums diagonal dressing phases over
+the trial state's occupation support.  Every _ANCHOR_STACK sweeps one
+stacked rebuild re-derives each of those sweeps' weights from scratch,
+records the largest drift, restarts the chain's state on the last one
+and, while the chain measures, yields the stack's estimators.  The
+one-configuration weight_numerator and local_estimator are the engine's
+stack of one.  The backends must agree to 1e-10; the tests cross-check them.
 """
 from __future__ import annotations
 
@@ -138,7 +138,7 @@ class _DeterminantEngine:
 
     Only the per-site total field t_i = s_{i,1} + s_{i,2} enters the
     weight: W_sector = e^{-i*alpha*sum(t)/2} det(G) with
-    G = phi^H diag(e^{i*alpha*t}) phi.  The engine carries
+    G = phi^H diag(e^{i*alpha*t}) phi.  A chain's state carries
     P = phi G^{-1} phi^H.  A single flip changes one phase by dphase, a
     rank-one change of G, so by the matrix-determinant lemma the sector
     ratio is e^{-i*alpha*dt/2} (1 + dphase * P[i, i]) (Blankenbecler,
@@ -146,20 +146,15 @@ class _DeterminantEngine:
     P[i, i]; an accepted flip only moves that scalar to
     P[i, i] / (1 + dphase * P[i, i]), its exact Sherman-Morrison value,
     and a site whose total changed applies its net phase change to P as
-    one rank-one update.  anchor rebuilds a whole stack of configurations
-    from scratch in one batched det, solves P for the last of them and
-    keeps the stack for estimators, which solves it whole.
+    one rank-one update.  The engine itself holds no chain: start builds
+    a chain's state (site totals, P per sector, P's tracked diagonals).
     """
 
     def __init__(self, trial: TrialState, params: HSParams):
         self.alpha = params.alpha
         self.lattice = trial.lattice
-        if trial.spin_symmetric:
-            self.phis = [trial.up.phi]
-            self.symmetric = True
-        else:
-            self.phis = [trial.up.phi, trial.down.phi]
-            self.symmetric = False
+        self.symmetric = trial.spin_symmetric
+        self.phis = [trial.up.phi] if self.symmetric else [trial.up.phi, trial.down.phi]
         self._phase = phase = {t: complex(np.exp(1j * self.alpha * t)) for t in (-2, 0, 2)}
         # (old t, new t) -> (dphase, prefactor ratio) for every single flip
         self._steps = {
@@ -168,39 +163,34 @@ class _DeterminantEngine:
             for u in phase
             if abs(u - t) == 2
         }
-        self.total: list[int] = []
-        self.projectors: list[np.ndarray] = []
-        self.diagonals: list[list[complex]] = []
-        self._anchored: tuple | None = None
 
-    def anchor(self, configs: np.ndarray) -> np.ndarray:
-        """From-scratch weights of a (B, N, 2) configuration stack.
+    def _grams(self, phases: np.ndarray) -> list[np.ndarray]:
+        """Sector Grams phi^H diag(phases) phi of a (B, N) phase stack, shape (B, k, k)."""
+        return [np.einsum("ia,ci,ib->cab", phi.conj(), phases, phi) for phi in self.phis]
 
-        P is solved for the last configuration only, the one the chain
-        continues from; estimators solves the whole stack.
-        """
+    def _stack(self, configs: np.ndarray) -> tuple:
+        """Total-field phases, sector Grams, their dets and the weights of a stack."""
         totals = configs.sum(axis=2)
         phases = np.exp(1j * self.alpha * totals)
         prefactor = np.exp(-0.5j * self.alpha * totals.sum(axis=1))
         weights = np.ones(len(configs), dtype=complex)
-        grams = [np.einsum("ia,ci,ib->cab", phi.conj(), phases, phi) for phi in self.phis]
+        grams = self._grams(phases)
         dets = [np.linalg.det(gram) for gram in grams]
         for det in dets:
             weights *= prefactor * det
         if self.symmetric:
             weights = weights * weights
-        self._anchored = (configs, phases, grams, dets)
-        self.total = totals[-1].tolist()
-        self.projectors = [
-            phi @ np.linalg.solve(gram[-1], phi.conj().T) for phi, gram in zip(self.phis, grams)
-        ]
-        self.diagonals = [p.diagonal().tolist() for p in self.projectors]
-        return weights
+        return phases, grams, dets, weights
 
-    def estimators(self, J: float) -> np.ndarray:
-        """Complex K and D estimators of the last anchored stack, shape (2, B).
+    def weights(self, configs: np.ndarray) -> np.ndarray:
+        """From-scratch weights of a (B, N, 2) configuration stack: batched dets, no P."""
+        return self._stack(configs)[3]
 
-        They come straight from the stack's P and the ket and bra phases:
+    def estimators(self, configs: np.ndarray, J: float) -> tuple[np.ndarray, np.ndarray]:
+        """A stack's weights and complex K and D estimators, shapes (B,) and (2, B).
+
+        Both come from one pass over the stack's Grams.  K and D come
+        straight from each configuration's P and its ket and bra phases:
         the Green matrix is M = diag(ket) P diag(bra), so the hopping sum
         is tr(T·M) = sum_ij T_ij bra_i ket_j P_ji per spin, and M's
         diagonal is the total-field phase times P's.
@@ -211,7 +201,7 @@ class _DeterminantEngine:
         one, so |det G| <= sigma_min: only the Grams whose |det| falls
         below twice the threshold (a margin for roundoff) need an SVD.
         """
-        configs, phases, grams, dets = self._anchored
+        phases, grams, dets, weights = self._stack(configs)
         for gram, det in zip(grams, dets):
             suspect = gram[np.abs(det) < 2 * _SINGULAR_TOL]
             if len(suspect):
@@ -228,10 +218,17 @@ class _DeterminantEngine:
             kinetic = 2.0 * kinetic
             diags.append(diags[0])
         docc = np.sum(diags[0] * diags[1], axis=1)
-        return np.array([kinetic, docc])
+        return weights, np.array([kinetic, docc])
 
-    def sweep(self, config: list, weight: complex, draws: list) -> tuple[complex, int]:
-        """One Metropolis pass over config's fields, in place; see metropolis_sweep.
+    def start(self, config: np.ndarray, weight: complex) -> list:
+        """A chain's state at one (N, 2) configuration: [totals, P per sector, P's diagonals]."""
+        total = config.sum(axis=1)
+        grams = self._grams(np.exp(1j * self.alpha * total)[None])
+        ps = [phi @ np.linalg.solve(g[0], phi.conj().T) for phi, g in zip(self.phis, grams)]
+        return [total.tolist(), ps, [p.diagonal().tolist() for p in ps]]
+
+    def sweep(self, state, config: list, weight: complex, draws: list) -> tuple[complex, int]:
+        """One Metropolis pass over config's fields and state, in place; see metropolis_sweep.
 
         Returns the tracked weight and the accept count.  Each proposal
         reads its sector factors 1 + dphase * P[i, i] off the tracked
@@ -239,9 +236,10 @@ class _DeterminantEngine:
         factor, and a site whose total changed gets its one rank-one
         update of P.
         """
-        steps, phase, total, projectors = self._steps, self._phase, self.total, self.projectors
-        diag = self.diagonals[0]
-        diag_dn = None if self.symmetric else self.diagonals[1]
+        steps, phase = self._steps, self._phase
+        total, projectors, diagonals = state
+        diag = diagonals[0]
+        diag_dn = None if self.symmetric else diagonals[1]
         accepted = 0
         draw = iter(draws)
         for site, fields in enumerate(config):
@@ -270,7 +268,7 @@ class _DeterminantEngine:
                         diag_dn[site] /= f_dn
             if total[site] != start:
                 dphase = phase[total[site]] - phase[start]
-                for p, tracked in zip(projectors, self.diagonals):
+                for p, tracked in zip(projectors, diagonals):
                     coef = dphase / (1.0 + dphase * p[site, site])
                     p -= np.multiply.outer(p[:, site] * coef, p[site])
                     tracked[:] = p.diagonal().tolist()
@@ -285,8 +283,9 @@ class _StatevectorEngine:
     W(s) = sum_b |psi0(b)|^2 e^{i*alpha*m(b)·t} over the trial's support
     b, and <psi0|u(s2) Ô u(s1)|psi0> needs Ô only between support states:
     the hopping operator is compiled onto the support once, and the
-    double occupancy is its diagonal there.  estimators returns K and D
-    of a whole anchored stack in one vectorized pass.
+    double occupancy is its diagonal there.  weights and estimators take
+    a whole stack in one vectorized pass; a chain's state is its site
+    totals and its configuration's from-scratch weight.
     """
 
     def __init__(self, trial: TrialState, params: HSParams):
@@ -301,56 +300,50 @@ class _StatevectorEngine:
         kinetic, interaction = hubbard_terms(trial.lattice, 1.0, 1.0)
         self.hop = basis_matrix(kinetic, support)
         self.docc = diagonal_eigenvalues(interaction, support)
-        self.total = np.zeros(trial.lattice.n_sites, dtype=np.int64)
-        self.current = 1.0 + 0.0j
-        self._anchored: np.ndarray | None = None
 
-    def _weight_of(self, total: np.ndarray) -> complex:
-        return complex(self.prob @ np.exp(1j * self.alpha * (self.m_support @ total)))
+    def weights(self, configs: np.ndarray) -> np.ndarray:
+        return np.exp(1j * self.alpha * (configs.sum(axis=2) @ self.m_support.T)) @ self.prob
 
-    def anchor(self, configs: np.ndarray) -> np.ndarray:
-        totals = configs.sum(axis=2)
-        weights = np.exp(1j * self.alpha * (totals @ self.m_support.T)) @ self.prob
-        self._anchored = (configs, weights)
-        self.total = totals[-1].copy()
-        self.current = complex(weights[-1])
-        return weights
-
-    def estimators(self, J: float) -> np.ndarray:
-        """Complex K and D ratios of the last anchored stack, shape (2, B)."""
-        configs, weights = self._anchored
+    def estimators(self, configs: np.ndarray, J: float) -> tuple[np.ndarray, np.ndarray]:
+        """A stack's weights and complex K and D ratios, shapes (B,) and (2, B)."""
+        weights = self.weights(configs)
         if np.min(np.abs(weights)) < 1e-300:
             raise ArithmeticError("vanishing weight denominator")
         ket = self.amps * np.exp(1j * self.alpha * (configs[:, :, 0] @ self.m_support.T))
         bra = self.amps.conj() * np.exp(1j * self.alpha * (configs[:, :, 1] @ self.m_support.T))
         kinetic = J * np.sum(bra * (self.hop @ ket.T).T, axis=1)
         docc = (bra * ket) @ self.docc
-        return np.array([kinetic, docc]) / weights
+        return weights, np.array([kinetic, docc]) / weights
 
-    def sweep(self, config: list, weight: complex, draws: list) -> tuple[complex, int]:
-        """One Metropolis pass over config's fields, in place; see metropolis_sweep.
+    def start(self, config: np.ndarray, weight: complex) -> list:
+        """A chain's state at one configuration: [totals, its from-scratch weight]."""
+        return [config.sum(axis=1), complex(weight)]
+
+    def sweep(self, state, config: list, weight: complex, draws: list) -> tuple[complex, int]:
+        """One Metropolis pass over config's fields and state, in place; see metropolis_sweep.
 
         Every proposal's ratio is its from-scratch weight over the current one.
         """
-        total = self.total
+        total, current = state
         accepted = 0
         draw = iter(draws)
         for site, fields in enumerate(config):
             for copy in (0, 1):
                 u = next(draw)
                 new = fields[0] + fields[1] - 2 * fields[copy]
-                trial_total = total.astype(np.float64)
-                trial_total[site] = new
-                w_fresh = self._weight_of(trial_total)
-                w_new = weight * complex(w_fresh / self.current)
+                moved = total.astype(np.float64)
+                moved[site] = new
+                w_fresh = complex(self.prob @ np.exp(1j * self.alpha * (self.m_support @ moved)))
+                w_new = weight * complex(w_fresh / current)
                 _check_weight(w_new, weight)
                 r = w_new.real / weight.real
                 if r >= 1.0 or u < r:
                     fields[copy] = -fields[copy]
                     total[site] = new
-                    self.current = w_fresh
+                    current = w_fresh
                     weight = w_new
                     accepted += 1
+        state[1] = current
         return weight, accepted
 
 
@@ -368,17 +361,23 @@ def _engine(
 
 @dataclass
 class ChainState:
-    """One Markov chain: configuration, tracked weight, weight engine.
+    """One Markov chain: configuration, tracked weight, weight engine and state.
 
+    The engine is a pure kernel that chains may share; state is this
+    chain's own, built by the engine's start and advanced by its sweep.
     pending holds each sweep's end configuration and tracked weight since
-    the last stacked rebuild.
+    the last stacked rebuild.  While J is set, each rebuild appends the
+    real K and D estimators of its stack, shape (2, B), to measured.
     """
 
     config: np.ndarray
     weight: complex
     engine: _DeterminantEngine | _StatevectorEngine
+    state: list
     max_drift: float = 0.0
     pending: list[tuple[list, complex]] = field(default_factory=list)
+    J: float | None = None
+    measured: list[np.ndarray] = field(default_factory=list)
 
 
 def make_chain(trial: TrialState, params: HSParams, backend: str = "determinant") -> ChainState:
@@ -388,9 +387,9 @@ def make_chain(trial: TrialState, params: HSParams, backend: str = "determinant"
         raise ValueError(f"statevector backend supports at most {STATEVECTOR_MAX_SITES} sites")
     engine = _engine(trial, params, backend)
     config = np.ones((n, 2), dtype=np.int64)
-    weight = complex(engine.anchor(config[None])[0])
+    weight = complex(engine.weights(config[None])[0])
     _check_weight(weight, weight)
-    return ChainState(config=config, weight=weight, engine=engine)
+    return ChainState(config, weight, engine, engine.start(config, weight))
 
 
 def _check_weight(w: complex, current: complex) -> None:
@@ -421,15 +420,15 @@ def metropolis_sweep(
     not the ratio decides deterministically, keeping random streams
     aligned across weight backends; the sweep's variates are drawn as
     one block, which yields the same stream as one draw per proposal.
-    The chain's engine runs the proposals (its sweep method).  The
-    sweep's end configuration and tracked weight join the chain's
-    pending stack; the sweep that fills it runs the stacked rebuild
-    (_anchor), which checks every stacked weight from scratch and
-    re-anchors the chain.
+    The chain's engine runs the proposals on the chain's state (its
+    sweep method).  The sweep's end configuration and tracked weight
+    join the chain's pending stack; the sweep that fills it runs the
+    stacked rebuild (_anchor), which checks every stacked weight from
+    scratch and re-anchors the chain.
     """
     config = chain.config.tolist()
     draws = rng.random(2 * len(config)).tolist()
-    weight, accepted = chain.engine.sweep(config, chain.weight, draws)
+    weight, accepted = chain.engine.sweep(chain.state, config, chain.weight, draws)
     chain.config[:] = config
     chain.weight = weight
     chain.pending.append((config, weight))
@@ -443,17 +442,23 @@ def _anchor(chain: ChainState) -> None:
 
     Each sweep's tracked weight is compared with its from-scratch value
     (max_drift keeps the largest relative gap), and the chain re-anchors
-    its weight, and the engine its P, on the last configuration.  The
-    engine keeps the stack for estimators.
+    its weight and state on the last configuration.  While chain.J is
+    set, the same pass over the stack yields its estimators.
     """
     if not chain.pending:
         return
     configs = np.array([config for config, _ in chain.pending])
     tracked = np.array([weight for _, weight in chain.pending])
-    fresh = chain.engine.anchor(configs)
+    if chain.J is None:
+        fresh = chain.engine.weights(configs)
+    else:
+        fresh, estimates = chain.engine.estimators(configs, chain.J)
+        chain.measured.append(estimates.real)
     drift = np.abs(fresh - tracked) / np.maximum(np.abs(fresh), 1e-300)
     chain.max_drift = max(chain.max_drift, float(drift.max()))
+    # the stacked weight, not a stack of one: the two can differ in the last bit
     chain.weight = complex(fresh[-1])
+    chain.state = chain.engine.start(configs[-1], chain.weight)
     chain.pending.clear()
 
 
@@ -465,7 +470,7 @@ def weight_numerator(
 ) -> complex:
     """Unnormalized weight W(s) of one configuration: the engine's stack of one."""
     config = _validate_config(config, (trial.lattice.n_sites, 2))
-    return complex(_engine(trial, params, backend).anchor(config[None])[0])
+    return complex(_engine(trial, params, backend).weights(config[None])[0])
 
 
 def local_estimator(
@@ -484,9 +489,7 @@ def local_estimator(
     if observable not in ("kinetic", "interaction"):
         raise ValueError(f"unknown observable {observable!r}")
     config = _validate_config(config, (trial.lattice.n_sites, 2))
-    engine = _engine(trial, params, backend)
-    engine.anchor(config[None])
-    kinetic, docc = engine.estimators(J)[:, 0]
+    kinetic, docc = _engine(trial, params, backend).estimators(config[None], J)[1][:, 0]
     return complex(kinetic if observable == "kinetic" else docc)
 
 
@@ -509,17 +512,13 @@ def sample_kinetic_interaction(
     for _ in range(mc_params.burnin):
         metropolis_sweep(chain, trial, params, rng)
     _anchor(chain)
-    measured = []
+    chain.J = J
     accepted = 0
     for _ in range(mc_params.n_sweeps):
         _, n_acc = metropolis_sweep(chain, trial, params, rng)
         accepted += n_acc
-        if not chain.pending:
-            measured.append(chain.engine.estimators(J).real)
-    if chain.pending:
-        _anchor(chain)
-        measured.append(chain.engine.estimators(J).real)
-    k_samples, d_samples = np.concatenate(measured, axis=1)
+    _anchor(chain)
+    k_samples, d_samples = np.concatenate(chain.measured, axis=1)
     per_bin = mc_params.n_sweeps // mc_params.n_bins
     return McSamples(
         k_bins=k_samples.reshape(mc_params.n_bins, per_bin).mean(axis=1),
@@ -591,7 +590,7 @@ def phase_problem_check(
     singles = all_field_vectors(n)
     # every ordered pair (ket vector, bra vector) of single-copy fields
     configs = np.stack(np.broadcast_arrays(singles[:, None], singles[None, :]), axis=-1)
-    weights = _DeterminantEngine(trial, hs_params(g)).anchor(configs.reshape(-1, n, 2))
+    weights = _DeterminantEngine(trial, hs_params(g)).weights(configs.reshape(-1, n, 2))
     return PhaseCheckReport(
         n_sites=n,
         g=float(g),

@@ -246,19 +246,22 @@ class TestLocalEstimators:
 
 
 class TestChain:
-    def test_stationary_distribution_two_sites(self):
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stationary_distribution(self, n, backend):
         # exhaustive target: probabilities proportional to Re W over the
-        # 16 configs; compare against a long chain's visit frequencies
-        lat = build_lattice("chain", 2)
+        # 4^N configs; compare against a long chain's visit frequencies.
+        # chain:3 carries both spin sectors.
+        lat = build_lattice("chain", n)
         trial = half_filled_trial(lat)
         params = hs_params(0.9)
         weights = {}
-        for config in all_configs(2):
-            weights[tuple(config.ravel())] = weight_numerator(config, trial, params).real
+        for config in all_configs(n):
+            weights[tuple(config.ravel())] = weight_numerator(config, trial, params, backend).real
         total = sum(weights.values())
 
         rng = np.random.default_rng(33)
-        chain = make_chain(trial, params)
+        chain = make_chain(trial, params, backend)
         for _ in range(200):
             metropolis_sweep(chain, trial, params, rng)
         counts = {key: 0 for key in weights}
@@ -271,6 +274,35 @@ class TestChain:
             sigma = np.sqrt(max(p * (1 - p), 1e-12) / n_sweeps)
             # correlated samples: allow a generous multiple of the iid error
             assert abs(counts[key] / n_sweeps - p) < 12 * sigma + 2e-3
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_chains_can_share_one_engine(self, n, backend):
+        # the engine holds no chain state: two chains stepped in alternation
+        # on one engine run exactly as on an engine each
+        trial = half_filled_trial(build_lattice("chain", n))
+        params = hs_params(0.8)
+
+        def run(shared):
+            chains = [make_chain(trial, params, backend) for _ in range(2)]
+            if shared:
+                chains[1].engine = chains[0].engine
+            rngs = [np.random.default_rng(seed) for seed in (5, 6)]
+            accepted = [0, 0]
+            for chain in chains:
+                chain.J = 1.0
+            for _ in range(2 * _ANCHOR_STACK + 20):
+                for index, (chain, rng) in enumerate(zip(chains, rngs)):
+                    accepted[index] += metropolis_sweep(chain, trial, params, rng)[1]
+            for chain in chains:
+                sampler._anchor(chain)
+            return [(np.concatenate(c.measured, axis=1), a, c.max_drift, c.weight)
+                    for c, a in zip(chains, accepted)]
+
+        for alone, shared in zip(run(False), run(True)):
+            np.testing.assert_array_equal(alone[0], shared[0])
+            assert alone[1:] == shared[1:]
+            assert alone[0].shape == (2, 2 * _ANCHOR_STACK + 20)
 
     def test_weight_anchor_drift_stays_tiny(self):
         lat = build_lattice("chain", 6)
@@ -385,9 +417,10 @@ class TestFastUpdate:
         # one rank-one update), unequal fields where they started (net zero)
         equal = config[:, 0] == config[:, 1]
         assert equal.any() and not equal.all()
-        weight = complex(engine.anchor(config[None])[0])
+        weight = complex(engine.weights(config[None])[0])
+        state = engine.start(config, weight)
         fields = config.tolist()
-        weight, accepted = engine.sweep(fields, weight, [0.0] * (2 * n))
+        weight, accepted = engine.sweep(state, fields, weight, [0.0] * (2 * n))
         assert accepted == 2 * n and len(checked_weights) == 2 * n
         # every proposal's weight, then the tracked weight, from scratch
         for index, (w_new, _) in enumerate(checked_weights):
@@ -397,7 +430,8 @@ class TestFastUpdate:
         assert agree(weight, weight_numerator(config, trial, params), 1e-10)
         ket = np.exp(1j * params.alpha * config[:, 0])
         bra = np.exp(1j * params.alpha * config[:, 1])
-        for p, diag, sector in zip(engine.projectors, engine.diagonals, [trial.up, trial.down]):
+        _, projectors, diagonals = state
+        for p, diag, sector in zip(projectors, diagonals, [trial.up, trial.down]):
             exact = dressed_green_function(sector, config[:, 1], config[:, 0], params.alpha)
             np.testing.assert_allclose(ket[:, None] * p * bra[None, :], exact, rtol=0, atol=1e-10)
             np.testing.assert_allclose(diag, np.diagonal(p), rtol=0, atol=1e-10)
@@ -409,15 +443,18 @@ class TestFastUpdate:
         params = hs_params(0.5)
         engine = make_chain(trial, params).engine
         configs = np.random.default_rng(3 * n).choice([-1, 1], size=(12, n, 2))
-        weights = engine.anchor(configs)
-        kinetic, docc = engine.estimators(1.3)
+        weights, (kinetic, docc) = engine.estimators(configs, 1.3)
+        np.testing.assert_array_equal(engine.weights(configs), weights)
         for config, *got in zip(configs, weights, kinetic, docc):
             for a, b in zip(got, green_route(config, trial, params, J=1.3)):
                 assert agree(a, b, 1e-12)
-        # the engine re-anchors on the stack's last configuration: a sweep
-        # from there accepting every flip tracks that configuration's weight
+        # a chain re-anchors by starting its state on the stack's last
+        # configuration: a sweep from there accepting every flip tracks
+        # that configuration's weight
+        weight = complex(weights[-1])
+        state = engine.start(configs[-1], weight)
         fields = configs[-1].tolist()
-        weight, accepted = engine.sweep(fields, complex(weights[-1]), [0.0] * (2 * n))
+        weight, accepted = engine.sweep(state, fields, weight, [0.0] * (2 * n))
         assert accepted == 2 * n
         assert agree(weight, weight_numerator(-configs[-1], trial, params), 1e-10)
 
@@ -457,10 +494,10 @@ class TestSingularGuard:
         trial = half_filled_trial(build_lattice("chain", 2))
         engine = _DeterminantEngine(trial, hs_params(np.log(2)))
         stack = np.array([np.ones((2, 2)), [[1, 1], [-1, -1]], [[1, -1], [1, 1]]], dtype=np.int64)
-        weights = engine.anchor(stack)
+        weights = engine.weights(stack)
         assert abs(weights[1]) < 1e-30 and abs(weights[0] - 1.0) < 1e-12
         with pytest.raises(SingularOverlapError):
-            engine.estimators(1.0)
+            engine.estimators(stack, 1.0)
 
 
 @pytest.mark.parametrize("call", [
@@ -535,7 +572,7 @@ class TestPhaseCheck:
         def __init__(self, ratios):
             self.ratios = iter(ratios)
 
-        def sweep(self, config, weight, draws):
+        def sweep(self, state, config, weight, draws):
             accepted = 0
             draw = iter(draws)
             for fields in config:
@@ -550,15 +587,18 @@ class TestPhaseCheck:
                         accepted += 1
             return weight, accepted
 
-        def anchor(self, configs):
+        def weights(self, configs):
             return np.ones(len(configs), dtype=complex)
+
+        def start(self, config, weight):
+            return None
 
     class AcceptAll:
         def random(self, n):
             return np.zeros(n)
 
     def sweep(self, weight, ratios):
-        chain = ChainState(np.ones((2, 2), dtype=np.int64), weight, self.Scripted(ratios))
+        chain = ChainState(np.ones((2, 2), dtype=np.int64), weight, self.Scripted(ratios), None)
         return metropolis_sweep(chain, None, None, self.AcceptAll())
 
     def test_guard_judges_against_the_current_weight(self):
@@ -574,7 +614,8 @@ class TestPhaseCheck:
         # every sweep's weight, so the gap still shows in max_drift.
         ratios = [1.0] * (4 * _ANCHOR_STACK)
         ratios[4 * 10 + 3], ratios[4 * 11] = 1.001, 1 / 1.001
-        chain = ChainState(np.ones((2, 2), dtype=np.int64), 1.0 + 0.0j, self.Scripted(ratios))
+        chain = ChainState(
+            np.ones((2, 2), dtype=np.int64), 1.0 + 0.0j, self.Scripted(ratios), None)
         for _ in range(_ANCHOR_STACK):
             metropolis_sweep(chain, None, None, self.AcceptAll())
         assert not chain.pending

@@ -163,7 +163,7 @@ class TestDressedOverlap:
         down = random_slater(n_sites, n_sites - n_particles, seed=20 + n_sites)
         alpha = 0.73
         configs = rng.choice([-1, 1], size=(4, n_sites, 2))
-        got = engine_for(up, down, alpha).anchor(configs)
+        got = engine_for(up, down, alpha).weights(configs)
         for config, w in zip(configs, got):
             expected = sector_overlap(sector_amplitudes(up), config, alpha) * sector_overlap(
                 sector_amplitudes(down), config, alpha)
@@ -174,7 +174,7 @@ class TestDressedOverlap:
         slater = ground_state_of_K(build_lattice("chain", 2), 1)
         alpha = 0.4
         config = np.ones((2, 2), dtype=int)
-        got = engine_for(slater, slater, alpha).anchor(config[None])[0]
+        got = engine_for(slater, slater, alpha).weights(config[None])[0]
         phases = field_phases(np.ones(2), alpha, 2) ** 2
         amps = sector_amplitudes(slater)
         expected = np.exp(-2j * alpha) * np.vdot(amps, phases * amps)
@@ -185,7 +185,7 @@ class TestDressedOverlap:
         a = np.array([[1, -1], [1, 1], [-1, 1], [-1, -1]])
         b = np.array([[-1, 1], [1, 1], [1, -1], [-1, -1]])  # same per-site sums
         engine = engine_for(random_slater(4, 2, seed=3), random_slater(4, 1, seed=4), alpha)
-        va, vb = engine.anchor(np.stack([a, b]))
+        va, vb = engine.weights(np.stack([a, b]))
         assert abs(va - vb) < 1e-14
 
 
@@ -205,8 +205,9 @@ class TestDressedGreenFunction:
         u_ket = field_phases(ket, alpha, n_sites)
         den = np.vdot(amps, u_bra * u_ket * amps)
         engine = engine_for(slater, random_slater(n_sites, 1, seed=n_sites), alpha)
-        engine.anchor(np.stack([ket, bra], axis=1)[None])
-        M = np.exp(1j * alpha * ket)[:, None] * engine.projectors[0] * np.exp(1j * alpha * bra)
+        config = np.stack([ket, bra], axis=1)
+        _, projectors, _ = engine.start(config, engine.weights(config[None])[0])
+        M = np.exp(1j * alpha * ket)[:, None] * projectors[0] * np.exp(1j * alpha * bra)
         for i in range(n_sites):
             for j in range(n_sites):
                 op = c[i].conj().T @ c[j]
@@ -219,9 +220,9 @@ class TestDressedGreenFunction:
         slater = SlaterState(np.array([[1.0], [1.0]]) / np.sqrt(2))
         config = np.array([[1, 1], [-1, -1]])
         engine = engine_for(slater, slater, np.pi / 4)
-        assert abs(engine.anchor(config[None])[0]) < 1e-30
+        assert abs(engine.weights(config[None])[0]) < 1e-30
         with pytest.raises(SingularOverlapError):
-            engine.estimators(1.0)
+            engine.estimators(config[None], 1.0)
 
 
 def test_trial_state_requires_matching_lattice():
