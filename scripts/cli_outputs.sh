@@ -15,8 +15,8 @@
 #
 # Each run writes with a relative --out inside OUT, so the sidecars' config
 # echo is the same whatever OUT is.  GUTZMC_* settings in the environment
-# are ignored and BLAS runs on one thread.  The whole set takes ~10 s on a
-# 2 vCPU host.
+# are ignored and BLAS runs on one thread.  The whole set (34 files) takes
+# ~14 s on a 2 vCPU host.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -58,11 +58,14 @@ run mc_chain8 mc --lattice chain:8 "${grid[@]}" "${short[@]}"
 run sweep_chain6 sweep --lattice chain:6 "${grid[@]}" "${short[@]}"
 run sweep_ladder6 sweep --lattice ladder:6 "${grid[@]}" "${short[@]}"
 run sweep_ladder8 sweep --lattice ladder:8 "${grid[@]}" "${short[@]}"
+run sweep_chain10 sweep --lattice chain:10 "${grid[@]}" "${short[@]}"
 run two_site_shots two-site --shots 512 --reps 4 --bias 0.9,0.05
 run two_site_exact two-site --shots 0
 run lcu_default lcu
 run lcu_ladder8 lcu --lattice ladder:8
 run hst_verify hst-verify
+run hst_verify_coupling hst-verify --J -0.7
 run phase_check_chain4 phase-check --lattice chain:4
+run phase_check_chain3_grid phase-check --lattice chain:3 --g-min 0.25 --g-max 1.75 --g-step 0.75
 
 echo "$(ls "$out" | wc -l) files in $out"

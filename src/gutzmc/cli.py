@@ -2,9 +2,11 @@
 
 Setting precedence is flags > GUTZMC_* environment variables > config
 file (flat ``key = value`` lines, '#' comments) > built-in defaults.
-Every command writes a CSV (17-significant-digit cells) plus a JSON
-sidecar echoing the effective configuration, seed, and generator
-identity; identical config and seed reproduce the files byte for byte.
+Every command returns its tables and writes nothing; ``main`` writes
+each as a CSV (17-significant-digit cells) plus a JSON sidecar echoing
+the effective configuration, seed, and generator identity, so a command
+that raises leaves no file.  Identical config and seed reproduce the
+files byte for byte.
 The ``mc`` and ``sweep`` sidecars also carry ``max_drift``, each chain's
 largest relative gap between a sweep's tracked weight and its
 from-scratch value, keyed by the g cell as written in the CSV.
@@ -213,14 +215,17 @@ def _resolve(command: str, strings: dict[str, str]) -> RunConfig:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="gutzmc", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command")
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--config", help="flat key=value config file")
-        for key, opt in OPTIONS.items():
-            p.add_argument("--" + key.replace("_", "-"), dest=key,
-                           help=f"{opt.help} [default: {opt.default}]")
+    width = max(map(len, COMMANDS)) + 2
+    commands = "".join(f"  {name:<{width}}{command.help}\n" for name, command in COMMANDS.items())
+    parser = _Parser(prog="gutzmc", description=__doc__.splitlines()[0],
+                     epilog="commands:\n" + commands,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", nargs="?", choices=COMMANDS, metavar="command",
+                        help="one of the commands listed below")
+    parser.add_argument("--config", help="flat key=value config file")
+    for key, opt in OPTIONS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key,
+                            help=f"{opt.help} [default: {opt.default}]")
     return parser
 
 
@@ -240,6 +245,15 @@ def merge_settings(args: argparse.Namespace) -> tuple[RunConfig, set[str]]:
                 strings[key] = value
                 provided.add(key)
     return _resolve(args.command, strings), provided
+
+
+class Table(NamedTuple):
+    """One output file: CSV path, header and rows, and the sidecar's own keys."""
+
+    path: str | Path
+    header: list[str]
+    rows: list
+    meta: dict
 
 
 def _mc_point(cfg: RunConfig, lattice: Lattice, params: McParams, g_index: int, g: float):
@@ -270,7 +284,7 @@ def _mc_params(cfg: RunConfig, lattice: Lattice) -> McParams:
         raise ConfigError(str(err)) from err
 
 
-def cmd_mc(cfg: RunConfig, provided: set[str]) -> int:
+def cmd_mc(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
     lattice = cfg.build_lattice()
     params = _mc_params(cfg, lattice)
     rows = []
@@ -278,12 +292,10 @@ def cmd_mc(cfg: RunConfig, provided: set[str]) -> int:
     for gi, g in enumerate(cfg.g_grid()):
         point_rows, drifts[format_cell(g)] = _mc_point(cfg, lattice, params, gi, g)
         rows.extend(point_rows)
-    write_csv(cfg.out, _MC_COLUMNS, rows)
-    write_metadata(cfg.out, {"config": cfg.echo(), "seed": cfg.seed, "max_drift": drifts})
-    return 0
+    return 0, [Table(cfg.out, _MC_COLUMNS, rows, {"max_drift": drifts})]
 
 
-def cmd_sweep(cfg: RunConfig, provided: set[str]) -> int:
+def cmd_sweep(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
     lattice = cfg.build_lattice()
     params = _mc_params(cfg, lattice)
     grid = cfg.g_grid()
@@ -300,21 +312,20 @@ def cmd_sweep(cfg: RunConfig, provided: set[str]) -> int:
     for gi, g in enumerate(grid):
         point_rows, drifts[format_cell(g)] = _mc_point(cfg, lattice, params, gi, g)
         rows.extend(["mc"] + row for row in point_rows)
+        oracles = []  # (method, K, D) of each exact route that fits
         if n <= FULL_SUM_MAX_SITES:
-            k_val = full_sum_expectation(kinetic_op, g, trial_sv, layout)
-            d_val = full_sum_expectation(interaction_op, g, trial_sv, layout)
-            for u in cfg.U:
-                rows.append(["fullsum", g, u, k_val + u * d_val, 0.0, k_val, 0.0,
-                             u * d_val, 0.0, 0.0, 0, cfg.seed])
+            oracles.append(("fullsum", full_sum_expectation(kinetic_op, g, trial_sv, layout),
+                            full_sum_expectation(interaction_op, g, trial_sv, layout)))
         if trial_sv is not None:
             projected = apply_gutzwiller_exact(trial_sv, g, interaction_op).normalized()
-            k_val = expectation(projected, kinetic_op).real
-            d_val = expectation(projected, interaction_op).real
+            oracles.append(("exact-gutzwiller", expectation(projected, kinetic_op).real,
+                            expectation(projected, interaction_op).real))
+        for method, k_val, d_val in oracles:
             for u in cfg.U:
-                rows.append(["exact-gutzwiller", g, u, k_val + u * d_val, 0.0, k_val,
-                             0.0, u * d_val, 0.0, 0.0, 0, cfg.seed])
+                rows.append([method, g, u, k_val + u * d_val, 0.0, k_val, 0.0,
+                             u * d_val, 0.0, 0.0, 0, cfg.seed])
 
-    meta: dict = {"config": cfg.echo(), "seed": cfg.seed, "max_drift": drifts}
+    meta: dict = {"max_drift": drifts}
     if n <= 8:
         sector = ((n + 1) // 2, n // 2)
         meta["exact_ground_energy"] = {
@@ -323,12 +334,10 @@ def cmd_sweep(cfg: RunConfig, provided: set[str]) -> int:
             ).energy
             for u in cfg.U
         }
-    write_csv(cfg.out, ["method"] + _MC_COLUMNS, rows)
-    write_metadata(cfg.out, meta)
-    return 0
+    return 0, [Table(cfg.out, ["method"] + _MC_COLUMNS, rows, meta)]
 
 
-def cmd_two_site(cfg: RunConfig, provided: set[str]) -> int:
+def cmd_two_site(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
     grid = cfg.g_grid()
     header = ["method", "g", "U", "E", "E_err", "K", "K_err", "UD", "UD_err"]
     rows = []
@@ -362,28 +371,19 @@ def cmd_two_site(cfg: RunConfig, provided: set[str]) -> int:
             rows.append(["shots-pas", g, u, pas.E, pas.E_err, pas.K, pas.K_err,
                          pas.UD, pas.UD_err])
             if ui == 0:
-                for name, raw_v, pas_v, exact_v in (
-                    ("denominator", raw.primitives_raw.denominator,
-                     pas.primitives.denominator, exact_est.primitives_exact.denominator),
-                    ("zz_numerator", raw.primitives_raw.zz_numerator,
-                     pas.primitives.zz_numerator, exact_est.primitives_exact.zz_numerator),
-                    ("xx_numerator", raw.primitives_raw.xx_numerator,
-                     pas.primitives.xx_numerator, exact_est.primitives_exact.xx_numerator),
-                ):
-                    primitive_rows.append([g, name, raw_v, pas_v, exact_v])
+                sources = (raw.primitives_raw, pas.primitives, exact_est.primitives_exact)
+                for name in ("denominator", "zz_numerator", "xx_numerator"):
+                    primitive_rows.append([g, name, *(getattr(p, name) for p in sources)])
 
-    write_csv(cfg.out, header, rows)
-    write_metadata(cfg.out, {"config": cfg.echo(), "seed": cfg.seed,
-                             "analytic_minimum": minima})
+    tables = [Table(cfg.out, header, rows, {"analytic_minimum": minima})]
     if primitive_rows:
         out = Path(cfg.out)
-        prim_path = out.with_name(out.stem + "_primitives" + (out.suffix or ".csv"))
-        write_csv(prim_path, ["g", "quantity", "raw", "mitigated", "exact"], primitive_rows)
-        write_metadata(prim_path, {"config": cfg.echo(), "seed": cfg.seed})
-    return 0
+        tables.append(Table(out.with_name(out.stem + "_primitives" + (out.suffix or ".csv")),
+                            ["g", "quantity", "raw", "mitigated", "exact"], primitive_rows, {}))
+    return 0, tables
 
 
-def cmd_lcu(cfg: RunConfig, provided: set[str]) -> int:
+def cmd_lcu(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
     grid = np.array(cfg.g_grid())
     if "lattice" in provided:
         lattices = [cfg.build_lattice()]
@@ -397,13 +397,11 @@ def cmd_lcu(cfg: RunConfig, provided: set[str]) -> int:
     for lattice in lattices:
         for n_site, g, p in success_probability_curve(lattice, grid):
             rows.append([n_site, g, p, float(np.log(p))])
-    write_csv(cfg.out, ["N_site", "g", "p", "log_p"], rows)
-    write_metadata(cfg.out, {"config": cfg.echo(), "seed": cfg.seed,
-                             "lattices": [lat.kind + ":" + str(lat.n_sites) for lat in lattices]})
-    return 0
+    names = [lat.kind + ":" + str(lat.n_sites) for lat in lattices]
+    return 0, [Table(cfg.out, ["N_site", "g", "p", "log_p"], rows, {"lattices": names})]
 
 
-def cmd_hst_verify(cfg: RunConfig, provided: set[str]) -> int:
+def cmd_hst_verify(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
     couplings = [cfg.J] if "J" in provided else [0.1, 0.5, 2.0, -0.1, -0.5, -2.0]
     rows = []
     worst = 0.0
@@ -412,14 +410,12 @@ def cmd_hst_verify(cfg: RunConfig, provided: set[str]) -> int:
             deviation = verify_variant(variant, coupling)
             worst = max(worst, deviation)
             rows.append([variant.label, coupling, variant.gamma, variant.alpha, deviation])
-    write_csv(cfg.out, ["variant", "J", "gamma", "alpha", "max_deviation"], rows)
-    write_metadata(cfg.out, {"config": cfg.echo(), "seed": cfg.seed,
-                             "worst_deviation": worst})
     print(f"{len(rows)} decompositions verified, worst deviation {worst:.3e}")
-    return 0 if worst < 1e-12 else 2
+    header = ["variant", "J", "gamma", "alpha", "max_deviation"]
+    return (0 if worst < 1e-12 else 2), [Table(cfg.out, header, rows, {"worst_deviation": worst})]
 
 
-def cmd_phase_check(cfg: RunConfig, provided: set[str]) -> int:
+def cmd_phase_check(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
     lattice = cfg.build_lattice()
     if lattice.n_sites > PHASE_CHECK_MAX_SITES:
         raise ConfigError(
@@ -437,16 +433,14 @@ def cmd_phase_check(cfg: RunConfig, provided: set[str]) -> int:
         all_passed = all_passed and report.passed
         rows.append([report.n_sites, g, report.n_configs, report.max_imag,
                      report.min_real, report.passed])
-    write_csv(cfg.out, ["n_sites", "g", "n_configs", "max_imag", "min_real", "passed"], rows)
-    write_metadata(cfg.out, {"config": cfg.echo(), "seed": cfg.seed,
-                             "all_passed": all_passed})
     status = "pass" if all_passed else "FAIL"
     print(f"phase check on {cfg.lattice}: {status} over {len(g_values)} g values")
-    return 0 if all_passed else 2
+    header = ["n_sites", "g", "n_configs", "max_imag", "min_real", "passed"]
+    return (0 if all_passed else 2), [Table(cfg.out, header, rows, {"all_passed": all_passed})]
 
 
 class Command(NamedTuple):
-    run: Callable[[RunConfig, set[str]], int]
+    run: Callable[[RunConfig, set[str]], tuple[int, list[Table]]]
     help: str
     out: str
 
@@ -474,7 +468,11 @@ def main(argv=None) -> int:
         cfg, provided = merge_settings(args)
         # An overflow or NaN anywhere is a numerical failure, not a result.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return COMMANDS[args.command].run(cfg, provided)
+            code, tables = COMMANDS[args.command].run(cfg, provided)
+        for path, header, rows, meta in tables:
+            write_csv(path, header, rows)
+            write_metadata(path, {"config": cfg.echo(), "seed": cfg.seed, **meta})
+        return code
     except (ConfigError, DegenerateFillingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

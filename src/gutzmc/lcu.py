@@ -172,15 +172,20 @@ def pair_distance_weights(trial: TrialState) -> np.ndarray:
     return weights
 
 
-def _log_success_probability(weights: np.ndarray, n_sites: int, g: float) -> float:
-    """ln p = -g*N/2 + ln <psi0| e^{-2g*D} |psi0> from the distance-binned weights."""
+def _boltzmann(weights: np.ndarray, n_sites: int, g: float):
+    """(d, peak, terms) over the occupied bins: terms * e^peak = weight * e^{-2g*d}."""
     support = np.flatnonzero(weights > 0)
     d = (n_sites - 2 * support) / 4.0
     # Factor out the largest exponent for stability at large g.
     expo = -2.0 * g * d
     peak = float(np.max(expo))
-    log_norm = peak + float(np.log(np.sum(weights[support] * np.exp(expo - peak))))
-    return -g * n_sites / 2 + log_norm
+    return d, peak, weights[support] * np.exp(expo - peak)
+
+
+def _log_success_probability(weights: np.ndarray, n_sites: int, g: float) -> float:
+    """ln p = -g*N/2 + ln <psi0| e^{-2g*D} |psi0> from the distance-binned weights."""
+    _, peak, terms = _boltzmann(weights, n_sites, g)
+    return -g * n_sites / 2 + (peak + float(np.log(np.sum(terms))))
 
 
 def success_probability(lattice: Lattice, g: float) -> float:
@@ -205,12 +210,8 @@ def success_probability_curve(
 def exact_double_occupancy(lattice: Lattice, g: float) -> float:
     """⟨D⟩ in the projected state, from the distance-binned weights."""
     weights = pair_distance_weights(half_filled_trial(lattice))
-    n = lattice.n_sites
-    support = np.flatnonzero(weights > 0)
-    d = (n - 2 * support) / 4.0
-    expo = -2.0 * g * d
-    boltz = weights[support] * np.exp(expo - np.max(expo))
-    return float(np.sum(boltz * d) / np.sum(boltz))
+    d, _, terms = _boltzmann(weights, lattice.n_sites, g)
+    return float(np.sum(terms * d) / np.sum(terms))
 
 
 def docc_from_success_probability(lattice: Lattice, g: float, delta: float = 1e-4) -> float:

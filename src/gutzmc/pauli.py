@@ -57,8 +57,6 @@ def _masks(operators: str) -> tuple[int, int, int]:
             n_y += 1
         elif sym == "Z":
             sign |= bit
-        elif sym != "I":
-            raise ValueError(f"unknown Pauli symbol {sym!r} in {operators!r}")
     return flip, sign, n_y
 
 

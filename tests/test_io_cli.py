@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from gutzmc.io_utils import (
 )
 from gutzmc.lattice import build_lattice, hubbard_terms
 from gutzmc.pauli import apply_pauli_sum
-from gutzmc.sampler import PhaseProblemError
+from gutzmc.sampler import PhaseCheckReport, PhaseProblemError
 
 
 def read_rows(path):
@@ -312,6 +313,39 @@ class TestOptionTable:
         expected["out"] = str(tmp_path / "elsewhere.csv")
         assert config == {"command": "hst-verify", **expected}
 
+    # command -> (flags for a small run, the sidecar keys of that command alone)
+    SIDECAR_RUNS = {
+        "two-site": (["--g-min", "0.5", "--g-max", "0.5", "--U", "2", "--shots", "64",
+                      "--reps", "2"], {"analytic_minimum"}),
+        "sweep": (["--lattice", "chain:2", "--g-min", "0.5", "--g-max", "0.5", "--U", "2",
+                   "--nmc", "100", "--bins", "10", "--burnin", "10"],
+                  {"max_drift", "exact_ground_energy"}),
+        "lcu": (["--lattice", "chain:2", "--g-max", "0.5"], {"lattices"}),
+        "mc": (["--lattice", "chain:2", "--g-min", "0.5", "--g-max", "0.5", "--U", "2",
+                "--nmc", "100", "--bins", "10", "--burnin", "10"], {"max_drift"}),
+        "hst-verify": ([], {"worst_deviation"}),
+        "phase-check": (["--lattice", "chain:2"], {"all_passed"}),
+    }
+
+    @pytest.mark.parametrize("command", list(DEFAULT_OUT))
+    def test_every_sidecar_holds_the_shared_and_own_keys(self, command, tmp_path):
+        assert list(self.SIDECAR_RUNS) == list(DEFAULT_OUT)
+        flags, own = self.SIDECAR_RUNS[command]
+        out = tmp_path / "run.csv"
+        assert cli.main([command, *flags, "--seed", "7", "--out", str(out)]) == 0
+        shared = {"config", "seed", "generator", "version"}
+        sidecars = {out: shared | own}
+        if command == "two-site":
+            sidecars[tmp_path / "run_primitives.csv"] = shared
+        for csv_path, keys in sidecars.items():
+            assert read_rows(csv_path)
+            meta = json.loads(sidecar_path(csv_path).read_text())
+            assert set(meta) == keys
+            assert meta["config"]["command"] == command
+            assert meta["config"]["out"] == str(out)
+            assert meta["seed"] == meta["config"]["seed"] == 7
+            assert (meta["generator"], meta["version"]) == (GENERATOR_ID, VERSION)
+
     @pytest.mark.parametrize("command", list(DEFAULT_OUT))
     def test_command_help_and_default_out(self, command, capsys):
         assert list(cli.COMMANDS) == list(DEFAULT_OUT)
@@ -430,10 +464,33 @@ class TestMainExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_catalog_deviation_is_exit_two(self, monkeypatch, tmp_path):
+    def test_catalog_deviation_is_exit_two(self, monkeypatch, tmp_path, capsys):
+        # a failed check still writes its table and sidecar
         monkeypatch.setattr(cli, "verify_variant", lambda v, J: 1.0)
-        rc = cli.main(["hst-verify", "--out", str(tmp_path / "v.csv")])
-        assert rc == 2
+        out = tmp_path / "v.csv"
+        assert cli.main(["hst-verify", "--out", str(out)]) == 2
+        assert len(read_rows(out)) == 1 + 18
+        assert json.loads(sidecar_path(out).read_text())["worst_deviation"] == 1.0
+        assert "18 decompositions verified, worst deviation 1.000e+00" in capsys.readouterr().out
+
+    def test_failed_phase_check_still_writes_its_table(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "phase_problem_check",
+                            lambda lattice, g: PhaseCheckReport(lattice.n_sites, g, 64, 0.0, -0.5))
+        out = tmp_path / "p.csv"
+        assert cli.main(["phase-check", "--lattice", "chain:3", "--out", str(out)]) == 2
+        rows = read_rows(out)
+        assert len(rows) == 1 + 3 and all(r[5] == "false" for r in rows[1:])
+        assert json.loads(sidecar_path(out).read_text())["all_passed"] is False
+        assert "phase check on chain:3: FAIL over 3 g values" in capsys.readouterr().out
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        for name, command in cli.COMMANDS.items():
+            assert re.search(rf"^ +{re.escape(name)} +{re.escape(command.help)}$",
+                             help_text, re.MULTILINE)
 
 
 class TestCatalogCommand:
