@@ -154,11 +154,15 @@ def pair_distance_weights(trial: TrialState) -> np.ndarray:
     transform leaves roundoff in bins that no pair can reach; those are
     set to exactly 0 from the particle numbers (k has the parity of
     n_up + n_dn and lies in [|n_up - n_dn|, min(n_up + n_dn, 2N - n_up - n_dn)]).
+    A spin-symmetric trial's two sectors share one transform.
     """
     n = trial.lattice.n_sites
-    w_up = np.abs(sector_amplitudes(trial.up)) ** 2
-    w_dn = np.abs(sector_amplitudes(trial.down)) ** 2
-    by_xor = _walsh_hadamard(_walsh_hadamard(w_up) * _walsh_hadamard(w_dn)) / (1 << n)
+    up = _walsh_hadamard(np.abs(sector_amplitudes(trial.up)) ** 2)
+    if trial.spin_symmetric:
+        down = up
+    else:
+        down = _walsh_hadamard(np.abs(sector_amplitudes(trial.down)) ** 2)
+    by_xor = _walsh_hadamard(up * down) / (1 << n)
     distance = np.bitwise_count(np.arange(1 << n))
     weights = np.bincount(distance, weights=by_xor, minlength=n + 1)
     k = np.arange(n + 1)

@@ -15,16 +15,20 @@ states (:func:`support_of`), :func:`diagonal_eigenvalues` over the basis
 indices it is given, and :func:`basis_matrix` compiles an operator onto a
 basis as one sparse matrix.  A half-filled trial at chain:10 lives on
 63,504 of the 1,048,576 register states, so the support kernels cost in
-proportion to the occupied sector rather than the register.
+proportion to the occupied sector rather than the register.  Only
+:func:`basis_matrix` needs SciPy, and it imports it on its first call,
+so the routes that never compile a basis start on NumPy alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 _SYMBOLS = frozenset("IXYZ")
 
@@ -282,6 +286,8 @@ def basis_matrix(op: PauliSum, basis: np.ndarray) -> sp.csr_matrix:
     entries, so the matrix is built from (distinct flips) x len(basis)
     entries whatever the number of terms.
     """
+    import scipy.sparse as sp
+
     dim = len(basis)
     position = np.full(1 << op.n_qubits, -1, dtype=np.int64)
     position[basis] = np.arange(dim)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 # apply_pauli_sum is unused here but stays importable: the benchmark's tracer
 # wraps gutzmc.statevector.apply_pauli_sum by name.
@@ -351,6 +350,8 @@ class GroundStateResult:
 def _lanczos_ground_level(matrix) -> tuple[np.ndarray, np.ndarray]:
     """Ascending lowest eigenpairs of a sparse Hermitian matrix, at least two,
     and more until the highest of them lies above the ground level."""
+    import scipy.sparse.linalg as spla
+
     dim = matrix.shape[0]
     rng = np.random.default_rng(12345)  # fixed start for reproducibility
     v0 = rng.standard_normal(dim)

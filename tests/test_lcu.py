@@ -15,8 +15,10 @@ import pytest
 
 from gutzmc.gutzwiller import apply_gutzwiller_exact, full_sum_expectation, hs_params
 from gutzmc.lattice import QubitLayout, build_lattice, hubbard_terms
+from gutzmc import lcu
 from gutzmc.lcu import (
     _dressing_gates,
+    _walsh_hadamard,
     build_lcu_state,
     docc_from_success_probability,
     exact_double_occupancy,
@@ -239,6 +241,23 @@ class TestPairWeightsSupport:
     ])
     def test_random_orbital_trials(self, kind, n, n_up, n_dn):
         self.check(random_trial(kind, n, n_up, n_dn, seed=n + n_up))
+
+    @pytest.mark.parametrize("kind,n", [("chain", 4), ("chain", 10), ("chain", 12),
+                                        ("ladder", 6), ("ladder", 8)])
+    def test_symmetric_trial_matches_the_two_sector_route(self, kind, n, monkeypatch):
+        trial = half_filled_trial(build_lattice(kind, n))
+        assert trial.spin_symmetric
+        up = _walsh_hadamard(np.abs(sector_amplitudes(trial.up)) ** 2)
+        down = _walsh_hadamard(np.abs(sector_amplitudes(trial.down)) ** 2)
+        by_xor = _walsh_hadamard(up * down) / (1 << n)
+        ref = np.bincount(np.bitwise_count(np.arange(1 << n)), weights=by_xor, minlength=n + 1)
+        ref[1::2] = 0.0  # n_up + n_dn = n is even: odd distances are unreachable
+        calls = []
+        monkeypatch.setattr(lcu, "sector_amplitudes",
+                            lambda slater: calls.append(1) or sector_amplitudes(slater))
+        got = pair_distance_weights(trial)
+        assert [x.hex() for x in got] == [x.hex() for x in ref]
+        assert len(calls) == 1  # one sector's amplitudes serve both spins
 
     def test_top_support_bin_sets_saturation(self):
         # the large-g slope of ln p is set by the largest reachable distance

@@ -368,6 +368,20 @@ class TestGuards:
         with pytest.raises(RuntimeError, match="residual"):
             exact_ground_state(H, 4, (1, 1))
 
+    def test_lanczos_non_convergence_is_reported(self, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def stalled(*args, **kwargs):
+            raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        # ladder:8 at half filling has 4,900 states: the Lanczos path
+        H = hubbard_hamiltonian(build_lattice("ladder", 8), 1.0, 4.0)
+        assert 4900 > statevector.DENSE_MAX_DIM
+        with pytest.raises(RuntimeError, match="ground-state iteration did not converge") as err:
+            exact_ground_state(H, 16, (4, 4))
+        assert isinstance(err.value.__cause__, spla.ArpackNoConvergence)
+
 
 class TestExactGroundState:
     def test_two_site_closed_form(self):
