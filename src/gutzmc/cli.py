@@ -9,7 +9,10 @@ that raises leaves no file.  Identical config and seed reproduce the
 files byte for byte.
 The ``mc`` and ``sweep`` sidecars also carry ``max_drift``, each chain's
 largest relative gap between a sweep's tracked weight and its
-from-scratch value, keyed by the g cell as written in the CSV.
+from-scratch value, keyed by the g cell as written in the CSV; per-U
+entries (``exact_ground_energy``, ``analytic_minimum``) are keyed by the
+U cell the same way.  An ``--out`` ending in ``.json`` is a config error,
+since the sidecar would replace the CSV, and so is one with no file name.
 
 Exit codes: 0 success, 1 usage/config error (a lattice whose half-filled
 shell is degenerate included), 2 numerical check failure (any floating
@@ -35,7 +38,14 @@ from .gutzwiller import (
     two_site_curves,
 )
 from .hadamard import BiasModel, two_site_energy_from_primitives
-from .io_utils import ConfigError, format_cell, load_config_file, write_csv, write_metadata
+from .io_utils import (
+    ConfigError,
+    format_cell,
+    load_config_file,
+    sidecar_path,
+    write_csv,
+    write_metadata,
+)
 from .lattice import Lattice, QubitLayout, build_lattice, hubbard_hamiltonian, hubbard_terms
 from .lcu import success_probability_curve
 from .sampler import (
@@ -209,6 +219,8 @@ def _resolve(command: str, strings: dict[str, str]) -> RunConfig:
                     **{key: opt.parse(key, strings[key]) for key, opt in OPTIONS.items()})
     if cfg.out is None:
         cfg.out = COMMANDS[command].out
+    if not Path(cfg.out).name or sidecar_path(cfg.out) == Path(cfg.out):
+        raise ConfigError(f"--out {cfg.out} names no file apart from its .json sidecar")
     if cfg.J <= 0 and command != "hst-verify":
         raise ConfigError(f"J must be positive, got {cfg.J}")
     return cfg
@@ -327,9 +339,9 @@ def cmd_sweep(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
 
     meta: dict = {"max_drift": drifts}
     if n <= 8:
-        sector = ((n + 1) // 2, n // 2)
+        sector = (trial.up.n_particles, trial.down.n_particles)
         meta["exact_ground_energy"] = {
-            "%g" % u: exact_ground_state(
+            format_cell(u): exact_ground_state(
                 hubbard_hamiltonian(lattice, cfg.J, u), layout.n_register, sector
             ).energy
             for u in cfg.U
@@ -345,7 +357,7 @@ def cmd_two_site(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
     minima = {}
     for ui, u in enumerate(cfg.U):
         curves = two_site_curves(cfg.J, u, np.array(grid))
-        minima["%g" % u] = {
+        minima[format_cell(u)] = {
             "g_at_grid_minimum": grid[int(np.argmin(curves.E))],
             "g_opt": curves.g_opt,
             "E_opt": curves.E_opt,
@@ -371,7 +383,7 @@ def cmd_two_site(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
             rows.append(["shots-pas", g, u, pas.E, pas.E_err, pas.K, pas.K_err,
                          pas.UD, pas.UD_err])
             if ui == 0:
-                sources = (raw.primitives_raw, pas.primitives, exact_est.primitives_exact)
+                sources = (raw.primitives, pas.primitives, exact_est.primitives)
                 for name in ("denominator", "zz_numerator", "xx_numerator"):
                     primitive_rows.append([g, name, *(getattr(p, name) for p in sources)])
 

@@ -29,13 +29,15 @@ Each family is evaluated over the sixteen config pairs in one batched
 pass: the four-amplitude sector trial is tiled to one row per pair, each
 side's dressing scales every row in place with the R_Z gate kernel's
 phases and split rounding, and one inner product per row reads off the
-value.  An assembly call computes its exact values and anchor values
-once; repetitions only redraw shots, in the same order as re-measuring
-every primitive would.
+value.  An assembly call builds one exact table per family (biased when a
+bias model is given) and its anchor values once; each repetition then
+draws every family's shots in one binomial call, in the same order as
+re-measuring every primitive would.  The estimate carries one primitive
+set: what the call measured, corrected when mitigate=True.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -111,8 +113,6 @@ class TwoSiteEstimate:
     K_err: float
     UD_err: float
     primitives: AssembledPrimitives
-    primitives_raw: AssembledPrimitives
-    primitives_exact: AssembledPrimitives
 
 
 def _dress(rows: np.ndarray, configs: np.ndarray, alpha: float) -> None:
@@ -169,16 +169,19 @@ def hadamard_exact(
     )[0]
 
 
-def _sampled_estimate(value: complex, shots: int, rng: np.random.Generator) -> HadamardEstimate:
+def _shot_estimates(values: list[complex], shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Shot estimates of both parts of every value, shape (len(values), 2).
+
+    A part v is estimated by 2 n0 / shots - 1, with n0 ~ Binomial(shots,
+    (1 + v) / 2) the ancilla's |0> count.  All parts are drawn in one call,
+    real before imaginary, value by value: the same stream as one scalar
+    draw per part in that order.
+    """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    estimates = []
-    for part in (value.real, value.imag):
-        p0 = min(max((1.0 + part) / 2.0, 0.0), 1.0)
-        n0 = int(rng.binomial(shots, p0))
-        estimates.append(2.0 * n0 / shots - 1.0)
-    err = [float(np.sqrt(max(0.0, 1.0 - e * e) / shots)) for e in estimates]
-    return HadamardEstimate(estimates[0], estimates[1], shots, err[0], err[1])
+    parts = np.array([(v.real, v.imag) for v in values], dtype=float)
+    p0 = np.clip((1.0 + parts) / 2.0, 0.0, 1.0)
+    return 2.0 * rng.binomial(shots, p0) / shots - 1.0
 
 
 def hadamard_shots(
@@ -197,7 +200,9 @@ def hadamard_shots(
     with the plug-in binomial standard errors.
     """
     value = hadamard_exact(u2_config, observable, u1_config, trial_sector, params)
-    return _sampled_estimate(value, shots, rng)
+    real, imag = _shot_estimates([value], shots, rng)[0].tolist()
+    err = [float(np.sqrt(max(0.0, 1.0 - e * e) / shots)) for e in (real, imag)]
+    return HadamardEstimate(real, imag, shots, *err)
 
 
 def pas_correct(raw_values, reference_raw: float, reference_ideal: float) -> np.ndarray:
@@ -259,17 +264,14 @@ def _measured(
 
     Each family has a definite quadrature on this trial state (II and XX
     are real, ZI purely imaginary), so only that part is kept; with shots
-    it is sampled, drawing both parts of each value in list order.
+    it is sampled, both parts of every value drawn in one call.  The
+    values stay Python scalars, so later complex arithmetic is CPython's.
     """
     real = _FAMILIES[family].quadrature == "real"
-    out = []
-    for value in values:
-        if shots is not None:
-            est = _sampled_estimate(value, shots, rng)
-            out.append(est.real_part if real else 1j * est.imag_part)
-        else:
-            out.append(complex(value.real) if real else 1j * value.imag)
-    return out
+    if shots is None:
+        return [complex(v.real) if real else 1j * v.imag for v in values]
+    parts = _shot_estimates(values, shots, rng)[:, 0 if real else 1].tolist()
+    return parts if real else [1j * p for p in parts]
 
 
 def _anchor_values(
@@ -288,7 +290,7 @@ def _anchor_values(
     """
     at_zero, at_large = hs_params(0.0), hs_params(10.0)
     ideal = _exact_values("ZI", at_large, trial, None)
-    raw = _exact_values("ZI", at_large, trial, bias)
+    raw = ideal if bias is None else _exact_values("ZI", at_large, trial, bias)
     kept = [i for i, v in enumerate(ideal) if abs(v) > 0.2]
     sampled = {
         "II": _exact_values("II", at_zero, trial, bias),
@@ -346,10 +348,11 @@ def two_site_energy_from_primitives(
     is ignored); otherwise each repetition re-measures every primitive
     with the given shot count and the spread over repetitions sets the
     error bars.  With mitigate=True each repetition also measures the
-    anchor points and corrects family by family before assembling.  The
-    exact (biased) primitive and anchor values do not change between
-    repetitions, so they are computed once and each repetition only draws
-    its shots.
+    anchor points and corrects family by family before assembling.  One
+    exact table per family (biased when bias is given) and the anchor
+    values are computed once; each repetition only draws its shots, one
+    binomial call per family.  The reported primitives are the mean of
+    what each repetition assembled.
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
@@ -359,53 +362,20 @@ def two_site_energy_from_primitives(
     elif rng is None:
         rng = np.random.default_rng(0)
     trial = two_site_sector_trial()
-    exact = {f: _exact_values(f, params, trial, None) for f in _FAMILIES}
-    biased = exact if bias is None else {
-        f: _exact_values(f, params, trial, bias) for f in _FAMILIES
-    }
+    table = {f: _exact_values(f, params, trial, bias) for f in _FAMILIES}
     if mitigate:
         anchors = _anchor_values(trial, bias)
 
-    exact_prim = _assemble(
-        {f: np.array(_measured(f, v, None, None)) for f, v in exact.items()}, params
-    )
-
-    e_r, k_r, ud_r = np.empty(reps), np.empty(reps), np.empty(reps)
-    reported, raw_only = [], []
+    # E, K, U<D> and the three assembled primitives, one column per repetition
+    parts = np.empty((6, reps))
     for rep in range(reps):
-        values = {f: np.array(_measured(f, v, shots, rng)) for f, v in biased.items()}
-        raw_only.append(_assemble(values, params))
+        values = {f: np.array(_measured(f, v, shots, rng)) for f, v in table.items()}
         if mitigate:
             factors = _anchor_factors(*anchors, shots, rng)
-            values = {
-                family: pas_correct(vals, factors[family], 1.0)
-                for family, vals in values.items()
-            }
+            values = {f: pas_correct(v, factors[f], 1.0) for f, v in values.items()}
         prim = _assemble(values, params)
-        reported.append(prim)
-        e_r[rep], k_r[rep], ud_r[rep] = _energy_parts(prim, J, U)
-
-    def spread(x: np.ndarray) -> float:
-        return float(np.std(x, ddof=1) / np.sqrt(reps)) if reps > 1 else 0.0
-
-    def mean_prim(prims: list[AssembledPrimitives]) -> AssembledPrimitives:
-        return AssembledPrimitives(
-            float(np.mean([p.denominator for p in prims])),
-            float(np.mean([p.zz_numerator for p in prims])),
-            float(np.mean([p.xx_numerator for p in prims])),
-        )
-
-    return TwoSiteEstimate(
-        g=float(g),
-        J=float(J),
-        U=float(U),
-        E=float(np.mean(e_r)),
-        K=float(np.mean(k_r)),
-        UD=float(np.mean(ud_r)),
-        E_err=spread(e_r),
-        K_err=spread(k_r),
-        UD_err=spread(ud_r),
-        primitives=mean_prim(reported),
-        primitives_raw=mean_prim(raw_only),
-        primitives_exact=exact_prim,
-    )
+        parts[:, rep] = (*_energy_parts(prim, J, U), *astuple(prim))
+    mean = parts.mean(axis=1).tolist()
+    err = (parts[:3].std(axis=1, ddof=1) / np.sqrt(reps)).tolist() if reps > 1 else [0.0] * 3
+    return TwoSiteEstimate(float(g), float(J), float(U), *mean[:3], *err,
+                           AssembledPrimitives(*mean[3:]))

@@ -22,7 +22,7 @@ from gutzmc.hadamard import (
     _assemble,
     _energy_parts,
     _exact_values,
-    _sampled_estimate,
+    _shot_estimates,
     hadamard_exact,
     hadamard_shots,
     pas_correct,
@@ -234,11 +234,51 @@ class TestBiasAndMitigation:
 
     def test_raw_primitives_tracked_separately(self):
         bias = BiasModel(scale=0.9)
-        est = two_site_energy_from_primitives(0.7, 1.0, 4.0, bias=bias, mitigate=True)
+        pas = two_site_energy_from_primitives(0.7, 1.0, 4.0, bias=bias, mitigate=True)
+        raw = two_site_energy_from_primitives(0.7, 1.0, 4.0, bias=bias, mitigate=False)
         # corrected output close to ideal, raw assembly still biased
-        assert abs(est.primitives.denominator - np.cosh(0.7)) < 1e-3
-        assert abs(est.primitives_raw.denominator - np.cosh(0.7)) > 0.05
-        assert abs(est.primitives_exact.denominator - np.cosh(0.7)) < 1e-12
+        assert abs(pas.primitives.denominator - np.cosh(0.7)) < 1e-3
+        assert abs(raw.primitives.denominator - np.cosh(0.7)) > 0.05
+
+
+def scalar_shot_estimate(value, shots, rng):
+    """Both parts of one value, one scalar binomial draw per part, real first."""
+    out = []
+    for part in (value.real, value.imag):
+        p0 = min(max((1.0 + part) / 2.0, 0.0), 1.0)
+        out.append(2.0 * int(rng.binomial(shots, p0)) / shots - 1.0)
+    return out
+
+
+class TestShotRule:
+    VALUES = [1.0, -1.0, 1j, -1j, 0.3 - 0.4j, -0.999 + 0.001j, 0.5j, 0.0,
+              1e-17 - 1.0j, np.exp(0.7j), -0.25]
+
+    @pytest.mark.parametrize("shots", [1, 64, 8192])
+    def test_one_draw_matches_scalar_draws(self, shots):
+        values = [complex(v) for v in self.VALUES] * 3
+        est = _shot_estimates(values, shots, np.random.default_rng(11))
+        rng = np.random.default_rng(11)
+        ref = [scalar_shot_estimate(v, shots, rng) for v in values]
+        assert est.tolist() == ref
+
+    def test_rejects_no_shots(self):
+        with pytest.raises(ValueError, match="shots"):
+            _shot_estimates([0.5 + 0j], 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("shots", [1, 64, 8192])
+    def test_hadamard_shots_uses_the_same_stream(self, shots):
+        params, trial = hs_params(0.8), two_site_sector_trial()
+        op = _FAMILIES["ZI"].operator
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        for s1, s2 in _all_config_pairs():
+            est = hadamard_shots(s2, op, s1, trial, params, shots, rng)
+            real, imag = scalar_shot_estimate(
+                hadamard_exact(s2, op, s1, trial, params), shots, ref_rng
+            )
+            assert (est.real_part, est.imag_part) == (real, imag)
+            assert est.stderr_real == np.sqrt(max(0.0, 1.0 - real * real) / shots)
+            assert est.stderr_imag == np.sqrt(max(0.0, 1.0 - imag * imag) / shots)
 
 
 def _per_rep_primitive(family, s2, s1, trial, params, bias, shots, rng):
@@ -253,8 +293,8 @@ def _per_rep_primitive(family, s2, s1, trial, params, bias, shots, rng):
     real = quadrature == "real"
     if shots is None:
         return complex(value.real) if real else 1j * value.imag
-    est = _sampled_estimate(value, shots, rng)
-    return est.real_part if real else 1j * est.imag_part
+    real_part, imag_part = scalar_shot_estimate(value, shots, rng)
+    return real_part if real else 1j * imag_part
 
 
 def per_rep_reference(g, J, U, shots, reps, bias, rng, mitigate):
@@ -266,11 +306,9 @@ def per_rep_reference(g, J, U, shots, reps, bias, rng, mitigate):
         return {f: np.array([_per_rep_primitive(f, s2, s1, trial, p, b, n_shots, r)
                              for (s1, s2) in configs]) for f in _FAMILIES}
 
-    exact_prim = _assemble(families(params, None, None, None), params)
-    e_r, k_r, ud_r, reported, raw_only = [], [], [], [], []
+    e_r, k_r, ud_r, reported = [], [], [], []
     for _ in range(reps):
         values = families(params, bias, shots, rng)
-        raw_only.append(_assemble(values, params))
         if mitigate:
             factors = {}
             for f in ("II", "XX"):
@@ -303,7 +341,7 @@ def per_rep_reference(g, J, U, shots, reps, bias, rng, mitigate):
     return TwoSiteEstimate(
         float(g), float(J), float(U), float(np.mean(e_r)), float(np.mean(k_r)),
         float(np.mean(ud_r)), spread(e_r), spread(k_r), spread(ud_r),
-        mean_prim(reported), mean_prim(raw_only), exact_prim,
+        mean_prim(reported),
     )
 
 
@@ -317,4 +355,13 @@ class TestHoistedPrimitives:
             rng=np.random.default_rng(31), mitigate=mitigate,
         )
         ref = per_rep_reference(g, 1.0, 2.0, 1024, 4, bias, np.random.default_rng(31), mitigate)
+        assert est == ref
+
+    def test_more_reps_than_one_summation_block(self):
+        # from eight repetitions on, np.mean sums in eight interleaved partial
+        # sums, not left to right
+        est = two_site_energy_from_primitives(
+            0.9, 1.0, 3.0, shots=64, reps=19, rng=np.random.default_rng(8), mitigate=True,
+        )
+        ref = per_rep_reference(0.9, 1.0, 3.0, 64, 19, None, np.random.default_rng(8), True)
         assert est == ref

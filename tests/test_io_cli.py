@@ -483,6 +483,16 @@ class TestMainExitCodes:
         assert json.loads(sidecar_path(out).read_text())["all_passed"] is False
         assert "phase check on chain:3: FAIL over 3 g values" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("out", ["r.json", "."])
+    def test_out_without_its_own_file_is_a_config_error(self, out, tmp_path, monkeypatch,
+                                                         capsys):
+        # the sidecar of r.json is r.json itself, so it would replace the
+        # CSV; "." names no file at all
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["hst-verify", "--out", out]) == 1
+        assert "sidecar" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
@@ -730,6 +740,16 @@ class TestTwoSiteCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_sidecar_keys_tell_close_u_values_apart(self, tmp_path):
+        out = tmp_path / "ts.csv"
+        assert cli.main(["two-site", "--shots", "0", "--U", "1.0000001,1.0000002",
+                         "--g-max", "0.2", "--out", str(out)]) == 0
+        u_cells = sorted({r[2] for r in read_rows(out)[1:]})
+        assert len(u_cells) == 2
+        meta = json.loads(sidecar_path(out).read_text())
+        assert sorted(meta["analytic_minimum"]) == u_cells
+
+
 class TestSweepCommand:
     def test_methods_and_oracle_sidecar(self, tmp_path):
         out = tmp_path / "sw.csv"
@@ -752,6 +772,16 @@ class TestSweepCommand:
         assert abs(meta["exact_ground_energy"]["4"] + 2.8284271247461903) < 1e-9
         assert sorted(meta["max_drift"]) == g_strings
         assert all(math.isfinite(d) for d in meta["max_drift"].values())
+
+    def test_ground_energy_keys_tell_close_u_values_apart(self, tmp_path):
+        out = tmp_path / "sw.csv"
+        assert cli.main(["sweep", "--lattice", "chain:2", "--U", "1.0000001,1.0000002",
+                         "--g-max", "0.2", "--nmc", "100", "--bins", "10", "--burnin", "10",
+                         "--out", str(out)]) == 0
+        u_cells = sorted({r[2] for r in read_rows(out)[1:]})
+        assert len(u_cells) == 2
+        meta = json.loads(sidecar_path(out).read_text())
+        assert sorted(meta["exact_ground_energy"]) == u_cells
 
     def test_sidecar_ground_energies_match_a_dense_sector_solve(self, tmp_path):
         # chain:6 at half filling has 400 states, which the oracle solves by
