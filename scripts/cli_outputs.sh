@@ -15,8 +15,8 @@
 #
 # Each run writes with a relative --out inside OUT, so the sidecars' config
 # echo is the same whatever OUT is.  GUTZMC_* settings in the environment
-# are ignored and BLAS runs on one thread.  The whole set (38 files) takes
-# ~13 s on a 2 vCPU host.
+# are ignored and BLAS runs on one thread.  The whole set (40 files) takes
+# ~12 s on a 2 vCPU host.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -59,6 +59,7 @@ run sweep_chain6 sweep --lattice chain:6 "${grid[@]}" "${short[@]}"
 run sweep_ladder6 sweep --lattice ladder:6 "${grid[@]}" "${short[@]}"
 run sweep_ladder8 sweep --lattice ladder:8 "${grid[@]}" "${short[@]}"
 run sweep_chain10 sweep --lattice chain:10 "${grid[@]}" "${short[@]}"
+run sweep_chain7 sweep --lattice chain:7 "${grid[@]}" "${short[@]}"
 run two_site_shots two-site --shots 512 --reps 4 --bias 0.9,0.05
 run two_site_exact two-site --shots 0
 run two_site_default two-site

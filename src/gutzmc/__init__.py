@@ -78,7 +78,6 @@ from .statevector import (
     apply_gate,
     exact_ground_state,
     expectation,
-    matrix_element,
 )
 from .zz_decomp import HsVariant, decompose_zz, variant_unitary, verify_variant
 
@@ -133,7 +132,6 @@ __all__ = [
     "hubbard_terms",
     "load_config_file",
     "local_estimator",
-    "matrix_element",
     "measure_ancillas_success",
     "metropolis_sweep",
     "pas_correct",

@@ -221,6 +221,8 @@ def _resolve(command: str, strings: dict[str, str]) -> RunConfig:
         cfg.out = COMMANDS[command].out
     if not Path(cfg.out).name or sidecar_path(cfg.out) == Path(cfg.out):
         raise ConfigError(f"--out {cfg.out} names no file apart from its .json sidecar")
+    if cfg.out.endswith(("/", os.sep)) or Path(cfg.out).is_dir():
+        raise ConfigError(f"--out {cfg.out} names a directory, not a CSV file")
     if cfg.J <= 0 and command != "hst-verify":
         raise ConfigError(f"J must be positive, got {cfg.J}")
     return cfg
@@ -350,6 +352,9 @@ def cmd_sweep(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
 
 
 def cmd_two_site(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
+    if cfg.shots and cfg.reps < 2:
+        raise ConfigError(f"reps must be at least 2 with shots (the error bars are their "
+                          f"spread), got {cfg.reps}")
     grid = cfg.g_grid()
     header = ["method", "g", "U", "E", "E_err", "K", "K_err", "UD", "UD_err"]
     rows = []
@@ -485,7 +490,7 @@ def main(argv=None) -> int:
             write_csv(path, header, rows)
             write_metadata(path, {"config": cfg.echo(), "seed": cfg.seed, **meta})
         return code
-    except (ConfigError, DegenerateFillingError) as err:
+    except (ConfigError, DegenerateFillingError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ArithmeticError as err:

@@ -345,17 +345,19 @@ def two_site_energy_from_primitives(
     """Assemble E, K, U<D> on two sites from all sixteen field configs.
 
     shots=None evaluates the primitives exactly (errors are zero and reps
-    is ignored); otherwise each repetition re-measures every primitive
-    with the given shot count and the spread over repetitions sets the
-    error bars.  With mitigate=True each repetition also measures the
-    anchor points and corrects family by family before assembling.  One
+    is ignored); otherwise each of at least two repetitions re-measures
+    every primitive with the given shot count and the spread over
+    repetitions sets the error bars.  With mitigate=True each repetition
+    also measures the anchor points and corrects family by family before
+    assembling.  One
     exact table per family (biased when bias is given) and the anchor
     values are computed once; each repetition only draws its shots, one
     binomial call per family.  The reported primitives are the mean of
     what each repetition assembled.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    min_reps = 1 if shots is None else 2  # with shots the error bars are the reps' spread
+    if reps < min_reps:
+        raise ValueError(f"reps must be >= {min_reps}, got {reps}")
     params = hs_params(g)
     if shots is None:
         reps = 1

@@ -9,11 +9,12 @@ The same kernels run on a :class:`SupportState`, whose register is kept
 only on its occupied basis states: its ancillas are the leading axes,
 and a diagonal gate on a register qubit scales each support row by the
 phase of that qubit's bit.  Every gate is followed by a norm check.
-Expectations and matrix elements sum only over the bra's support
+Expectations sum only over the state's support
 (:func:`gutzmc.pauli.support_matrix_element`), and the ground-state oracle
 compiles the operator once into a sparse matrix on the requested particle
-sector, so the exact routes cost in proportion to the occupied sector
-rather than the 2**n register.
+sector and makes one eigensolve there (dense, or one Lanczos run), so the
+exact routes cost in proportion to the occupied sector rather than the
+2**n register.
 """
 from __future__ import annotations
 
@@ -63,12 +64,6 @@ class StateVector:
         # NumPy divides a complex by n as (re, im) * (1/n), so this gives the
         # same values as amplitudes / n without a complex division per entry.
         return StateVector(self.n_qubits, self.amplitudes * (1.0 / n))
-
-    def inner(self, other: "StateVector") -> complex:
-        """<self|other>."""
-        if other.n_qubits != self.n_qubits:
-            raise ValueError("qubit count mismatch")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
 
 @dataclass
@@ -313,13 +308,6 @@ def expectation(state: StateVector, op: PauliSum) -> complex:
     return support_matrix_element(state.amplitudes, op, state.amplitudes)
 
 
-def matrix_element(bra: StateVector, op: PauliSum | None, ket: StateVector) -> complex:
-    """<bra|Ô|ket> with Ô = identity when op is None."""
-    if op is None:
-        return bra.inner(ket)
-    return support_matrix_element(bra.amplitudes, op, ket.amplitudes)
-
-
 # ---------------------------------------------------------------------------
 # exact ground-state oracle
 
@@ -329,47 +317,34 @@ def matrix_element(bra: StateVector, op: PauliSum | None, ket: StateVector) -> c
 # (Hubbard sectors); at 100 states dense is 1.2 ms against 2.7, at 400 it
 # is 22 ms against 4.
 DENSE_MAX_DIM = 200
-DEGENERACY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class GroundStateResult:
-    """Lowest eigenpair of an operator inside a sector.
-
-    ``degeneracy`` counts the eigenvalues within ``DEGENERACY_TOL`` of the
-    lowest.  The dense path counts them over the whole spectrum; the
-    Lanczos path widens its window until a level above the ground level
-    is in it, so it counts the same levels.
-    """
+    """Lowest eigenpair of an operator inside a sector."""
 
     energy: float
     state: StateVector
-    degeneracy: int
 
 
 def _lanczos_ground_level(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending lowest eigenpairs of a sparse Hermitian matrix, at least two,
-    and more until the highest of them lies above the ground level."""
+    """The two lowest eigenpairs of a sparse Hermitian matrix, ascending,
+    from one Lanczos run with a fixed start vector.
+
+    A degenerate lowest level still gives its exact value, with one vector
+    of that level.  A half-filled sector of a bipartite Hubbard lattice has
+    a unique ground state (E. H. Lieb, PRL 62, 1201 (1989)).
+    """
     import scipy.sparse.linalg as spla
 
     dim = matrix.shape[0]
-    rng = np.random.default_rng(12345)  # fixed start for reproducibility
-    v0 = rng.standard_normal(dim)
-    k = 2
-    while True:
-        try:
-            vals, vecs = spla.eigsh(matrix, k=k, which="SA", v0=v0,
-                                    ncv=min(dim, max(20, 4 * k)))
-        except spla.ArpackNoConvergence as err:
-            raise RuntimeError("ground-state iteration did not converge") from err
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        if vals[-1] >= vals[0] + DEGENERACY_TOL:
-            return vals, vecs
-        k *= 2
-        if k >= dim:
-            # the ground level fills the window however wide: count it densely
-            return np.linalg.eigh(matrix.toarray())
+    v0 = np.random.default_rng(12345).standard_normal(dim)  # fixed start for reproducibility
+    try:
+        vals, vecs = spla.eigsh(matrix, k=2, which="SA", v0=v0, ncv=min(dim, 20))
+    except spla.ArpackNoConvergence as err:
+        raise RuntimeError("ground-state iteration did not converge") from err
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
 
 
 def _sector_indices(n_qubits: int, particle_sector) -> np.ndarray:
@@ -397,9 +372,8 @@ def exact_ground_state(
     The operator is compiled once into a sparse CSR matrix over the
     sector's basis states (4,900 at ladder:8, against 65,536 register
     states).  Sectors up to ``DENSE_MAX_DIM`` states are diagonalized
-    densely; larger ones by Lanczos (``eigsh``) on the sparse matrix,
-    asking for two eigenpairs and for more only while all of them lie on
-    the ground level.
+    densely; larger ones by one Lanczos run (``eigsh``, two eigenpairs)
+    on the sparse matrix.
 
     Parameters
     ----------
@@ -417,9 +391,7 @@ def exact_ground_state(
     Returns
     -------
     GroundStateResult
-        Energy, the eigenvector scattered back to the full register, and
-        the ground-level degeneracy count (eigenvalues within
-        ``DEGENERACY_TOL`` of the lowest, on either path).
+        Energy and the eigenvector scattered back to the full register.
     """
     if n_qubits > 24:
         raise ValueError("register capped at 24 qubits")
@@ -439,7 +411,6 @@ def exact_ground_state(
         vals, vecs = _lanczos_ground_level(matrix)
     energy = float(vals[0])
     vec = vecs[:, 0]
-    degeneracy = int(np.sum(vals < vals[0] + DEGENERACY_TOL))
 
     residual = np.linalg.norm(matrix @ vec - energy * vec)
     if residual > 1e-9 * max(1.0, abs(energy)):
@@ -448,4 +419,4 @@ def exact_ground_state(
     full = np.zeros(1 << n_qubits, dtype=complex)
     full[basis] = vec
     state = StateVector(n_qubits, full).normalized()
-    return GroundStateResult(energy, state, degeneracy)
+    return GroundStateResult(energy, state)

@@ -191,6 +191,15 @@ class TestShotSampling:
         assert est.E_err > 0
         assert abs(est.E - exact) < 4 * est.E_err
 
+    @pytest.mark.parametrize("mitigate", [False, True])
+    def test_one_repetition_has_no_error_bar(self, mitigate):
+        # the error bars are the spread over repetitions, which one lacks
+        with pytest.raises(ValueError, match="reps must be >= 2"):
+            two_site_energy_from_primitives(0.5, 1.0, 4.0, shots=64, reps=1,
+                                            rng=np.random.default_rng(3), mitigate=mitigate)
+        exact = two_site_energy_from_primitives(0.5, 1.0, 4.0, reps=1)
+        assert exact.E_err == 0.0 and abs(exact.E - (-2.6978720824601679)) < 1e-12
+
 
 class TestBiasAndMitigation:
     def test_bias_model_validation(self):

@@ -493,6 +493,28 @@ class TestMainExitCodes:
         assert "sidecar" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("out", ["sub/", "existing"])
+    def test_out_naming_a_directory_is_a_config_error(self, out, tmp_path, monkeypatch,
+                                                      capsys):
+        # "sub/" used to be written as a file sub (the slash dropped), an
+        # existing directory used to end in a traceback from the write
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "existing").mkdir()
+        assert cli.main(["hst-verify", "--out", out]) == 1
+        assert "names a directory" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["existing"]
+        assert list((tmp_path / "existing").iterdir()) == []
+
+    def test_unwritable_out_is_exit_one(self, tmp_path, monkeypatch, capsys):
+        # the parent of the CSV is a regular file, so no directory can be made
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "f.txt").write_text("kept\n")
+        assert cli.main(["hst-verify", "--out", "f.txt/x.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert (tmp_path / "f.txt").read_text() == "kept\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
+
     def test_top_level_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--help"])
@@ -731,6 +753,22 @@ class TestTwoSiteCommand:
         assert prim[0] == ["g", "quantity", "raw", "mitigated", "exact"]
         assert {r[1] for r in prim[1:]} == {"denominator", "zz_numerator", "xx_numerator"}
         assert len(prim) == 1 + 3 * 3
+
+    def test_one_repetition_only_without_shots(self, tmp_path, monkeypatch, capsys):
+        # the shot rows' error bars are the spread over repetitions, which
+        # one repetition lacks; exact rows have no error bar to spread
+        exact = tmp_path / "exact.csv"
+        assert cli.main(["two-site", *self.FLAGS, "--shots", "0", "--reps", "1",
+                         "--out", str(exact)]) == 0
+        assert {r[0] for r in read_rows(exact)[1:]} == {"analytic", "assembly"}
+        calls = []
+        monkeypatch.setattr(cli, "two_site_energy_from_primitives",
+                            lambda *a, **kw: calls.append(1))
+        out = tmp_path / "ts.csv"
+        assert cli.main(["two-site", *self.FLAGS, "--shots", "64", "--reps", "1",
+                         "--out", str(out)]) == 1
+        assert "reps must be at least 2 with shots" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

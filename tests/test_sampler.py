@@ -64,7 +64,8 @@ def circuit_route(config, trial, params, J=1.0):
     bra_circuit = field_rotation_circuit(config, 2, params, layout)
 
     def bra_side(amps):
-        return psi.inner(apply_circuit(StateVector(ket.n_qubits, amps), bra_circuit))
+        bra = apply_circuit(StateVector(ket.n_qubits, amps), bra_circuit)
+        return np.vdot(psi.amplitudes, bra.amplitudes)
 
     w = bra_side(ket.amplitudes.copy())
     kinetic_op, interaction_op = hubbard_terms(trial.lattice, J, 1.0)
