@@ -15,8 +15,8 @@
 #
 # Each run writes with a relative --out inside OUT, so the sidecars' config
 # echo is the same whatever OUT is.  GUTZMC_* settings in the environment
-# are ignored and BLAS runs on one thread.  The whole set (40 files) takes
-# ~12 s on a 2 vCPU host.
+# are ignored and BLAS runs on one thread.  The whole set (44 files) takes
+# ~13 s on a 2 vCPU host.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -41,6 +41,22 @@ done
 export OPENBLAS_NUM_THREADS=1
 export PYTHONPATH="$src"
 
+# A config file outside OUT, so that OUT holds only the runs' outputs.
+config=$(mktemp)
+trap 'rm -f "$config"' EXIT
+cat >"$config" <<'EOF'
+# reference config: every setting but the seed comes from this file
+lattice = chain:4
+U = 2,4
+g_min = 0.5
+g_max = 1.0
+g_step = 0.5
+nmc = 1000
+bins = 10
+burnin = 200
+seed = 99  # --seed on the command line wins
+EOF
+
 run() {
     local name=$1
     shift
@@ -60,11 +76,13 @@ run sweep_ladder6 sweep --lattice ladder:6 "${grid[@]}" "${short[@]}"
 run sweep_ladder8 sweep --lattice ladder:8 "${grid[@]}" "${short[@]}"
 run sweep_chain10 sweep --lattice chain:10 "${grid[@]}" "${short[@]}"
 run sweep_chain7 sweep --lattice chain:7 "${grid[@]}" "${short[@]}"
+run mc_config mc --config "$config" --seed 7
 run two_site_shots two-site --shots 512 --reps 4 --bias 0.9,0.05
 run two_site_exact two-site --shots 0
 run two_site_default two-site
 run lcu_default lcu
 run lcu_ladder8 lcu --lattice ladder:8
+run lcu_chain5 lcu --lattice chain:5
 run hst_verify hst-verify
 run hst_verify_coupling hst-verify --J -0.7
 run phase_check_chain4 phase-check --lattice chain:4

@@ -12,7 +12,6 @@ from .gutzwiller import (
     HSParams,
     TwoSiteCurves,
     apply_gutzwiller_exact,
-    field_rotation_circuit,
     full_sum_expectation,
     hs_params,
     two_site_curves,
@@ -21,10 +20,8 @@ from .gutzwiller import (
 )
 from .hadamard import (
     BiasModel,
-    HadamardEstimate,
     TwoSiteEstimate,
     hadamard_exact,
-    hadamard_shots,
     pas_correct,
     two_site_energy_from_primitives,
 )
@@ -90,7 +87,6 @@ __all__ = [
     "Gate",
     "GroundStateResult",
     "HSParams",
-    "HadamardEstimate",
     "HsVariant",
     "Lattice",
     "LcuOutcome",
@@ -120,11 +116,9 @@ __all__ = [
     "exact_double_occupancy",
     "exact_ground_state",
     "expectation",
-    "field_rotation_circuit",
     "full_sum_expectation",
     "ground_state_of_K",
     "hadamard_exact",
-    "hadamard_shots",
     "half_filled_trial",
     "hopping_matrix",
     "hs_params",

@@ -13,6 +13,8 @@ from-scratch value, keyed by the g cell as written in the CSV; per-U
 entries (``exact_ground_energy``, ``analytic_minimum``) are keyed by the
 U cell the same way.  An ``--out`` ending in ``.json`` is a config error,
 since the sidecar would replace the CSV, and so is one with no file name.
+Before the first write ``main`` checks every output path, so a CSV or
+sidecar path that names a directory leaves no file either.
 
 Exit codes: 0 success, 1 usage/config error (a lattice whose half-filled
 shell is degenerate included), 2 numerical check failure (any floating
@@ -486,6 +488,10 @@ def main(argv=None) -> int:
         # An overflow or NaN anywhere is a numerical failure, not a result.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             code, tables = COMMANDS[args.command].run(cfg, provided)
+        # all files or none: a path that names a directory fails before any write
+        for path in (p for t in tables for p in (Path(t.path), sidecar_path(t.path))):
+            if path.is_dir():
+                raise ConfigError(f"output {path} names a directory, not a file")
         for path, header, rows, meta in tables:
             write_csv(path, header, rows)
             write_metadata(path, {"config": cfg.echo(), "seed": cfg.seed, **meta})

@@ -5,11 +5,15 @@ by site, into an equal-weight sum of two diagonal unitaries:
 
     e^{-g*(n_up - 1/2)(n_dn - 1/2)} = gamma * sum_{s=±1} e^{i*alpha*s*(n_up + n_dn - 1)}
 
-with alpha = arccos(e^{-g/2}) and gamma = e^{g/4}/2.  This module owns the
-parameter bookkeeping, the 4x4 identity check, the exact (diagonal)
-application of the projector used as an oracle, the per-config rotation
-circuits, the brute-force 4^N double sum over field configurations, and
-the closed-form two-site energy curves.
+with alpha = arccos(e^{-g/2}) and gamma = e^{g/4}/2.  On a circuit a
+site's unitary is R_Z(s*alpha) on both of its spin qubits: with R_Z(theta)
+= diag(e^{-i*theta/2}, e^{i*theta/2}) the two phases multiply to
+e^{i*alpha*s*(n_up + n_dn - 1)} exactly, so no global phase is left over.
+
+This module owns the parameter bookkeeping, the 4x4 identity check, the
+exact (diagonal) application of the projector used as an oracle, the
+brute-force 4^N double sum over field configurations, and the closed-form
+two-site energy curves.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from .lattice import QubitLayout
 from .pauli import (  # noqa: F401
     PauliSum, apply_pauli_sum, basis_matrix, diagonal_eigenvalues, support_of,
 )
-from .statevector import Gate, StateVector, rz
+from .statevector import StateVector
 
 FULL_SUM_MAX_SITES = 7  # full_sum_expectation enumerates all 4^N field pairs
 
@@ -114,28 +118,6 @@ def _validate_config(config: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     if np.any(np.abs(s) != 1):
         raise ValueError("field vectors must be ±1")
     return s
-
-
-def field_rotation_circuit(
-    config: np.ndarray, tau: int, params: HSParams, layout: QubitLayout
-) -> list[Gate]:
-    """One copy's dressing circuit: R_Z(s_i*alpha) on both spin qubits of each site.
-
-    With R_Z(theta) = diag(e^{-i*theta/2}, e^{i*theta/2}) the pair of
-    rotations realizes e^{i*alpha*s*(n_up + n_dn - 1)} exactly — the
-    per-qubit e^{∓i*alpha/2} factors ARE the scalar prefactor, so no
-    global phase is left over.  tau selects the config column: 1 dresses
-    the ket copy, 2 the bra copy.
-    """
-    if tau not in (1, 2):
-        raise ValueError(f"tau must be 1 or 2, got {tau}")
-    s = _validate_config(config, (layout.n_sites, 2))
-    gates = []
-    for site in range(layout.n_sites):
-        angle = float(s[site, tau - 1]) * params.alpha
-        gates.append(rz(angle, layout.qubit(site, "up")))
-        gates.append(rz(angle, layout.qubit(site, "down")))
-    return gates
 
 
 def all_field_vectors(n_sites: int) -> np.ndarray:

@@ -34,6 +34,9 @@ bias model is given) and its anchor values once; each repetition then
 draws every family's shots in one binomial call, in the same order as
 re-measuring every primitive would.  The estimate carries one primitive
 set: what the call measured, corrected when mitigate=True.
+
+Besides the assembly, the module exports hadamard_exact, the one-primitive
+entry to the batched pass, and pas_correct, the anchor rescale.
 """
 from __future__ import annotations
 
@@ -61,17 +64,6 @@ _FAMILIES = {
     "ZI": _Family(PauliSum.from_ops(2, {0: "Z"}), 2, "imag"),
     "XX": _Family(PauliSum.from_ops(2, {0: "X", 1: "X"}), 3, "real"),
 }
-
-
-@dataclass(frozen=True)
-class HadamardEstimate:
-    """Both quadratures of one interference-test estimate."""
-
-    real_part: float
-    imag_part: float
-    shots: int
-    stderr_real: float
-    stderr_imag: float
 
 
 @dataclass(frozen=True)
@@ -184,39 +176,18 @@ def _shot_estimates(values: list[complex], shots: int, rng: np.random.Generator)
     return 2.0 * rng.binomial(shots, p0) / shots - 1.0
 
 
-def hadamard_shots(
-    u2_config: np.ndarray,
-    observable: PauliSum | None,
-    u1_config: np.ndarray,
-    trial_sector: StateVector,
-    params: HSParams,
-    shots: int,
-    rng: np.random.Generator,
-) -> HadamardEstimate:
-    """Shot-sampled test: ancilla counts drawn from the exact Binomial law.
+def pas_correct(raw_values, reference_raw: float) -> np.ndarray:
+    """Rescale raw values by 1 / reference_raw.
 
-    The |0⟩-count fraction estimates (1 + Re<U>)/2; the S†-branch copy
-    estimates the imaginary part the same way.  Both parts are returned
-    with the plug-in binomial standard errors.
-    """
-    value = hadamard_exact(u2_config, observable, u1_config, trial_sector, params)
-    real, imag = _shot_estimates([value], shots, rng)[0].tolist()
-    err = [float(np.sqrt(max(0.0, 1.0 - e * e) / shots)) for e in (real, imag)]
-    return HadamardEstimate(real, imag, shots, *err)
-
-
-def pas_correct(raw_values, reference_raw: float, reference_ideal: float) -> np.ndarray:
-    """Rescale raw values by reference_ideal / reference_raw.
-
-    The reference pair comes from a point where the ideal value is known
-    (an anchor); dividing out the measured anchor removes any bias that
-    acts as a common factor on the family.
+    reference_raw is a family's measured anchor factor, whose ideal value
+    is exactly 1 (see _anchor_factors); dividing it out removes any bias
+    that acts as a common factor on the family.
     """
     if abs(reference_raw) < 1e-6:
         raise ArithmeticError(
             f"anchor value {reference_raw:.2e} too small for a reliable correction"
         )
-    return np.asarray(raw_values) * (reference_ideal / reference_raw)
+    return np.asarray(raw_values) * (1.0 / reference_raw)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +345,7 @@ def two_site_energy_from_primitives(
         values = {f: np.array(_measured(f, v, shots, rng)) for f, v in table.items()}
         if mitigate:
             factors = _anchor_factors(*anchors, shots, rng)
-            values = {f: pas_correct(v, factors[f], 1.0) for f, v in values.items()}
+            values = {f: pas_correct(v, factors[f]) for f, v in values.items()}
         prim = _assemble(values, params)
         parts[:, rep] = (*_energy_parts(prim, J, U), *astuple(prim))
     mean = parts.mean(axis=1).tolist()

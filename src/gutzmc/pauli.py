@@ -121,10 +121,6 @@ class PauliSum:
             chars[q] = sym
         return cls.from_terms([PauliTerm(coefficient, "".join(chars))])
 
-    @classmethod
-    def identity(cls, n_qubits: int, coefficient: complex = 1.0) -> "PauliSum":
-        return cls.from_terms([PauliTerm(coefficient, "I" * n_qubits)])
-
     @property
     def n_qubits(self) -> int:
         return self.terms[0].n_qubits

@@ -45,15 +45,6 @@ class StateVector:
                 f"got shape {self.amplitudes.shape}"
             )
 
-    @classmethod
-    def zero_state(cls, n_qubits: int) -> "StateVector":
-        amps = np.zeros(1 << n_qubits, dtype=complex)
-        amps[0] = 1.0
-        return cls(n_qubits, amps)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 

@@ -14,7 +14,6 @@ from gutzmc.gutzwiller import (
     all_field_vectors,
     apply_gutzwiller_exact,
     field_coupling_matrix,
-    field_rotation_circuit,
     full_sum_expectation,
     hs_params,
     two_site_curves,
@@ -29,7 +28,7 @@ from gutzmc.slater import (
     half_filled_trial,
     slater_to_statevector,
 )
-from gutzmc.statevector import StateVector, apply_circuit, expectation
+from gutzmc.statevector import StateVector, apply_circuit, expectation, rz
 
 
 def trial_state(kind: str, n: int) -> StateVector:
@@ -173,6 +172,12 @@ class TestProjectedState:
         assert counts[0b1001] == 0  # opposite sites
 
 
+def rotation_gates(fields, alpha: float, layout: QubitLayout) -> list:
+    """One copy's dressing circuit: R_Z(s_i*alpha) on both spin qubits of site i."""
+    return [rz(float(s) * alpha, layout.qubit(site, spin))
+            for site, s in enumerate(fields) for spin in ("up", "down")]
+
+
 class TestFieldRotations:
     def test_circuit_equals_exponential_exactly(self):
         # R_Z(s*alpha) on both spin qubits == e^{i*alpha*s*(n_up+n_dn-1)}
@@ -184,8 +189,7 @@ class TestFieldRotations:
         amps /= np.linalg.norm(amps)
         coupling = field_coupling_matrix(layout)
         for config_col in ([1, -1], [-1, -1], [1, 1]):
-            config = np.array([config_col, config_col]).T  # same fields both copies
-            gates = field_rotation_circuit(config, 1, params, layout)
+            gates = rotation_gates(config_col, params.alpha, layout)
             got = apply_circuit(StateVector(4, amps.copy()), gates)
             phase = np.exp(1j * params.alpha * coupling @ np.array(config_col))
             np.testing.assert_allclose(got.amplitudes, phase * amps, atol=1e-14)
@@ -195,23 +199,13 @@ class TestFieldRotations:
         params = hs_params(0.5)
         config = np.array([[1, -1], [-1, 1]])
         amps = np.full(16, 0.25, dtype=complex)
-        a = apply_circuit(StateVector(4, amps.copy()),
-                          field_rotation_circuit(config, 1, params, layout))
-        b = apply_circuit(StateVector(4, amps.copy()),
-                          field_rotation_circuit(config, 2, params, layout))
+        a, b = (apply_circuit(StateVector(4, amps.copy()),
+                              rotation_gates(config[:, tau - 1], params.alpha, layout))
+                for tau in (1, 2))
         # opposite field columns dress a superposition differently...
         assert np.abs(a.amplitudes - b.amplitudes).max() > 1e-3
         # ...with per-basis phases that are exact complex conjugates here
         np.testing.assert_allclose(a.amplitudes, b.amplitudes.conj(), atol=1e-14)
-
-    def test_bad_tau_and_bad_config(self):
-        layout = QubitLayout(2)
-        params = hs_params(0.5)
-        good = np.ones((2, 2), dtype=int)
-        with pytest.raises(ValueError):
-            field_rotation_circuit(good, 3, params, layout)
-        with pytest.raises(ValueError):
-            field_rotation_circuit(np.array([[1, 2], [1, 1]]), 1, params, layout)
 
     def test_all_field_vectors(self):
         vecs = all_field_vectors(3)

@@ -505,6 +505,29 @@ class TestMainExitCodes:
         assert [p.name for p in tmp_path.iterdir()] == ["existing"]
         assert list((tmp_path / "existing").iterdir()) == []
 
+    def test_sidecar_naming_a_directory_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # the CSV used to be written before the sidecar's write failed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "r.json").mkdir()
+        assert cli.main(["hst-verify", "--out", "r.csv"]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "r.json names a directory" in err
+
+    def test_second_table_naming_a_directory_writes_nothing(self, tmp_path, monkeypatch,
+                                                             capsys):
+        # two-site's primitive table is checked with the main table, before
+        # either is written
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "x_primitives.csv").mkdir()
+        assert cli.main(["two-site", "--g-min", "0.5", "--g-max", "0.5", "--U", "2",
+                         "--shots", "64", "--reps", "2", "--out", "x.csv"]) == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["x_primitives.csv"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "x_primitives.csv names a directory" in err
+
     def test_unwritable_out_is_exit_one(self, tmp_path, monkeypatch, capsys):
         # the parent of the CSV is a regular file, so no directory can be made
         monkeypatch.chdir(tmp_path)

@@ -39,7 +39,7 @@ def test_to_matrix_matches_kron(ops):
 def test_apply_matches_dense_on_random_states():
     rng = np.random.default_rng(42)
     kin, inter = hubbard_terms(build_lattice("chain", 3), 1.0, 1.0)
-    shared = (0.7 - 0.4j) * (kin + inter) + PauliSum.identity(6, 0.3)
+    shared = (0.7 - 0.4j) * (kin + inter) + PauliSum.from_ops(6, {}, 0.3)
     # hopping pairs XZ..ZX / YZ..ZY and all Z/I terms share flip masks
     flips = [tuple(sym in "XY" for sym in t.operators) for t in shared]
     assert len(set(flips)) < len(flips) - 1
@@ -83,7 +83,7 @@ def test_arithmetic_collects_duplicate_strings():
 
 
 def test_identity_and_flags():
-    ident = PauliSum.identity(3, 4.0)
+    ident = PauliSum.from_ops(3, {}, 4.0)
     np.testing.assert_allclose(ident.to_matrix(), 4.0 * np.eye(8), atol=1e-15)
     diag = PauliSum.from_ops(2, {0: "Z", 1: "Z"}, 0.25)
     assert diag.is_diagonal
@@ -95,7 +95,7 @@ def test_identity_and_flags():
 
 
 def test_diagonal_eigenvalues_matches_dense_diagonal():
-    op = PauliSum.from_ops(3, {0: "Z", 2: "Z"}, 0.25) + PauliSum.identity(3, -0.5)
+    op = PauliSum.from_ops(3, {0: "Z", 2: "Z"}, 0.25) + PauliSum.from_ops(3, {}, -0.5)
     np.testing.assert_allclose(diagonal_eigenvalues(op), np.diag(op.to_matrix()).real, atol=1e-14)
     with pytest.raises(ValueError):
         diagonal_eigenvalues(PauliSum.from_ops(2, {0: "X"}, 1.0))

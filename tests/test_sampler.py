@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from gutzmc.gutzwiller import field_rotation_circuit, full_sum_expectation, hs_params
+from gutzmc.gutzwiller import full_sum_expectation, hs_params
 from gutzmc.lattice import QubitLayout, build_lattice, hopping_matrix, hubbard_terms
 from gutzmc import sampler
 from gutzmc.pauli import apply_pauli_sum
@@ -37,7 +37,7 @@ from gutzmc.slater import (
     half_filled_trial,
     slater_to_statevector,
 )
-from gutzmc.statevector import StateVector, apply_circuit
+from gutzmc.statevector import StateVector, apply_circuit, rz
 
 
 def all_configs(n_sites: int):
@@ -60,8 +60,14 @@ def circuit_route(config, trial, params, J=1.0):
     """
     layout = QubitLayout(trial.lattice.n_sites)
     psi = slater_to_statevector(trial.up, trial.down, layout)
-    ket = apply_circuit(psi.copy(), field_rotation_circuit(config, 1, params, layout))
-    bra_circuit = field_rotation_circuit(config, 2, params, layout)
+
+    def dressing(fields):
+        # R_Z(s_i*alpha) on both spin qubits of site i
+        return [rz(float(s) * params.alpha, layout.qubit(site, spin))
+                for site, s in enumerate(fields) for spin in ("up", "down")]
+
+    ket = apply_circuit(StateVector(psi.n_qubits, psi.amplitudes.copy()), dressing(config[:, 0]))
+    bra_circuit = dressing(config[:, 1])
 
     def bra_side(amps):
         bra = apply_circuit(StateVector(ket.n_qubits, amps), bra_circuit)

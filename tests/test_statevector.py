@@ -123,9 +123,9 @@ class TestApplication:
 
     def test_apply_circuit_composes_in_order(self):
         # H then X leaves |+> unchanged; X then H gives |->
-        out = apply_circuit(StateVector.zero_state(1), [hadamard(0), pauli_x(0)])
+        out = apply_circuit(StateVector(1, np.array([1, 0])), [hadamard(0), pauli_x(0)])
         np.testing.assert_allclose(out.amplitudes, np.array([1, 1]) / np.sqrt(2), atol=1e-15)
-        out = apply_circuit(StateVector.zero_state(1), [pauli_x(0), hadamard(0)])
+        out = apply_circuit(StateVector(1, np.array([1, 0])), [pauli_x(0), hadamard(0)])
         np.testing.assert_allclose(out.amplitudes, np.array([1, -1]) / np.sqrt(2), atol=1e-15)
 
     def test_unnormalized_states_pass_through(self):
@@ -328,7 +328,7 @@ class TestGuards:
             Gate("CRZ", (0,), 0.3)
 
     def test_width_mismatch(self):
-        two, three = StateVector.zero_state(2), StateVector.zero_state(3)
+        two, three = StateVector(2, np.eye(4)[0]), StateVector(3, np.eye(8)[0])
         op = PauliSum.from_ops(3, {0: "Z"})
         with pytest.raises(ValueError, match="mismatch"):
             expectation(two, op)
@@ -351,7 +351,7 @@ class TestGuards:
 
     def test_ground_state_register_cap(self):
         with pytest.raises(ValueError, match="24 qubits"):
-            exact_ground_state(PauliSum.identity(25), 25, (1, 1))
+            exact_ground_state(PauliSum.from_ops(25, {}), 25, (1, 1))
 
     def test_ground_state_residual_check(self, monkeypatch):
         eigh = np.linalg.eigh
