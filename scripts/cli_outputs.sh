@@ -15,8 +15,8 @@
 #
 # Each run writes with a relative --out inside OUT, so the sidecars' config
 # echo is the same whatever OUT is.  GUTZMC_* settings in the environment
-# are ignored and BLAS runs on one thread.  The whole set (44 files) takes
-# ~13 s on a 2 vCPU host.
+# are ignored and BLAS runs on one thread.  The whole set (48 files) takes
+# ~14 s on a 2 vCPU host.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -76,6 +76,9 @@ run sweep_ladder6 sweep --lattice ladder:6 "${grid[@]}" "${short[@]}"
 run sweep_ladder8 sweep --lattice ladder:8 "${grid[@]}" "${short[@]}"
 run sweep_chain10 sweep --lattice chain:10 "${grid[@]}" "${short[@]}"
 run sweep_chain7 sweep --lattice chain:7 "${grid[@]}" "${short[@]}"
+# chain:4 (36 states) and chain:5 (100 states, odd N) reach the dense ED branch
+run sweep_chain4 sweep --lattice chain:4 "${grid[@]}" "${short[@]}"
+run sweep_chain5 sweep --lattice chain:5 "${grid[@]}" "${short[@]}"
 run mc_config mc --config "$config" --seed 7
 run two_site_shots two-site --shots 512 --reps 4 --bias 0.9,0.05
 run two_site_exact two-site --shots 0

@@ -45,9 +45,6 @@ class HSParams:
 class TwoSiteCurves:
     """Closed-form two-site variational curves on a g grid."""
 
-    g: np.ndarray
-    J: float
-    U: float
     E: np.ndarray
     K: np.ndarray
     UD: np.ndarray
@@ -182,9 +179,6 @@ def two_site_curves(J: float, U: float, g_grid: np.ndarray) -> TwoSiteCurves:
     k_curve = -2 * J / np.cosh(g)
     ud_curve = -(U / 2) * np.tanh(g)
     return TwoSiteCurves(
-        g=g,
-        J=float(J),
-        U=float(U),
         E=k_curve + ud_curve,
         K=k_curve,
         UD=ud_curve,

@@ -95,9 +95,6 @@ class AssembledPrimitives:
 class TwoSiteEstimate:
     """Two-site energy assembled from sixteen-config primitives."""
 
-    g: float
-    J: float
-    U: float
     E: float
     K: float
     UD: float
@@ -350,5 +347,4 @@ def two_site_energy_from_primitives(
         parts[:, rep] = (*_energy_parts(prim, J, U), *astuple(prim))
     mean = parts.mean(axis=1).tolist()
     err = (parts[:3].std(axis=1, ddof=1) / np.sqrt(reps)).tolist() if reps > 1 else [0.0] * 3
-    return TwoSiteEstimate(float(g), float(J), float(U), *mean[:3], *err,
-                           AssembledPrimitives(*mean[3:]))
+    return TwoSiteEstimate(*mean[:3], *err, AssembledPrimitives(*mean[3:]))

@@ -194,8 +194,7 @@ def _log_success_probability(weights: np.ndarray, n_sites: int, g: float) -> flo
 
 def success_probability(lattice: Lattice, g: float) -> float:
     """Closed-form p = e^{-g*N/2} <psi0|e^{-2g*D}|psi0> for the half-filled trial."""
-    weights = pair_distance_weights(half_filled_trial(lattice))
-    return float(np.exp(_log_success_probability(weights, lattice.n_sites, g)))
+    return success_probability_curve(lattice, [g])[0][2]
 
 
 def success_probability_curve(

@@ -108,10 +108,8 @@ class McParams:
 
 @dataclass(frozen=True)
 class EstimatorResult:
-    observable: str
     mean: float
     stderr: float
-    n_samples: int
     acceptance_rate: float
 
 
@@ -529,25 +527,19 @@ def sample_kinetic_interaction(
     )
 
 
-def _binned(name: str, bins: np.ndarray, samples: McSamples) -> EstimatorResult:
+def _binned(bins: np.ndarray, samples: McSamples) -> EstimatorResult:
     n_bins = bins.size
     stderr = float(np.std(bins, ddof=1) / np.sqrt(n_bins)) if n_bins > 1 else 0.0
-    return EstimatorResult(
-        observable=name,
-        mean=float(np.mean(bins)),
-        stderr=stderr,
-        n_samples=samples.n_sweeps,
-        acceptance_rate=samples.acceptance_rate,
-    )
+    return EstimatorResult(float(np.mean(bins)), stderr, samples.acceptance_rate)
 
 
 def results_from_samples(samples: McSamples, U: float) -> list[EstimatorResult]:
     """Assemble E, K, U<D> estimates (E combined per-bin, so correlations count)."""
     ud_bins = U * samples.d_bins
     return [
-        _binned("energy", samples.k_bins + ud_bins, samples),
-        _binned("kinetic", samples.k_bins, samples),
-        _binned("interaction", ud_bins, samples),
+        _binned(samples.k_bins + ud_bins, samples),
+        _binned(samples.k_bins, samples),
+        _binned(ud_bins, samples),
     ]
 
 
@@ -566,7 +558,6 @@ class PhaseCheckReport:
     """Exhaustive weight scan: is the sign-free assumption satisfied?"""
 
     n_sites: int
-    g: float
     n_configs: int
     max_imag: float
     min_real: float
@@ -593,7 +584,6 @@ def phase_problem_check(
     weights = _DeterminantEngine(trial, hs_params(g)).weights(configs.reshape(-1, n, 2))
     return PhaseCheckReport(
         n_sites=n,
-        g=float(g),
         n_configs=weights.size,
         max_imag=float(np.max(np.abs(weights.imag))),
         min_real=float(np.min(weights.real)),

@@ -12,9 +12,11 @@ exact two-level closed form exp(-i*s*alpha*G) = I + (cos(alpha)-1)*G^2
 - i*s*sin(alpha)*G, which is what the verifier uses (the test suite
 cross-checks against a dense matrix exponential).
 
-The (Z_i+Z_j)/2 variant applied to one site's up/down pair, with
-coupling J = g/4, is precisely the on-site split used throughout
-:mod:`gutzmc.gutzwiller`: (Z_up+Z_dn)/2 = -(n_up+n_dn-1).
+Both regimes share the on-site split's parameters: gamma and alpha are
+:func:`gutzmc.gutzwiller.hs_params` at g = 4|J|.  The (Z_i+Z_j)/2
+variant applied to one site's up/down pair, with coupling J = g/4, is
+precisely the on-site split used throughout :mod:`gutzmc.gutzwiller`:
+(Z_up+Z_dn)/2 = -(n_up+n_dn-1).
 """
 from __future__ import annotations
 
@@ -22,10 +24,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum
+from .gutzwiller import hs_params
+from .pauli import PauliSum, PauliTerm
 
-_NEGATIVE_CHANNELS = ("XX+YY", "XY-YX", "Z-Z")
-_POSITIVE_CHANNELS = ("XX-YY", "XY+YX", "Z+Z")
+# regime -> channel -> generator terms {two-qubit Pauli string: coefficient}
+_CHANNELS = {
+    "J<0": {
+        "XX+YY": {"XX": 0.5, "YY": 0.5},
+        "XY-YX": {"XY": 0.5, "YX": -0.5},
+        "Z-Z": {"IZ": 0.5, "ZI": -0.5},
+    },
+    "J>0": {
+        "XX-YY": {"XX": 0.5, "YY": -0.5},
+        "XY+YX": {"XY": 0.5, "YX": 0.5},
+        "Z+Z": {"ZI": 0.5, "IZ": 0.5},
+    },
+}
 
 
 @dataclass(frozen=True)
@@ -43,26 +57,6 @@ class HsVariant:
         return f"{self.regime}:{self.channel}"
 
 
-def _two_body(sym_i: str, sym_j: str) -> PauliSum:
-    return PauliSum.from_ops(2, {0: sym_i, 1: sym_j})
-
-
-def _generator(channel: str) -> PauliSum:
-    if channel == "XX+YY":
-        return 0.5 * (_two_body("X", "X") + _two_body("Y", "Y"))
-    if channel == "XY-YX":
-        return 0.5 * (_two_body("X", "Y") - _two_body("Y", "X"))
-    if channel == "Z-Z":
-        return 0.5 * (PauliSum.from_ops(2, {1: "Z"}) - PauliSum.from_ops(2, {0: "Z"}))
-    if channel == "XX-YY":
-        return 0.5 * (_two_body("X", "X") - _two_body("Y", "Y"))
-    if channel == "XY+YX":
-        return 0.5 * (_two_body("X", "Y") + _two_body("Y", "X"))
-    if channel == "Z+Z":
-        return 0.5 * (PauliSum.from_ops(2, {0: "Z"}) + PauliSum.from_ops(2, {1: "Z"}))
-    raise ValueError(f"unknown channel {channel!r}")
-
-
 def decompose_zz(coupling: float) -> list[HsVariant]:
     """The three decomposition variants for e^{-J*ZZ} at this coupling.
 
@@ -71,15 +65,13 @@ def decompose_zz(coupling: float) -> list[HsVariant]:
     regimes coincide there.
     """
     J = float(coupling)
-    if J < 0:
-        regime, channels = "J<0", _NEGATIVE_CHANNELS
-        gamma, alpha = np.exp(-J) / 2, np.arccos(np.exp(2 * J))
-    else:
-        regime, channels = "J>0", _POSITIVE_CHANNELS
-        gamma, alpha = np.exp(J) / 2, np.arccos(np.exp(-2 * J))
+    regime = "J<0" if J < 0 else "J>0"
+    p = hs_params(4 * abs(J))
     return [
-        HsVariant(regime, ch, _generator(ch), float(gamma), float(alpha))
-        for ch in channels
+        HsVariant(regime, channel,
+                  PauliSum.from_terms(PauliTerm(c, ops) for ops, c in terms.items()),
+                  p.gamma, p.alpha)
+        for channel, terms in _CHANNELS[regime].items()
     ]
 
 

@@ -334,9 +334,8 @@ def per_rep_reference(g, J, U, shots, reps, bias, rng, mitigate):
         return float(np.std(x, ddof=1) / np.sqrt(reps))
 
     return TwoSiteEstimate(
-        float(g), float(J), float(U), float(np.mean(e_r)), float(np.mean(k_r)),
-        float(np.mean(ud_r)), spread(e_r), spread(k_r), spread(ud_r),
-        mean_prim(reported),
+        float(np.mean(e_r)), float(np.mean(k_r)), float(np.mean(ud_r)),
+        spread(e_r), spread(k_r), spread(ud_r), mean_prim(reported),
     )
 
 

@@ -475,7 +475,7 @@ class TestMainExitCodes:
 
     def test_failed_phase_check_still_writes_its_table(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setattr(cli, "phase_problem_check",
-                            lambda lattice, g: PhaseCheckReport(lattice.n_sites, g, 64, 0.0, -0.5))
+                            lambda lattice, g: PhaseCheckReport(lattice.n_sites, 64, 0.0, -0.5))
         out = tmp_path / "p.csv"
         assert cli.main(["phase-check", "--lattice", "chain:3", "--out", str(out)]) == 2
         rows = read_rows(out)
@@ -564,6 +564,15 @@ class TestCatalogCommand:
         rows = read_rows(out)
         assert len(rows) == 1 + 3
         assert all(r[0].startswith("J<0:") for r in rows[1:])
+
+    @pytest.mark.parametrize("coupling", ["11", "-11"])
+    def test_large_coupling_judged_at_the_target_scale(self, coupling, tmp_path):
+        # roundoff against target entries of e^{11} ~ 6e4 can exceed 1e-12
+        # absolute; the pass rule is 1e-12 of the target's scale e^{|J|}
+        out = tmp_path / "v.csv"
+        assert cli.main(["hst-verify", "--J", coupling, "--out", str(out)]) == 0
+        worst = json.loads(sidecar_path(out).read_text())["worst_deviation"]
+        assert worst < 1e-12 * np.exp(11)
 
 
 class TestPhaseCheckCommand:

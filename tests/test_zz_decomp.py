@@ -55,6 +55,12 @@ class TestCatalog:
                 np.arccos(np.exp(-2 * abs(J))), abs=1e-15
             )
 
+    @pytest.mark.parametrize("J", [-2.0, -0.5, 0.0, 0.7, 3.0])
+    def test_parameters_are_the_on_site_split_at_four_abs_J(self, J):
+        p = hs_params(4 * abs(J))
+        for v in decompose_zz(J):
+            assert (v.gamma, v.alpha) == (p.gamma, p.alpha)
+
     def test_zero_coupling_is_trivial_split(self):
         variants = decompose_zz(0.0)
         assert [v.channel for v in variants] == list(("XX-YY", "XY+YX", "Z+Z"))
