@@ -15,8 +15,8 @@
 #
 # Each run writes with a relative --out inside OUT, so the sidecars' config
 # echo is the same whatever OUT is.  GUTZMC_* settings in the environment
-# are ignored and BLAS runs on one thread.  The whole set (48 files) takes
-# ~14 s on a 2 vCPU host.
+# are ignored and BLAS runs on one thread.  The whole set (50 files) takes
+# ~16 s on a 2 vCPU host.
 set -euo pipefail
 
 if [ $# -ne 2 ]; then
@@ -71,6 +71,10 @@ run mc_chain4_determinant mc --lattice chain:4 "${grid[@]}" "${short[@]}"
 run mc_chain4_statevector mc --lattice chain:4 --backend statevector "${grid[@]}" "${short[@]}"
 run mc_ladder6_statevector mc --lattice ladder:6 --backend statevector "${grid[@]}" "${short[@]}"
 run mc_chain8 mc --lattice chain:8 "${grid[@]}" "${short[@]}"
+# the 4,900-state statevector engine: basis_matrix, diagonal_eigenvalues and
+# the chain bookkeeping it shares with the determinant engine
+run mc_chain8_statevector mc --lattice chain:8 --backend statevector --g-min 1.0 --g-max 1.0 \
+    --nmc 200 --burnin 100
 run sweep_chain6 sweep --lattice chain:6 "${grid[@]}" "${short[@]}"
 run sweep_ladder6 sweep --lattice ladder:6 "${grid[@]}" "${short[@]}"
 run sweep_ladder8 sweep --lattice ladder:8 "${grid[@]}" "${short[@]}"

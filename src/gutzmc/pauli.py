@@ -222,12 +222,21 @@ def _group_elements(parts: list[tuple[complex, int]], src: np.ndarray) -> np.nda
     """Summed matrix elements <b|P|src> of one flip group, b = src ^ flip.
 
     Each term's sign (-1)^popcount(src & sign) is evaluated at the source
-    index and applied as a choice between c and -c.  The sum is kept in the
-    coefficients' result type, so real coefficients give a real array.
+    index and applied as a choice between c and -c; a term with no sign
+    qubits (the XX half of a hopping pair) adds c as it is.  A group whose
+    coefficients all have zero imaginary part is summed in float64: the
+    same numbers as a complex sum with +0 imaginary parts, which is what
+    a complex operand promotes them to, at half the memory traffic.
     """
-    elements = np.zeros(src.shape, dtype=np.result_type(*(c for c, _ in parts)))
+    real = all(c.imag == 0 for c, _ in parts)
+    elements = np.zeros(src.shape, dtype=np.float64 if real else complex)
     for c, sign in parts:
-        elements += np.where(np.bitwise_count(src & sign) & 1, -c, c)
+        if real:
+            c = c.real
+        if sign:
+            elements += np.where((np.bitwise_count(src & sign) & 1).view(bool), -c, c)
+        else:
+            elements += c
     return elements
 
 

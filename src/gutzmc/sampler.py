@@ -18,6 +18,9 @@ weights, estimators(configs, J) its weights and K and D estimators from
 the same pass, start(config, weight) builds one chain's state and
 sweep(state, config, weight, draws) runs one Metropolis pass on it.  A
 ChainState holds the configuration, the tracked weight and that state.
+The live configuration is kept as the nested [[s1, s2], ...] lists that
+sweep flips in place; each sweep snapshots it once, flattened, and a
+stacked rebuild turns its snapshots into one (B, N, 2) array.
 The determinant engine's state carries one N x N matrix
 P = phi G^{-1} phi^H per spin sector (G the k x k dressed overlap,
 k = particles per spin): a proposal ratio is a scalar read off P's
@@ -32,6 +35,7 @@ stack of one.  The backends must agree to 1e-10; the tests cross-check them.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +60,15 @@ PHASE_CHECK_MAX_SITES = 5  # phase_problem_check enumerates all 4^N field pairs
 # these relative tolerances separate roundoff from a genuine violation.
 _IMAG_TOL = 1e-8
 _NEG_TOL = 1e-8
+_INF = float("inf")
 # A sector Gram with sigma_min below this (times max(1, sigma_max)) is singular.
 _SINGULAR_TOL = 1e-12
 
 # Sweeps per stacked rebuild: the chain runs on its tracked weight for at
 # most this many sweeps before every one of them is checked from scratch.
 _ANCHOR_STACK = 50
+
+_flatten = itertools.chain.from_iterable
 
 
 class PhaseProblemError(ArithmeticError):
@@ -361,19 +368,21 @@ def _engine(
 class ChainState:
     """One Markov chain: configuration, tracked weight, weight engine and state.
 
-    The engine is a pure kernel that chains may share; state is this
-    chain's own, built by the engine's start and advanced by its sweep.
-    pending holds each sweep's end configuration and tracked weight since
-    the last stacked rebuild.  While J is set, each rebuild appends the
-    real K and D estimators of its stack, shape (2, B), to measured.
+    config is the live configuration as N [s1, s2] lists, the form the
+    engine's sweep flips in place.  The engine is a pure kernel that
+    chains may share; state is this chain's own, built by the engine's
+    start and advanced by its sweep.  pending holds each sweep's end
+    configuration, flattened to [s_01, s_02, s_11, ...], and tracked weight
+    since the last stacked rebuild.  While J is set, each rebuild appends
+    the real K and D estimators of its stack, shape (2, B), to measured.
     """
 
-    config: np.ndarray
+    config: list[list[int]]
     weight: complex
     engine: _DeterminantEngine | _StatevectorEngine
     state: list
     max_drift: float = 0.0
-    pending: list[tuple[list, complex]] = field(default_factory=list)
+    pending: list[tuple[list[int], complex]] = field(default_factory=list)
     J: float | None = None
     measured: list[np.ndarray] = field(default_factory=list)
 
@@ -387,20 +396,25 @@ def make_chain(trial: TrialState, params: HSParams, backend: str = "determinant"
     config = np.ones((n, 2), dtype=np.int64)
     weight = complex(engine.weights(config[None])[0])
     _check_weight(weight, weight)
-    return ChainState(config, weight, engine, engine.start(config, weight))
+    return ChainState(config.tolist(), weight, engine, engine.start(config, weight))
 
 
 def _check_weight(w: complex, current: complex) -> None:
-    """Raise unless ``w`` is real and nonnegative to within roundoff.
+    """Raise unless ``w`` is finite, and real and nonnegative to within roundoff.
 
     The tolerances are relative to the larger of |w| and the chain's
     current weight |current|, so they do not loosen after the chain has
-    passed through a region of larger weights.
+    passed through a region of larger weights.  A NaN part fails a
+    comparison and an infinite |w| the finite-scale test, so neither can
+    be accepted or silently rejected.
     """
-    scale = max(abs(current), abs(w))
-    if abs(w.imag) > _IMAG_TOL * scale or w.real < -_NEG_TOL * scale:
+    scale = abs(current)
+    size = abs(w)
+    if size > scale:
+        scale = size
+    if not (abs(w.imag) <= _IMAG_TOL * scale and w.real >= -_NEG_TOL * scale and scale < _INF):
         raise PhaseProblemError(
-            f"weight {w!r} is not real nonnegative (scale {scale:.3e}); "
+            f"weight {w!r} is not finite, real and nonnegative (scale {scale:.3e}); "
             "the trial state is outside the sign-free regime"
         )
 
@@ -424,12 +438,11 @@ def metropolis_sweep(
     stacked rebuild (_anchor), which checks every stacked weight from
     scratch and re-anchors the chain.
     """
-    config = chain.config.tolist()
+    config = chain.config
     draws = rng.random(2 * len(config)).tolist()
     weight, accepted = chain.engine.sweep(chain.state, config, chain.weight, draws)
-    chain.config[:] = config
     chain.weight = weight
-    chain.pending.append((config, weight))
+    chain.pending.append((list(_flatten(config)), weight))
     if len(chain.pending) == _ANCHOR_STACK:
         _anchor(chain)
     return chain, accepted
@@ -441,18 +454,22 @@ def _anchor(chain: ChainState) -> None:
     Each sweep's tracked weight is compared with its from-scratch value
     (max_drift keeps the largest relative gap), and the chain re-anchors
     its weight and state on the last configuration.  While chain.J is
-    set, the same pass over the stack yields its estimators.
+    set, the same pass over the stack yields its estimators.  A
+    non-finite from-scratch weight raises ArithmeticError: its drift
+    would be NaN, which max_drift cannot hold.
     """
     if not chain.pending:
         return
-    configs = np.array([config for config, _ in chain.pending])
-    tracked = np.array([weight for _, weight in chain.pending])
+    flats, tracked = zip(*chain.pending)
+    configs = np.fromiter(_flatten(flats), np.int64).reshape(len(flats), -1, 2)
     if chain.J is None:
         fresh = chain.engine.weights(configs)
     else:
         fresh, estimates = chain.engine.estimators(configs, chain.J)
         chain.measured.append(estimates.real)
-    drift = np.abs(fresh - tracked) / np.maximum(np.abs(fresh), 1e-300)
+    if not np.isfinite(fresh).all():
+        raise ArithmeticError("stacked rebuild gave a non-finite weight")
+    drift = np.abs(fresh - np.array(tracked)) / np.maximum(np.abs(fresh), 1e-300)
     chain.max_drift = max(chain.max_drift, float(drift.max()))
     # the stacked weight, not a stack of one: the two can differ in the last bit
     chain.weight = complex(fresh[-1])

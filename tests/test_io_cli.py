@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gutzmc import cli, statevector
+from gutzmc import cli, sampler, statevector
 from gutzmc.io_utils import (
     GENERATOR_ID,
     VERSION,
@@ -446,6 +446,21 @@ class TestMainExitCodes:
                        "--out", str(tmp_path / "x.csv")])
         assert rc == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_non_finite_rebuild_weight_is_exit_two(self, monkeypatch, tmp_path, capsys):
+        estimators = sampler._DeterminantEngine.estimators
+
+        def nan_weights(self, configs, J):
+            weights, estimates = estimators(self, configs, J)
+            return weights * np.nan, estimates
+
+        monkeypatch.setattr(sampler._DeterminantEngine, "estimators", nan_weights)
+        out = tmp_path / "x.csv"
+        rc = cli.main(["mc", "--lattice", "chain:8", "--g-min", "0.5", "--g-max", "0.5",
+                       "--nmc", "20", "--bins", "10", "--burnin", "10", "--out", str(out)])
+        assert rc == 2
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_vanishing_anchor_is_exit_two(self, tmp_path, capsys):
         # A 0.001 contrast per layer leaves one shot nothing to anchor on.

@@ -8,6 +8,8 @@ from gutzmc.lattice import build_lattice, hubbard_terms
 from gutzmc.pauli import (
     PauliSum,
     PauliTerm,
+    _flip_groups,
+    _group_elements,
     apply_pauli_sum,
     basis_matrix,
     diagonal_eigenvalues,
@@ -146,6 +148,15 @@ def test_basis_matrix_is_real_for_a_real_operator():
     np.testing.assert_array_equal(compiled.toarray(), op.to_matrix().real[np.ix_(basis, basis)])
 
 
+def test_basis_matrix_of_the_hopping_operator_is_real():
+    kinetic, _ = hubbard_terms(build_lattice("chain", 4), 1.0, 1.0)
+    basis = np.flatnonzero(np.bitwise_count(np.arange(1 << 8)) == 4)
+    compiled = basis_matrix(kinetic, basis)
+    assert compiled.dtype == np.float64
+    np.testing.assert_array_equal(compiled.toarray(),
+                                  kinetic.to_matrix().real[np.ix_(basis, basis)])
+
+
 def _sparse_bra(rng, n: int) -> np.ndarray:
     """A bra on about half the register: generic, pure-imaginary, real and
     signed-zero entries, with -0.0 parts both on and off the support."""
@@ -182,3 +193,44 @@ def test_support_matrix_element_matches_dense(seed):
     assert outside.size > 0 and np.abs(ket[outside]).min() > 0
     expected = bra.conj() @ op.to_matrix() @ ket
     assert abs(support_matrix_element(bra, op, ket) - expected) < 1e-12 * max(1.0, abs(expected))
+
+
+def _complex_elements(parts, src):
+    """Every flip group's matrix elements summed as complex, term by term."""
+    elements = np.zeros(src.shape, dtype=complex)
+    for c, sign in parts:
+        elements += np.where(np.bitwise_count(src & sign) & 1, -c, c)
+    return elements
+
+
+def _operators(rng):
+    kinetic, interaction = hubbard_terms(build_lattice("chain", 4), 1.0, 1.0)
+    y_bearing = PauliSum.from_terms(
+        PauliTerm(float(c), ops) for c, ops in
+        zip(rng.standard_normal(4), ["XYZIIIII", "YIIIIIIX", "IIYYIIII", "ZZIIIIIY"]))
+    generic = PauliSum.from_terms(
+        PauliTerm(complex(*rng.standard_normal(2)), t.operators) for t in kinetic + interaction)
+    return {"real": kinetic + interaction, "y_bearing": y_bearing, "complex": generic}
+
+
+@pytest.mark.parametrize("kind", ["real", "y_bearing", "complex"])
+def test_matrix_elements_equal_the_complex_sum(kind):
+    # real groups are summed in float64; every product and dot product
+    # must see the same numbers as with complex elements
+    rng = np.random.default_rng(7)
+    op = _operators(rng)[kind]
+    bra = _sparse_bra(rng, 8)
+    ket = rng.standard_normal(1 << 8) + 1j * rng.standard_normal(1 << 8)
+    support = support_of(bra)
+    expected = 0j
+    applied = np.zeros(ket.shape, dtype=complex)
+    for flip, parts in _flip_groups(op).items():
+        src = support ^ flip
+        expected += np.vdot(bra[support], _complex_elements(parts, src) * ket[src])
+        full = np.arange(1 << 8) ^ flip
+        applied += ket[full] * _complex_elements(parts, full)
+    assert support_matrix_element(bra, op, ket) == complex(expected)
+    np.testing.assert_array_equal(apply_pauli_sum(ket, op), applied)
+    real_groups = [_group_elements(parts, support).dtype == np.float64
+                   for parts in _flip_groups(op).values()]
+    assert all(real_groups) if kind == "real" else not all(real_groups)

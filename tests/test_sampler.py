@@ -275,7 +275,7 @@ class TestChain:
         n_sweeps = 40000
         for _ in range(n_sweeps):
             metropolis_sweep(chain, trial, params, rng)
-            counts[tuple(chain.config.ravel())] += 1
+            counts[tuple(np.ravel(chain.config))] += 1
         for key, w in weights.items():
             p = w / total
             sigma = np.sqrt(max(p * (1 - p), 1e-12) / n_sweeps)
@@ -466,6 +466,55 @@ class TestFastUpdate:
         assert agree(weight, weight_numerator(-configs[-1], trial, params), 1e-10)
 
 
+class TestStackBookkeeping:
+    """The live nested-list configuration and the stacks built from it."""
+
+    class Recording:
+        """A real engine whose stacked rebuilds record the stacks they get."""
+
+        def __init__(self, engine):
+            self.engine, self.stacks = engine, []
+
+        def sweep(self, *args):
+            return self.engine.sweep(*args)
+
+        def start(self, config, weight):
+            return self.engine.start(config, weight)
+
+        def weights(self, configs):
+            self.stacks.append(configs.copy())
+            return self.engine.weights(configs)
+
+        def estimators(self, configs, J):
+            self.stacks.append(configs.copy())
+            return self.engine.estimators(configs, J)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("J", [None, 1.0])
+    def test_stacks_hold_every_sweeps_end_configuration(self, J, backend):
+        # 137 sweeps: two full stacks, then a partial one for the closing rebuild
+        trial = half_filled_trial(build_lattice("chain", 5))
+        params = hs_params(0.8)
+        chain = make_chain(trial, params, backend)
+        chain.engine = engine = self.Recording(chain.engine)
+        chain.J = J
+        rng = np.random.default_rng(23)
+        ends = []
+        for _ in range(137):
+            metropolis_sweep(chain, trial, params, rng)
+            ends.append(np.array(chain.config))
+            if chain.pending:
+                assert chain.pending[-1][0] == list(np.ravel(chain.config))
+            else:
+                np.testing.assert_array_equal(engine.stacks[-1][-1], chain.config)
+        sampler._anchor(chain)
+        assert [len(stack) for stack in engine.stacks] == [50, 50, 37]
+        for stack in engine.stacks:
+            assert stack.dtype == np.int64 and stack.shape[1:] == (5, 2)
+        np.testing.assert_array_equal(np.concatenate(engine.stacks), ends)
+        assert len(chain.measured) == (0 if J is None else 3)
+
+
 class TestSingularGuard:
     """The engine's estimators refuse a stack with a singular sector Gram."""
 
@@ -605,7 +654,7 @@ class TestPhaseCheck:
             return np.zeros(n)
 
     def sweep(self, weight, ratios):
-        chain = ChainState(np.ones((2, 2), dtype=np.int64), weight, self.Scripted(ratios), None)
+        chain = ChainState([[1, 1], [1, 1]], weight, self.Scripted(ratios), None)
         return metropolis_sweep(chain, None, None, self.AcceptAll())
 
     def test_guard_judges_against_the_current_weight(self):
@@ -621,8 +670,7 @@ class TestPhaseCheck:
         # every sweep's weight, so the gap still shows in max_drift.
         ratios = [1.0] * (4 * _ANCHOR_STACK)
         ratios[4 * 10 + 3], ratios[4 * 11] = 1.001, 1 / 1.001
-        chain = ChainState(
-            np.ones((2, 2), dtype=np.int64), 1.0 + 0.0j, self.Scripted(ratios), None)
+        chain = ChainState([[1, 1], [1, 1]], 1.0 + 0.0j, self.Scripted(ratios), None)
         for _ in range(_ANCHOR_STACK):
             metropolis_sweep(chain, None, None, self.AcceptAll())
         assert not chain.pending
@@ -652,6 +700,33 @@ class TestPhaseCheck:
                     current, counted = w_new, counted + 1
             assert counted == accepted
             assert chain.weight == current
+
+    @pytest.mark.parametrize("weight,ratio", [
+        (1.0 + 0.0j, float("nan")),
+        (1.0 + 0.0j, float("inf")),
+        # finite factors whose product overflows to inf + 0j
+        (1e308 + 0.0j, 10.0),
+    ], ids=["nan", "inf", "overflow"])
+    def test_non_finite_proposal_is_a_phase_problem(self, weight, ratio):
+        # a NaN ratio would be silently rejected (r is NaN) and an infinite
+        # one accepted, leaving an infinite tracked weight
+        with pytest.raises(PhaseProblemError, match="not finite"):
+            self.sweep(weight, [ratio, 1.0, 1.0, 1.0])
+
+    def test_non_finite_rebuild_weight_raises(self):
+        # a NaN from-scratch weight gives a NaN drift, which max() would drop
+        class NanRebuild(self.Scripted):
+            def weights(self, configs):
+                fresh = np.ones(len(configs), dtype=complex)
+                fresh[1] = complex("nan")
+                return fresh
+
+        chain = ChainState([[1, 1], [1, 1]], 1.0 + 0.0j, NanRebuild([1.0] * 12), None)
+        for _ in range(3):
+            metropolis_sweep(chain, None, None, self.AcceptAll())
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            sampler._anchor(chain)
+        assert chain.max_drift == 0.0
 
     def test_guard_scales_with_a_large_current_weight(self):
         # the same imaginary part is roundoff next to a current weight of 1e6,
