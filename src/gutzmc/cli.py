@@ -18,7 +18,7 @@ sidecar path that names a directory leaves no file either.
 
 Exit codes: 0 success, 1 usage/config error (a lattice whose half-filled
 shell is degenerate included), 2 numerical check failure (any floating
-overflow, invalid operation or division by zero included).
+overflow, invalid operation, division by zero or failed eigensolve included).
 """
 from __future__ import annotations
 

@@ -304,10 +304,17 @@ def expectation(state: StateVector, op: PauliSum) -> complex:
 
 
 # Sectors up to this many states are diagonalized densely, larger ones by
-# Lanczos.  With one BLAS thread the two take 3-5 ms each near 200 states
-# (Hubbard sectors); at 100 states dense is 1.2 ms against 2.7, at 400 it
-# is 22 ms against 4.
+# Lanczos.  With one BLAS thread (Hubbard sectors) dense takes 1.2 ms at 100
+# states against 1.5-1.9 for Lanczos, 5-7 ms at 224 against 1.6-2.5, and
+# 25 ms at 400 against 2.6-5.7: the two cross near 120 states.
 DENSE_MAX_DIM = 200
+# Every eigenpair returned has ||H v - E v|| <= this * max(1, |E|).  Lanczos
+# stops at ||r|| <= this/100 * |E|; the energy's error is quadratic in ||r||.
+_RESIDUAL_TOL = 1e-9
+
+
+class EigensolveError(RuntimeError, ArithmeticError):
+    """The ground-state eigensolve did not converge or failed its residual check."""
 
 
 @dataclass(frozen=True)
@@ -319,8 +326,8 @@ class GroundStateResult:
 
 
 def _lanczos_ground_level(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """The two lowest eigenpairs of a sparse Hermitian matrix, ascending,
-    from one Lanczos run with a fixed start vector.
+    """The lowest eigenpair of a sparse Hermitian matrix, as eigsh returns it
+    (one value, one column), from one Lanczos run with a fixed start vector.
 
     A degenerate lowest level still gives its exact value, with one vector
     of that level.  A half-filled sector of a bipartite Hubbard lattice has
@@ -331,11 +338,10 @@ def _lanczos_ground_level(matrix) -> tuple[np.ndarray, np.ndarray]:
     dim = matrix.shape[0]
     v0 = np.random.default_rng(12345).standard_normal(dim)  # fixed start for reproducibility
     try:
-        vals, vecs = spla.eigsh(matrix, k=2, which="SA", v0=v0, ncv=min(dim, 20))
+        return spla.eigsh(matrix, k=1, which="SA", v0=v0, ncv=min(dim, 20),
+                          tol=1e-2 * _RESIDUAL_TOL)
     except spla.ArpackNoConvergence as err:
-        raise RuntimeError("ground-state iteration did not converge") from err
-    order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+        raise EigensolveError("ground-state iteration did not converge") from err
 
 
 def _sector_indices(n_qubits: int, particle_sector) -> np.ndarray:
@@ -363,8 +369,8 @@ def exact_ground_state(
     The operator is compiled once into a sparse CSR matrix over the
     sector's basis states (4,900 at ladder:8, against 65,536 register
     states).  Sectors up to ``DENSE_MAX_DIM`` states are diagonalized
-    densely; larger ones by one Lanczos run (``eigsh``, two eigenpairs)
-    on the sparse matrix.
+    densely; larger ones by one Lanczos run (``eigsh``, one eigenpair).
+    A failed solve or residual check raises :class:`EigensolveError`.
 
     Parameters
     ----------
@@ -396,16 +402,14 @@ def exact_ground_state(
         raise ValueError("empty particle sector")
     matrix = basis_matrix(op, basis)
 
-    if dim <= DENSE_MAX_DIM:
-        vals, vecs = np.linalg.eigh(matrix.toarray())
-    else:
-        vals, vecs = _lanczos_ground_level(matrix)
+    vals, vecs = (np.linalg.eigh(matrix.toarray()) if dim <= DENSE_MAX_DIM
+                  else _lanczos_ground_level(matrix))
     energy = float(vals[0])
     vec = vecs[:, 0]
 
     residual = np.linalg.norm(matrix @ vec - energy * vec)
-    if residual > 1e-9 * max(1.0, abs(energy)):
-        raise RuntimeError(f"eigenpair residual {residual:.3e} too large")
+    if residual > _RESIDUAL_TOL * max(1.0, abs(energy)):
+        raise EigensolveError(f"eigenpair residual {residual:.3e} too large")
 
     full = np.zeros(1 << n_qubits, dtype=complex)
     full[basis] = vec

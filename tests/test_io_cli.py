@@ -479,6 +479,29 @@ class TestMainExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("failure", ["no convergence", "residual"])
+    def test_failed_eigensolve_is_exit_two(self, failure, monkeypatch, tmp_path, capsys):
+        # chain:6's 400-state sector takes the Lanczos branch of the oracle
+        import scipy.sparse.linalg as spla
+
+        eigsh = spla.eigsh
+
+        def failing(*args, **kwargs):
+            if failure == "no convergence":
+                raise spla.ArpackNoConvergence("no convergence", np.empty(0), np.empty((0, 0)))
+            vals, vecs = eigsh(*args, **kwargs)
+            return vals + 1e-6, vecs
+
+        monkeypatch.setattr(spla, "eigsh", failing)
+        monkeypatch.chdir(tmp_path)
+        rc = cli.main(["sweep", "--lattice", "chain:6", "--g-min", "0.5", "--g-max", "0.5",
+                       "--U", "4", "--nmc", "20", "--bins", "10", "--burnin", "10",
+                       "--out", "s.csv"])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_catalog_deviation_is_exit_two(self, monkeypatch, tmp_path, capsys):
         # a failed check still writes its table and sidecar
         monkeypatch.setattr(cli, "verify_variant", lambda v, J: 1.0)

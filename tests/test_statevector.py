@@ -12,7 +12,7 @@ import pytest
 
 from gutzmc import statevector
 from gutzmc.lattice import QubitLayout, build_lattice, hubbard_hamiltonian, hubbard_terms
-from gutzmc.pauli import PauliSum, PauliTerm, apply_pauli_sum, support_matrix_element
+from gutzmc.pauli import PauliSum, PauliTerm, apply_pauli_sum, basis_matrix, support_matrix_element
 from gutzmc.slater import half_filled_trial, slater_to_statevector
 from gutzmc.statevector import (
     Gate,
@@ -414,8 +414,8 @@ class TestExactGroundState:
         assert np.linalg.norm(apply_pauli_sum(v, H) - res.energy * v) < 1e-8
 
     def test_lanczos_on_a_level_wider_than_its_window(self):
-        # at U=0 chain:5's lowest level is fourfold, more than the two
-        # eigenpairs Lanczos asks for
+        # at U=0 chain:5's lowest level is fourfold, while Lanczos asks for
+        # one eigenpair
         H = hubbard_hamiltonian(build_lattice("chain", 5), 1.0, 0.0)
         levels = np.linalg.eigvalsh(H.to_matrix())
         res = exact_ground_state(H, 10, None)
@@ -448,6 +448,64 @@ class TestExactGroundState:
         assert np.abs(dense.imag).max() > 0.1
         res = exact_ground_state(op, 4, None)
         assert abs(res.energy - np.linalg.eigvalsh(dense)[0]) < 1e-12
+
+    @pytest.mark.parametrize("u", [0.0, 1.3, 4.0, 8.0])
+    @pytest.mark.parametrize("kind, n_sites", [("chain", 6), ("ladder", 6), ("chain", 7)])
+    def test_lanczos_matches_a_dense_sector_solve(self, kind, n_sites, u):
+        # 400, 400 and 1,225 states: all above the dense cut.  The residual
+        # bound, 1/100 of the gate, is what Lanczos's own tolerance is set to.
+        H = hubbard_hamiltonian(build_lattice(kind, n_sites), 1.0, u)
+        sector = ((n_sites + 1) // 2, n_sites // 2)
+        basis = statevector._sector_indices(2 * n_sites, sector)
+        assert len(basis) > statevector.DENSE_MAX_DIM
+        dense = np.linalg.eigvalsh(basis_matrix(H, basis).toarray())[0]
+        res = exact_ground_state(H, 2 * n_sites, sector)
+        assert abs(res.energy - dense) < 1e-12
+        v = res.state.amplitudes
+        residual = np.linalg.norm(apply_pauli_sum(v, H) - res.energy * v)
+        assert residual <= 1e-2 * statevector._RESIDUAL_TOL * max(1.0, abs(res.energy))
+
+    def test_complex_hermitian_operator_on_the_lanczos_branch(self):
+        # real multiples of Pauli strings that each carry a Y: Hermitian, with
+        # imaginary matrix elements; 256 register states take the Lanczos branch
+        rng = np.random.default_rng(7)
+        strings = []
+        for _ in range(16):
+            ops = rng.choice(list("IXYZ"), 8)
+            ops[rng.integers(8)] = "Y"
+            strings.append("".join(ops))
+        op = PauliSum.from_terms(PauliTerm(rng.standard_normal(), s) for s in strings)
+        assert 1 << 8 > statevector.DENSE_MAX_DIM
+        dense = op.to_matrix()
+        assert np.abs(dense.imag).max() > 0.1
+        res = exact_ground_state(op, 8, None)
+        assert abs(res.energy - np.linalg.eigvalsh(dense)[0]) < 1e-12
+        v = res.state.amplitudes
+        residual = np.linalg.norm(dense @ v - res.energy * v)
+        assert residual <= 1e-2 * statevector._RESIDUAL_TOL * max(1.0, abs(res.energy))
+
+    def test_lanczos_work_count(self, monkeypatch):
+        # Matrix-vector products of the one Lanczos run on ladder:8 at U=4
+        # (4,900 states).  Measured with SciPy 1.17.1: 91 for one eigenpair
+        # stopped at 1e-11, against 181 for two eigenpairs to machine
+        # precision and 121 for one.  The bound leaves room for another
+        # SciPy's ARPACK.
+        import scipy.sparse.linalg as spla
+
+        eigsh = spla.eigsh
+        products = []
+
+        def counted(matrix, *args, **kwargs):
+            def matvec(x):
+                products.append(1)
+                return matrix @ x
+            counter = spla.LinearOperator(matrix.shape, matvec=matvec, dtype=matrix.dtype)
+            return eigsh(counter, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigsh", counted)
+        H = hubbard_hamiltonian(build_lattice("ladder", 8), 1.0, 4.0)
+        exact_ground_state(H, 16, (4, 4))
+        assert 0 < len(products) <= 115
 
     def test_sparse_path_eigenpair(self):
         # chain:8 at half filling has 4900 states, above the dense cutoff;
