@@ -14,7 +14,8 @@ Example, a change against its parent commit:
   diff -r /tmp/rec-parent /tmp/rec-change
 
 Only the public API is used (sample_kinetic_interaction, phase_problem_check,
-weight_numerator, local_estimator), so this script can read an older tree.
+weight_numerator, local_estimator, build_lcu_state, measure_ancillas_success),
+so this script can read an older tree.
 The records are:
   chains_determinant.txt  k_bins, d_bins, acceptance_rate and max_drift on
                           chain:2-7, 9-12, 16 and ladder:6, 8
@@ -22,9 +23,13 @@ The records are:
   phase_check.txt         phase_problem_check on chain:2-5
   one_config.txt          weight_numerator and local_estimator on fixed
                           random configurations, both backends
+  lcu_circuit.txt         the LCU circuit on the half-filled trial, both
+                          circuit forms, on chain:2-6 and ladder:6: the
+                          success probability and every amplitude of the
+                          ancilla-|0...0> block
 each at g in {0.6, 1.0, 1.5}.  Every chain runs 130 burn-in and 380
 measured sweeps, so both phases end on a partial stack.  The whole set
-takes ~8 s on a 2 vCPU host.
+takes ~7 s on a 2 vCPU host.
 """
 from __future__ import annotations
 
@@ -41,6 +46,7 @@ DETERMINANT_LATTICES = [("chain", n) for n in (2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 
 STATEVECTOR_LATTICES = [("chain", n) for n in (3, 4, 5, 6)]
 ONE_CONFIG_LATTICES = [("chain", n) for n in (2, 3, 4, 5, 6)] + [("ladder", 6)]
 ONE_CONFIG_COUNT = 8
+LCU_LATTICES = [("chain", n) for n in (2, 3, 4, 5, 6)] + [("ladder", 6)]
 
 
 def hexes(values) -> str:
@@ -102,6 +108,25 @@ def one_config_records(gutzmc, np) -> list[str]:
     return lines
 
 
+def lcu_circuit_records(gutzmc) -> list[str]:
+    lines = []
+    for kind, n in LCU_LATTICES:
+        trial = gutzmc.half_filled_trial(gutzmc.build_lattice(kind, n))
+        layout = gutzmc.QubitLayout(n)
+        state = gutzmc.slater_to_statevector(trial.up, trial.down, layout)
+        for g in G_VALUES:
+            for simplified in (True, False):
+                whole = gutzmc.build_lcu_state(state, g, layout, simplified=simplified)
+                outcome = gutzmc.measure_ancillas_success(whole)
+                block = whole.amplitudes[:whole.support.size]
+                label = f"{kind}:{n} g={g} simplified={simplified}"
+                lines += [
+                    f"{label} success_probability {outcome.success_probability.hex()}",
+                    f"{label} branch {' '.join(map(complex_hex, block))}",
+                ]
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(f"usage: {sys.argv[0]} SRC OUT", file=sys.stderr)
@@ -125,6 +150,7 @@ def main(argv: list[str]) -> int:
         "chains_statevector.txt": chain_records(gutzmc, STATEVECTOR_LATTICES, "statevector"),
         "phase_check.txt": phase_check_records(gutzmc),
         "one_config.txt": one_config_records(gutzmc, np),
+        "lcu_circuit.txt": lcu_circuit_records(gutzmc),
     }
     for name, lines in records.items():
         (out / name).write_text("\n".join(lines) + "\n")

@@ -12,8 +12,9 @@ much.  One line is printed per moved value:
   other text  file, line number, token position (whitespace-separated)
 followed by old -> new and, when both parse as numbers (decimal or
 float.hex), the relative change (new - old) / |old|.  Files present on one
-side only are named as such.  Exit status: 0 when nothing moved, 1 when
-something did, 2 on a usage error.
+side only are named as such, and a count of moved values ends the list;
+like `diff -r`, it prints nothing when nothing moved.  Exit status: 0 when
+nothing moved, 1 when something did, 2 on a usage error.
 
 Example, after the CLI reference runs of a change and its parent:
   python3 scripts/moved_cells.py /tmp/out-parent /tmp/out-change
@@ -132,10 +133,12 @@ def main(argv: list[str]) -> int:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     lines = compare(Path(argv[0]), Path(argv[1]))
+    if not lines:
+        return 0
     for line in lines:
         print(line)
     print(f"{len(lines)} moved value(s) between {argv[0]} and {argv[1]}")
-    return 1 if lines else 0
+    return 1
 
 
 if __name__ == "__main__":

@@ -34,9 +34,8 @@ FULL_SUM_MAX_SITES = 7  # full_sum_expectation enumerates all 4^N field pairs
 
 @dataclass(frozen=True)
 class HSParams:
-    """Parameters of the two-branch decomposition at coupling g."""
+    """Angle and weight of the two-branch decomposition at one coupling g."""
 
-    g: float
     alpha: float
     gamma: float
 
@@ -56,7 +55,7 @@ def hs_params(g: float) -> HSParams:
     """Angle and weight of the two-unitary split at coupling g ≥ 0."""
     if g < 0:
         raise ValueError(f"g must be nonnegative, got {g}")
-    return HSParams(g=float(g), alpha=float(np.arccos(np.exp(-g / 2))), gamma=float(np.exp(g / 4) / 2))
+    return HSParams(alpha=float(np.arccos(np.exp(-g / 2))), gamma=float(np.exp(g / 4) / 2))
 
 
 def verify_hs_identity(g: float) -> float:
@@ -91,18 +90,16 @@ def apply_gutzwiller_exact(state: StateVector, g: float, D_pauli: PauliSum) -> S
     return StateVector(state.n_qubits, out)
 
 
-def field_coupling_matrix(layout: QubitLayout, basis: np.ndarray | None = None) -> np.ndarray:
+def field_coupling_matrix(layout: QubitLayout, basis: np.ndarray) -> np.ndarray:
     """Per-site charge imbalance n_up + n_dn - 1 on register basis states.
 
-    Returns an int8 array of shape (len(basis), n_sites), over all
-    2**n_register states when basis is None; entry [b, i] is the
-    eigenvalue the site-i field couples to on basis state b.
+    Returns an int8 array of shape (len(basis), n_sites); entry [b, i] is
+    the eigenvalue the site-i field couples to on basis state basis[b].
     """
-    idx = np.arange(1 << layout.n_register) if basis is None else np.asarray(basis)
-    m = np.empty((idx.size, layout.n_sites), dtype=np.int8)
+    m = np.empty((basis.size, layout.n_sites), dtype=np.int8)
     for site in range(layout.n_sites):
-        up = (idx >> (layout.n_register - 1 - layout.qubit(site, "up"))) & 1
-        dn = (idx >> (layout.n_register - 1 - layout.qubit(site, "down"))) & 1
+        up = (basis >> (layout.n_register - 1 - layout.qubit(site, "up"))) & 1
+        dn = (basis >> (layout.n_register - 1 - layout.qubit(site, "down"))) & 1
         m[:, site] = (up + dn - 1).astype(np.int8)
     return m
 

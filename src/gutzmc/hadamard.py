@@ -214,7 +214,7 @@ def _exact_values(
     """
     eff = params
     if bias is not None and bias.phase_offset != 0.0:
-        eff = HSParams(params.g, params.alpha + bias.phase_offset, params.gamma)
+        eff = HSParams(params.alpha + bias.phase_offset, params.gamma)
     s1, s2 = (np.array(side) for side in zip(*_all_config_pairs()))
     values = _primitive_rows(s2, _FAMILIES[family].operator, s1, trial, eff)
     if bias is not None:

@@ -115,10 +115,6 @@ class QubitLayout:
     def n_register(self) -> int:
         return 2 * self.n_sites
 
-    @property
-    def n_qubits(self) -> int:
-        return self.n_register + self.n_ancillas
-
     def qubit(self, site: int, spin: Spin) -> int:
         if not 0 <= site < self.n_sites:
             raise IndexError(f"site {site} out of range")

@@ -263,20 +263,18 @@ def support_matrix_element(bra: np.ndarray, op: PauliSum, ket: np.ndarray) -> co
     return complex(total)
 
 
-def diagonal_eigenvalues(op: PauliSum, basis: np.ndarray | None = None) -> np.ndarray:
+def diagonal_eigenvalues(op: PauliSum, basis: np.ndarray) -> np.ndarray:
     """Eigenvalue of a Z/I-only PauliSum on computational basis states.
 
     The result d(b) satisfies Ô|b⟩ = d(b)|b⟩; it is returned as a real
-    array over the indices in ``basis``, or over all 2**n_qubits states
-    when ``basis`` is None.
+    array over the indices in ``basis``.
     """
     if not op.is_diagonal:
         raise ValueError("operator has X/Y content; not diagonal")
     (parts,) = _flip_groups(op).values()  # Z/I terms all have flip mask 0
     if any(abs(c.imag) > 1e-14 for c, _ in parts):
         raise ValueError("diagonal operator with non-real coefficient")
-    idx = np.arange(1 << op.n_qubits) if basis is None else np.asarray(basis)
-    return _group_elements([(c.real, sign) for c, sign in parts], idx)
+    return _group_elements([(c.real, sign) for c, sign in parts], basis)
 
 
 def basis_matrix(op: PauliSum, basis: np.ndarray) -> sp.csr_matrix:

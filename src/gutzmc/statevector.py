@@ -332,16 +332,24 @@ def _lanczos_ground_level(matrix) -> tuple[np.ndarray, np.ndarray]:
     A degenerate lowest level still gives its exact value, with one vector
     of that level.  A half-filled sector of a bipartite Hubbard lattice has
     a unique ground state (E. H. Lieb, PRL 62, 1201 (1989)).
+
+    No level lies above the start vector's Rayleigh quotient; a value that
+    does (ARPACK gives 2 for Z_0 + I on 8 qubits, whose lowest level is 0)
+    raises :class:`EigensolveError`, at the cost of one more product.
     """
     import scipy.sparse.linalg as spla
 
     dim = matrix.shape[0]
     v0 = np.random.default_rng(12345).standard_normal(dim)  # fixed start for reproducibility
     try:
-        return spla.eigsh(matrix, k=1, which="SA", v0=v0, ncv=min(dim, 20),
-                          tol=1e-2 * _RESIDUAL_TOL)
+        vals, vecs = spla.eigsh(matrix, k=1, which="SA", v0=v0, ncv=min(dim, 20),
+                                tol=1e-2 * _RESIDUAL_TOL)
     except spla.ArpackNoConvergence as err:
         raise EigensolveError("ground-state iteration did not converge") from err
+    bound = np.vdot(v0, matrix @ v0).real / (v0 @ v0)
+    if vals[0] > bound + _RESIDUAL_TOL * max(1.0, abs(vals[0])):
+        raise EigensolveError(f"level {vals[0]:.6g} above the start vector's bound {bound:.6g}")
+    return vals, vecs
 
 
 def _sector_indices(n_qubits: int, particle_sector) -> np.ndarray:

@@ -120,7 +120,7 @@ class TestProjectedState:
         sv = slater_to_statevector(trial.up, trial.down, layout)
         g = 0.7
         out = apply_gutzwiller_exact(sv, g, inter)
-        d = diagonal_eigenvalues(inter)
+        d = diagonal_eigenvalues(inter, np.arange(1 << layout.n_register))
         np.testing.assert_allclose(
             out.amplitudes, sv.amplitudes * np.exp(-g * d), atol=1e-15
         )
@@ -151,7 +151,7 @@ class TestProjectedState:
         rng = np.random.default_rng(n)
         dim = 1 << (2 * n)
         noise = StateVector(2 * n, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
-        d = diagonal_eigenvalues(inter)
+        d = diagonal_eigenvalues(inter, np.arange(dim))
         for sv in (trial_state("chain", n), noise):
             for g in (0.4, 1.3):
                 out = apply_gutzwiller_exact(sv, g, inter)
@@ -187,7 +187,7 @@ class TestFieldRotations:
         rng = np.random.default_rng(2)
         amps = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         amps /= np.linalg.norm(amps)
-        coupling = field_coupling_matrix(layout)
+        coupling = field_coupling_matrix(layout, np.arange(16))
         for config_col in ([1, -1], [-1, -1], [1, 1]):
             gates = rotation_gates(config_col, params.alpha, layout)
             got = apply_circuit(StateVector(4, amps.copy()), gates)

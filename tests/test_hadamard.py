@@ -88,7 +88,7 @@ class TestBatchedPrimitives:
         params, trial = hs_params(g), two_site_sector_trial()
         eff = params
         if bias is not None:
-            eff = HSParams(g, params.alpha + bias.phase_offset, params.gamma)
+            eff = HSParams(params.alpha + bias.phase_offset, params.gamma)
         for family, (op, depth, _) in _FAMILIES.items():
             ref = [circuit_primitive(s2, op, s1, trial, eff) for s1, s2 in _all_config_pairs()]
             assert [hadamard_exact(s2, op, s1, trial, eff)
@@ -280,7 +280,7 @@ def _per_rep_primitive(family, s2, s1, trial, params, bias, shots, rng):
     """One primitive recomputed from scratch, as every repetition once did."""
     eff = params
     if bias is not None and bias.phase_offset != 0.0:
-        eff = HSParams(params.g, params.alpha + bias.phase_offset, params.gamma)
+        eff = HSParams(params.alpha + bias.phase_offset, params.gamma)
     op, depth, quadrature = _FAMILIES[family]
     value = hadamard_exact(s2, op, s1, trial, eff)
     if bias is not None:

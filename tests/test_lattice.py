@@ -89,12 +89,11 @@ class TestQubitLayout:
         layout = QubitLayout(3)
         assert [layout.qubit(i, "up") for i in range(3)] == [0, 1, 2]
         assert [layout.qubit(i, "down") for i in range(3)] == [3, 4, 5]
-        assert layout.n_register == 6 and layout.n_qubits == 6
+        assert layout.n_register == 6
 
     def test_ancilla_block_on_top(self):
         layout = QubitLayout(3, n_ancillas=3)
         assert [layout.ancilla(i) for i in range(3)] == [6, 7, 8]
-        assert layout.n_qubits == 9
 
 
 class TestHubbardTerms:

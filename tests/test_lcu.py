@@ -91,7 +91,7 @@ class TestSingleSite:
             outcome.projected_state.amplitudes, target.normalized().amplitudes, atol=1e-10
         )
         # p = e^{-g/2} * <e^{-2gD}>
-        d = diagonal_eigenvalues(one_site_interaction())
+        d = diagonal_eigenvalues(one_site_interaction(), np.arange(4))
         expected_p = np.exp(-g / 2) * float(
             np.sum(np.abs(trial.amplitudes) ** 2 * np.exp(-2 * g * d))
         )

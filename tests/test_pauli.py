@@ -98,9 +98,9 @@ def test_identity_and_flags():
 
 def test_diagonal_eigenvalues_matches_dense_diagonal():
     op = PauliSum.from_ops(3, {0: "Z", 2: "Z"}, 0.25) + PauliSum.from_ops(3, {}, -0.5)
-    np.testing.assert_allclose(diagonal_eigenvalues(op), np.diag(op.to_matrix()).real, atol=1e-14)
+    np.testing.assert_allclose(diagonal_eigenvalues(op, np.arange(8)), np.diag(op.to_matrix()).real, atol=1e-14)
     with pytest.raises(ValueError):
-        diagonal_eigenvalues(PauliSum.from_ops(2, {0: "X"}, 1.0))
+        diagonal_eigenvalues(PauliSum.from_ops(2, {0: "X"}, 1.0), np.arange(4))
 
 
 def test_diagonal_eigenvalues_on_a_basis_subset():

@@ -58,7 +58,7 @@ def engine_for(up: SlaterState, down: SlaterState, alpha: float) -> _Determinant
     """The determinant engine on a chain trial of the two given sectors."""
     trial = TrialState(build_lattice("chain", up.n_sites), up, down)
     # the engine reads only alpha off its parameters
-    return _DeterminantEngine(trial, HSParams(g=np.nan, alpha=alpha, gamma=np.nan))
+    return _DeterminantEngine(trial, HSParams(alpha=alpha, gamma=np.nan))
 
 
 def sector_overlap(amps: np.ndarray, config: np.ndarray, alpha: float) -> complex:

@@ -437,6 +437,16 @@ class TestExactGroundState:
         v = res.state.amplitudes
         assert np.linalg.norm(apply_pauli_sum(v, op) + v) < 1e-8
 
+    @pytest.mark.parametrize("ops", [{0: "Z"}, {0: "Z", 1: "Z"}])
+    def test_lanczos_never_returns_a_level_above_its_start_vector(self, ops):
+        # levels 0 and 2 on 256 states: ARPACK returns 2, an eigenvalue that
+        # passes the residual check; the start vector's Rayleigh quotient
+        # (0.94 and 1.01) bounds the lowest level and exposes it
+        op = PauliSum.from_ops(8, ops) + PauliSum.from_ops(8, {})
+        assert np.linalg.eigvalsh(op.to_matrix())[0] == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(statevector.EigensolveError, match="start vector"):
+            exact_ground_state(op, 8, None)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_complex_hermitian_operator(self, seed):
         # Y strings with real coefficients give imaginary matrix elements
