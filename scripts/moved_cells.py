@@ -2,8 +2,8 @@
 """Name every value that differs between two reference-output directories.
 
 Usage: scripts/moved_cells.py BASE HEAD
-  BASE, HEAD  directories written by scripts/cli_outputs.sh or
-              scripts/chain_records.py from two source trees
+  BASE, HEAD  directories written by scripts/reference_outputs.py from
+              two source trees
 
 `diff -r` says which lines differ; this says which values moved and by how
 much.  One line is printed per moved value:
@@ -16,8 +16,8 @@ side only are named as such, and a count of moved values ends the list;
 like `diff -r`, it prints nothing when nothing moved.  Exit status: 0 when
 nothing moved, 1 when something did, 2 on a usage error.
 
-Example, after the CLI reference runs of a change and its parent:
-  python3 scripts/moved_cells.py /tmp/out-parent /tmp/out-change
+Example, after the reference outputs of a change and its parent:
+  python3 scripts/moved_cells.py /tmp/ref-parent /tmp/ref-change
 """
 from __future__ import annotations
 

@@ -6,7 +6,8 @@ Every command returns its tables and writes nothing; ``main`` writes
 each as a CSV (17-significant-digit cells) plus a JSON sidecar echoing
 the effective configuration, seed, and generator identity, so a command
 that raises leaves no file.  Identical config and seed reproduce the
-files byte for byte.
+files byte for byte at a fixed BLAS thread count; the reference gate pins
+OPENBLAS_NUM_THREADS=1 (ROADMAP item 10).
 The ``mc`` and ``sweep`` sidecars also carry ``max_drift``, each chain's
 largest relative gap between a sweep's tracked weight and its
 from-scratch value, keyed by the g cell as written in the CSV; per-U
@@ -116,13 +117,22 @@ def _verbatim(key: str, text: str) -> str:
     return text
 
 
+# Largest lattice any command accepts, checked before the lattice is built.
+# lcu's closed form holds every occupation's determinant at once: ~370 MB
+# at 20 sites, ~1.5 GB at 22 and ~6.4 GB at 24.
+MAX_LATTICE_SITES = 20
+
+
 def _lattice_spec(key: str, text: str) -> str:
     """The spec text itself, once it names a lattice build_lattice accepts."""
     kind, _, size = text.partition(":")
     if not size:
         raise ConfigError(f"lattice spec {text!r} is not of the form chain:N or ladder:N")
+    n_sites = _number(int)(key, size)
+    if n_sites > MAX_LATTICE_SITES:
+        raise ConfigError(f"gutzmc supports at most {MAX_LATTICE_SITES} sites, got {n_sites}")
     try:
-        build_lattice(kind, _number(int)(key, size))
+        build_lattice(kind, n_sites)
     except ValueError as err:
         raise ConfigError(str(err)) from err
     return text
@@ -406,10 +416,6 @@ def cmd_lcu(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
     grid = np.array(cfg.g_grid())
     if "lattice" in provided:
         lattices = [cfg.build_lattice()]
-        # The closed form holds every occupation's determinant at once:
-        # ~370 MB at 20 sites, ~1.5 GB at 22 and ~6.4 GB at 24.
-        if lattices[0].n_sites > 20:
-            raise ConfigError(f"lcu supports at most 20 sites, got {lattices[0].n_sites}")
     else:
         lattices = [build_lattice("chain", n) for n in (2, 4, 6, 8, 10, 12)]
     rows = []

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gutzwiller import HSParams, _validate_config, hs_params
+from .gutzwiller import HSParams, _validate_config, all_field_vectors, hs_params
 from .lattice import build_lattice
 from .pauli import PauliSum, apply_pauli_sum
 from .slater import ground_state_of_K, sector_amplitudes
@@ -199,8 +199,7 @@ def two_site_sector_trial() -> StateVector:
 
 
 def _all_config_pairs() -> list[tuple[np.ndarray, np.ndarray]]:
-    singles = [np.array(s, dtype=np.int64) for s in
-               ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    singles = all_field_vectors(2)[::-1]
     return [(s1, s2) for s1 in singles for s2 in singles]
 
 

@@ -4,8 +4,9 @@ Output rules: CSV cells carry full double precision (17 significant
 digits) so files round-trip losslessly, and every CSV gets a JSON
 metadata sidecar (same path, ``.json`` suffix) echoing the effective
 configuration, the seed, and the generator identity.  Nothing
-time-dependent is written — rerunning with the same config and seed must
-produce byte-identical files.
+time-dependent is written — rerunning with the same config and seed at
+the same BLAS thread count must produce byte-identical files (the
+reference gate pins OPENBLAS_NUM_THREADS=1; ROADMAP item 10).
 """
 from __future__ import annotations
 

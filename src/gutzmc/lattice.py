@@ -161,23 +161,13 @@ def hubbard_terms(lattice: Lattice, J: float, U: float) -> tuple[PauliSum, Pauli
             qi, qj = layout.qubit(i, spin), layout.qubit(j, spin)
             string = {q: "Z" for q in range(qi + 1, qj)}
             for sym in ("X", "Y"):
-                ops = dict(string)
-                ops[qi] = sym
-                ops[qj] = sym
-                chars = ["I"] * n
-                for q, s in ops.items():
-                    chars[q] = s
-                kin_terms.append(PauliTerm(-J / 2.0, "".join(chars)))
+                kin_terms += PauliSum.from_ops(n, {**string, qi: sym, qj: sym}, -J / 2.0)
     kinetic = PauliSum.from_terms(kin_terms)
     interaction = PauliSum.from_terms(
-        PauliTerm(
-            0.25,
-            "".join(
-                "Z" if q in (layout.qubit(i, "up"), layout.qubit(i, "down")) else "I"
-                for q in range(n)
-            ),
-        )
+        term
         for i in range(lattice.n_sites)
+        for term in PauliSum.from_ops(
+            n, {layout.qubit(i, "up"): "Z", layout.qubit(i, "down"): "Z"}, 0.25)
     )
     return kinetic, interaction
 

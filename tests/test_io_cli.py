@@ -400,6 +400,24 @@ class TestInputRules:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", list(DEFAULT_OUT))
+    def test_every_command_caps_the_lattice_at_20_sites(self, command, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        rc = cli.main([command, "--lattice", "chain:21", "--shots", "0", "--out", str(out)])
+        assert rc == 1
+        assert "at most 20 sites" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lattice_cap_checked_before_the_lattice_is_built(self, monkeypatch, tmp_path,
+                                                              capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_lattice", lambda kind, n_sites: built.append(n_sites))
+        out = tmp_path / "x.csv"
+        assert cli.main(["mc", "--lattice", "chain:1000000", "--out", str(out)]) == 1
+        assert built == []
+        assert "at most 20 sites" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_overflowing_g_grid_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         rc = cli.main(["mc", "--lattice", "chain:2", "--g-max", "1e308", "--g-step", "1e-10",

@@ -1,18 +1,37 @@
-"""scripts/moved_cells.py, run as CI runs it: a subprocess on two directories.
+"""The scripts under scripts/, checked as CI runs them.
 
-CI calls the script only after a failed base-commit diff, so these tests
-are what checks it on every run.
+scripts/moved_cells.py runs as a subprocess on two directories.  CI calls
+it only after a failed base-commit diff, so these tests are what checks it
+on every run.  scripts/reference_outputs.py takes ~20 s, so its command
+list is checked here through the CLI's own parser, and its argument checks
+through runs that stop before any output.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "moved_cells.py"
+from gutzmc import cli
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "moved_cells.py"
+HARNESS = ROOT / "scripts" / "reference_outputs.py"
+
+
+def load_harness():
+    spec = importlib.util.spec_from_file_location("reference_outputs", HARNESS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+harness = load_harness()
 
 CSV = "U,E,K\n1,-1.5,-2.0\n2,-1.25,-1.75\n"
 SIDECAR = {"g": 0.5, "points": {"1": {"exact_ground_energy": -2.0, "bins": [1.0, 2.0]}}}
@@ -86,3 +105,58 @@ def test_wrong_argument_count_is_a_usage_error(tmp_path, count):
     assert result.returncode == 2
     assert result.stdout == ""
     assert result.stderr.startswith("Usage: scripts/moved_cells.py BASE HEAD")
+
+
+def run_harness(*args) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, str(HARNESS), *map(str, args)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_harness_names_are_unique():
+    names = [name for name, _ in harness.COMMANDS]
+    assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize("name,args", harness.COMMANDS,
+                         ids=[name for name, _ in harness.COMMANDS])
+def test_every_harness_command_parses(name, args, tmp_path, monkeypatch):
+    for var in [var for var in os.environ if var.startswith("GUTZMC_")]:
+        monkeypatch.delenv(var)
+    config = tmp_path / "reference.conf"
+    config.write_text(harness.CONFIG_TEXT)
+    parsed = cli.build_parser().parse_args(harness.cli_argv(name, args, config))
+    cfg, _ = cli.merge_settings(parsed)
+    assert cfg.out == f"{name}.csv"
+
+
+def test_importing_the_harness_leaves_the_environment_alone():
+    before = dict(os.environ)
+    load_harness()
+    assert dict(os.environ) == before
+
+
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_harness_wrong_argument_count(tmp_path, count):
+    result = run_harness(*[ROOT, tmp_path / "out", tmp_path / "extra"][:count])
+    assert result.returncode == 1
+    assert result.stderr.startswith("usage: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_harness_needs_src_gutzmc(tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "src").mkdir(parents=True)
+    result = run_harness(checkout, tmp_path / "out")
+    assert result.returncode == 1
+    assert "not found" in result.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_harness_needs_an_empty_out(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "kept.csv").write_text(CSV)
+    result = run_harness(ROOT, out)
+    assert result.returncode == 1
+    assert "not empty" in result.stderr
+    assert [(p.name, p.read_text()) for p in out.iterdir()] == [("kept.csv", CSV)]
