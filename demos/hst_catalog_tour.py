@@ -4,13 +4,13 @@
 Any diagonal two-qubit weight exp(-J Z_i Z_j) can be written as the
 equal-weight average of two unitaries,
 
-    exp(-J Z_i Z_j) = gamma * sum_{s = +-1} exp(i s alpha G / 2),
+    exp(-J Z_i Z_j) = gamma * sum_{s = +-1} exp(-i s alpha G),
 
-where G is a two-qubit generator obeying G^3 = G.  Three inequivalent
-generator channels exist per sign of J; this script rebuilds the target
-weight from each catalog entry and prints the reconstruction error,
-then shows that the familiar on-site split is the Z+Z channel in
-disguise.
+with alpha = arccos(e^{-2|J|}), where G is a two-qubit generator obeying
+G^3 = G.  Three inequivalent generator channels exist per sign of J;
+this script rebuilds the target weight from each catalog entry and
+prints the reconstruction error, then shows that the familiar on-site
+split is the Z+Z channel in disguise.
 """
 from __future__ import annotations
 

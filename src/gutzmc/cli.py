@@ -8,6 +8,9 @@ the effective configuration, seed, and generator identity, so a command
 that raises leaves no file.  Identical config and seed reproduce the
 files byte for byte at a fixed BLAS thread count; the reference gate pins
 OPENBLAS_NUM_THREADS=1 (ROADMAP item 10).
+The echo holds every resolved setting, read by the command or not: ``mc``
+never reads ``shots``, and ``two-site`` and ``hst-verify`` never build a
+lattice, yet their sidecars carry the ``lattice`` setting too.
 The ``mc`` and ``sweep`` sidecars also carry ``max_drift``, each chain's
 largest relative gap between a sweep's tracked weight and its
 from-scratch value, keyed by the g cell as written in the CSV; per-U
@@ -382,27 +385,19 @@ def cmd_two_site(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
         for gi, g in enumerate(grid):
             rows.append(["analytic", g, u, curves.E[gi], 0.0, curves.K[gi], 0.0,
                          curves.UD[gi], 0.0])
-            exact_est = two_site_energy_from_primitives(g, cfg.J, u)
-            rows.append(["assembly", g, u, exact_est.E, 0.0, exact_est.K, 0.0,
-                         exact_est.UD, 0.0])
-            if cfg.shots == 0:
-                continue
-            raw = two_site_energy_from_primitives(
-                g, cfg.J, u, shots=cfg.shots, reps=cfg.reps, bias=cfg.bias,
-                rng=np.random.default_rng([cfg.seed, ui, gi, 0]), mitigate=False,
-            )
-            rows.append(["shots-raw", g, u, raw.E, raw.E_err, raw.K, raw.K_err,
-                         raw.UD, raw.UD_err])
-            pas = two_site_energy_from_primitives(
-                g, cfg.J, u, shots=cfg.shots, reps=cfg.reps, bias=cfg.bias,
-                rng=np.random.default_rng([cfg.seed, ui, gi, 1]), mitigate=True,
-            )
-            rows.append(["shots-pas", g, u, pas.E, pas.E_err, pas.K, pas.K_err,
-                         pas.UD, pas.UD_err])
-            if ui == 0:
-                sources = (raw.primitives, pas.primitives, exact_est.primitives)
+            estimates = [("assembly", two_site_energy_from_primitives(g, cfg.J, u))]
+            if cfg.shots:
+                estimates += [(method, two_site_energy_from_primitives(
+                    g, cfg.J, u, shots=cfg.shots, reps=cfg.reps, bias=cfg.bias,
+                    rng=np.random.default_rng([cfg.seed, ui, gi, stream]), mitigate=bool(stream),
+                )) for stream, method in enumerate(("shots-raw", "shots-pas"))]
+            for method, est in estimates:
+                rows.append([method, g, u, est.E, est.E_err, est.K, est.K_err, est.UD, est.UD_err])
+            if cfg.shots and ui == 0:
+                exact, raw, pas = (est.primitives for _, est in estimates)
                 for name in ("denominator", "zz_numerator", "xx_numerator"):
-                    primitive_rows.append([g, name, *(getattr(p, name) for p in sources)])
+                    primitive_rows.append([g, name, *(getattr(p, name)
+                                                       for p in (raw, pas, exact))])
 
     tables = [Table(cfg.out, header, rows, {"analytic_minimum": minima})]
     if primitive_rows:

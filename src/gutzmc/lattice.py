@@ -71,22 +71,16 @@ def build_lattice(kind: str, n_sites: int) -> Lattice:
     """
     if n_sites < 2:
         raise ValueError("need at least 2 sites")
+    path = {(i, i + 1) for i in range(n_sites - 1)}
     if kind == "chain":
-        edges = tuple((i, i + 1) for i in range(n_sites - 1))
+        edges = tuple(sorted(path))
     elif kind == "ladder":
         if n_sites % 2:
             raise ValueError("ladder needs an even site count")
         if n_sites < 4:
             raise ValueError("ladder needs at least 4 sites")
-        leg = n_sites // 2
-        edges = []
-        for i in range(leg - 1):  # first leg
-            edges.append((i, i + 1))
-        for i in range(leg, n_sites - 1):  # second leg (reversed numbering)
-            edges.append((i, i + 1))
-        for i in range(leg):  # rungs
-            edges.append((min(i, n_sites - 1 - i), max(i, n_sites - 1 - i)))
-        edges = tuple(sorted(set(edges)))
+        rungs = {(i, n_sites - 1 - i) for i in range(n_sites // 2)}
+        edges = tuple(sorted(path | rungs))
     else:
         raise ValueError(f"unsupported lattice kind {kind!r}")
     # The snake numbering is a Hamiltonian path and every rung joins sites

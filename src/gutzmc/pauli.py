@@ -2,9 +2,9 @@
 
 A term is a complex coefficient attached to a symbol string such as
 ``"XXIZ"``; the leftmost symbol acts on qubit 0, which is the most
-significant bit of the amplitude index.  Each string is compiled once into
-XOR/parity bit masks; no dense operator is materialized outside of small
-test helpers.
+significant bit of the amplitude index.  Each routine compiles its strings
+into XOR/parity bit masks, with no cache; no dense operator is
+materialized outside of small test helpers.
 
 Every routine makes one pass per flip mask: terms that flip the same
 qubits share one gather (the Z/I terms one pass, each XZ…ZX / YZ…ZY pair
@@ -22,7 +22,6 @@ so the routes that never compile a basis start on NumPy alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
@@ -40,8 +39,11 @@ _MATS = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
+# Each symbol's bit in the flip mask (X, Y) and in the sign mask (Y, Z).
+_FLIP_BITS = str.maketrans("IXYZ", "0110")
+_SIGN_BITS = str.maketrans("IXYZ", "0011")
 
-@lru_cache(maxsize=None)
+
 def _masks(operators: str) -> tuple[int, int, int]:
     """Compile a symbol string to (flip_mask, sign_mask, n_y).
 
@@ -49,19 +51,10 @@ def _masks(operators: str) -> tuple[int, int, int]:
     marks qubits contributing a (-1)^bit sign (Z and Y), and ``n_y`` counts
     Y symbols, each of which contributes a factor i on top of the sign.
     """
-    n = len(operators)
-    flip = sign = n_y = 0
-    for q, sym in enumerate(operators):
-        bit = 1 << (n - 1 - q)
-        if sym == "X":
-            flip |= bit
-        elif sym == "Y":
-            flip |= bit
-            sign |= bit
-            n_y += 1
-        elif sym == "Z":
-            sign |= bit
-    return flip, sign, n_y
+    # the leading "0" gives the empty string masks of 0
+    return (int("0" + operators.translate(_FLIP_BITS), 2),
+            int("0" + operators.translate(_SIGN_BITS), 2),
+            operators.count("Y"))
 
 
 @dataclass(frozen=True)

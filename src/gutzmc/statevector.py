@@ -396,7 +396,8 @@ def exact_ground_state(
     Returns
     -------
     GroundStateResult
-        Energy and the eigenvector scattered back to the full register.
+        Energy and the eigenvector scattered back to the full register,
+        unit-norm as the eigensolver returns it, so no second register is made.
     """
     if n_qubits > 24:
         raise ValueError("register capped at 24 qubits")
@@ -421,5 +422,4 @@ def exact_ground_state(
 
     full = np.zeros(1 << n_qubits, dtype=complex)
     full[basis] = vec
-    state = StateVector(n_qubits, full).normalized()
-    return GroundStateResult(energy, state)
+    return GroundStateResult(energy, StateVector(n_qubits, full))

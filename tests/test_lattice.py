@@ -58,6 +58,8 @@ class TestGeometry:
         lat = build_lattice("chain", 5)
         assert lat.edges == ((0, 1), (1, 2), (2, 3), (3, 4))
         assert lat.sublattice == (1, -1, 1, -1, 1)
+        for n in range(2, 41):
+            assert build_lattice("chain", n).edges == tuple((i, i + 1) for i in range(n - 1))
 
     def test_ladder_snake_numbering(self):
         lat = build_lattice("ladder", 8)
@@ -68,6 +70,17 @@ class TestGeometry:
         # snake path keeps the bipartition aligned with index parity
         for i, j in lat.edges:
             assert lat.sublattice[i] != lat.sublattice[j]
+
+    def test_ladder_edges_are_the_legs_and_the_rungs(self):
+        for n in range(4, 41, 2):
+            leg = n // 2
+            legs = [(i, i + 1) for i in range(leg - 1)]
+            legs += [(i, i + 1) for i in range(leg, n - 1)]
+            rungs = [(i, n - 1 - i) for i in range(leg)]
+            edges = build_lattice("ladder", n).edges
+            # the rung (L-1, L) is also the step between the legs: listed once
+            assert edges == tuple(sorted(legs + rungs))
+            assert len(edges) == 3 * leg - 2
 
     @pytest.mark.parametrize(
         "kind,n", [("chain", 1), ("ladder", 3), ("ladder", 2), ("mesh", 4)]

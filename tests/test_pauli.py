@@ -10,6 +10,7 @@ from gutzmc.pauli import (
     PauliTerm,
     _flip_groups,
     _group_elements,
+    _masks,
     apply_pauli_sum,
     basis_matrix,
     diagonal_eigenvalues,
@@ -113,6 +114,27 @@ def test_diagonal_eigenvalues_on_a_basis_subset():
     np.testing.assert_allclose(got, np.diag(op.to_matrix()).real[basis], atol=1e-14)
     with pytest.raises(ValueError, match="non-real"):
         diagonal_eigenvalues(op + PauliSum.from_ops(6, {2: "Z"}, 1e-12j), basis)
+
+
+def _reference_masks(ops: str) -> tuple[int, int, int]:
+    """Symbol by symbol: X and Y flip, Y and Z sign, qubit 0 most significant."""
+    bit = {q: 1 << (len(ops) - 1 - q) for q in range(len(ops))}
+    flip = sum(bit[q] for q, sym in enumerate(ops) if sym in "XY")
+    sign = sum(bit[q] for q, sym in enumerate(ops) if sym in "YZ")
+    return flip, sign, sum(sym == "Y" for sym in ops)
+
+
+def test_masks_match_a_per_symbol_reference():
+    rng = np.random.default_rng(11)
+    assert _masks("") == (0, 0, 0)
+    for n in range(25):
+        for _ in range(8):
+            ops = "".join(rng.choice(list("IXYZ"), n))
+            assert _masks(ops) == _reference_masks(ops)
+
+
+def test_masks_keep_no_state_between_calls():
+    assert not hasattr(_masks, "cache_info")
 
 
 def test_y_phase_convention():

@@ -7,6 +7,8 @@ with the per-kind in-place kernels.
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -516,6 +518,28 @@ class TestExactGroundState:
         H = hubbard_hamiltonian(build_lattice("ladder", 8), 1.0, 4.0)
         exact_ground_state(H, 16, (4, 4))
         assert 0 < len(products) <= 115
+
+    @pytest.mark.parametrize("n_sites, lanczos", [(4, False), (6, True)])
+    def test_state_has_unit_norm(self, n_sites, lanczos):
+        # half filling: 36 states take the dense branch, 400 the Lanczos one
+        H = hubbard_hamiltonian(build_lattice("chain", n_sites), 1.0, 2.0)
+        sector = (n_sites // 2, n_sites // 2)
+        dim = len(statevector._sector_indices(2 * n_sites, sector))
+        assert (dim > statevector.DENSE_MAX_DIM) == lanczos
+        res = exact_ground_state(H, 2 * n_sites, sector)
+        assert abs(res.state.norm() - 1.0) < 1e-12
+
+    def test_one_register_is_allocated(self):
+        # one spin-up electron on chain:10: 10 sector states on a 16 MB register
+        H = hubbard_hamiltonian(build_lattice("chain", 10), 1.0, 2.0)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            res = exact_ground_state(H, 20, (1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * res.state.amplitudes.nbytes
 
     def test_sparse_path_eigenpair(self):
         # chain:8 at half filling has 4900 states, above the dense cutoff;
