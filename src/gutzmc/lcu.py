@@ -18,7 +18,9 @@ gate is RZ or CRZ, diagonal on the register, so the state stays inside
 (trial support) x (ancillas).  It is stored ancilla-major, 2^N ancilla
 states by the support rows (:class:`gutzmc.statevector.SupportState`):
 400 x 64 amplitudes at chain:6 and 4900 x 256 at chain:8 and ladder:8,
-where the full 3N-qubit register would need 2^18 and 2^24.
+where the full 3N-qubit register would need 2^18 and 2^24.  The
+all-zeros ancilla branch is read off as a register-only SupportState on
+the same support, never scattered into the 2^(2N) register.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ class LcuOutcome:
     """Result of projecting the ancillas onto the all-zeros outcome."""
 
     success_probability: float
-    projected_state: StateVector
+    projected_state: SupportState
 
 
 def _dressing_gates(site: int, alpha: float, layout: QubitLayout, simplified: bool) -> list[Gate]:
@@ -117,17 +119,19 @@ def build_lcu_state(
 def measure_ancillas_success(whole_state: SupportState) -> LcuOutcome:
     """Project onto ancillas |0…0⟩ and renormalize the register branch.
 
-    The projected state is scattered back to the full 2N-qubit register.
+    The branch is the first row block, kept on the circuit's support as a
+    register-only SupportState; its probability is the block's
+    :meth:`~gutzmc.statevector.SupportState.squared_norm`.
     """
     if whole_state.n_register != 2 * whole_state.n_ancillas:
         raise ValueError("whole state is not an N-ancilla + 2N-register layout")
-    branch = np.zeros(1 << whole_state.n_register, dtype=complex)
-    branch[whole_state.support] = whole_state.amplitudes[:whole_state.support.size]
-    probability = float(np.real(np.vdot(branch, branch)))
+    support = whole_state.support
+    branch = SupportState(whole_state.n_register, 0, support,
+                          whole_state.amplitudes[:support.size])
+    probability = branch.squared_norm()
     if probability < 1e-300:
         raise ArithmeticError("all-zeros ancilla branch has vanishing probability")
-    projected = StateVector(whole_state.n_register, branch / np.sqrt(probability))
-    return LcuOutcome(success_probability=probability, projected_state=projected)
+    return LcuOutcome(success_probability=probability, projected_state=branch.normalized())
 
 
 def _walsh_hadamard(a: np.ndarray) -> np.ndarray:

@@ -10,12 +10,17 @@ Every routine makes one pass per flip mask: terms that flip the same
 qubits share one gather (the Z/I terms one pass, each XZ…ZX / YZ…ZY pair
 one gather), and :func:`_group_elements` is the one rule that turns masks
 into matrix elements.  :func:`apply_pauli_sum` acts on whole registers;
-:func:`support_matrix_element` sums only over the bra's nonzero basis
-states (:func:`support_of`), :func:`diagonal_eigenvalues` over the basis
-indices it is given, and :func:`basis_matrix` compiles an operator onto a
-basis as one sparse matrix.  A half-filled trial at chain:10 lives on
-63,504 of the 1,048,576 register states, so the support kernels cost in
-proportion to the occupied sector rather than the register.  Only
+:func:`support_expectation` takes a state kept on its nonzero basis states
+(:func:`support_of` finds them in a full register) and reads each
+``ket[b ^ flip]`` through an int32 position map, so a state that leaves
+the support reads an appended zero; its sums are NumPy's pairwise
+``np.sum`` of elementwise products, not BLAS, so they give the same bits
+at any BLAS thread count.  :func:`diagonal_eigenvalues` works over the
+basis indices it is given, and :func:`basis_matrix` compiles an operator
+onto a basis as one sparse matrix.  A half-filled trial at chain:10 lives
+on 63,504 of the 1,048,576 register states, so the support kernels cost in
+proportion to the occupied sector rather than the register (the position
+map is one int32 per register state, 4 MB there).  Only
 :func:`basis_matrix` needs SciPy, and it imports it on its first call,
 so the routes that never compile a basis start on NumPy alone.
 """
@@ -233,27 +238,30 @@ def _group_elements(parts: list[tuple[complex, int]], src: np.ndarray) -> np.nda
     return elements
 
 
-def support_matrix_element(bra: np.ndarray, op: PauliSum, ket: np.ndarray) -> complex:
-    """⟨bra|Ô|ket⟩ summed over the basis states where ``bra`` is nonzero.
+def support_expectation(op: PauliSum, support: np.ndarray, amps: np.ndarray) -> complex:
+    """<psi|Ô|psi> for the state with amplitude ``amps[r]`` on basis state
+    ``support[r]`` and zero elsewhere.
 
-    States outside the bra's support contribute exactly zero, so this is
-    exact for any operator and any pair of full-register amplitude arrays;
-    no number conservation is assumed.  Terms are grouped by flip mask:
-    each distinct flip costs one gather ``ket[b ^ flip]`` and one dot
-    product, and all Z/I terms share the flip-0 pass.
+    ``support`` holds distinct register basis indices.  Exact for any
+    operator: no number conservation is assumed.  Terms are grouped by
+    flip mask; each distinct flip costs one gather ``ket[b ^ flip]``
+    through the position map, added into Ô|psi> on the support, and all
+    Z/I terms share the flip-0 pass, which gathers nothing (a diagonal
+    operator builds no map).  The one reduction is the pairwise ``np.sum``
+    of conj(psi) * Ô|psi>.
     """
-    dim = 1 << op.n_qubits
-    if bra.shape != (dim,) or ket.shape != (dim,):
-        raise ValueError(
-            f"dimension mismatch: {bra.shape}/{ket.shape} amplitudes vs {op.n_qubits} qubits"
-        )
-    support = support_of(bra)
-    bra_s = bra[support]
-    total = 0j
-    for flip, parts in _flip_groups(op).items():
+    if support.shape != amps.shape:
+        raise ValueError(f"dimension mismatch: {support.shape} support vs {amps.shape} amplitudes")
+    groups = _flip_groups(op)
+    if any(groups):  # some term flips a qubit: only then is the map needed
+        position = np.full(1 << op.n_qubits, support.size, dtype=np.int32)
+        position[support] = np.arange(support.size, dtype=np.int32)
+        ket = np.append(amps, 0)  # every state outside the support reads this zero
+    applied = np.zeros(amps.shape, dtype=complex)  # Ô|psi> on the support
+    for flip, parts in groups.items():
         src = support ^ flip
-        total += np.vdot(bra_s, _group_elements(parts, src) * ket[src])
-    return complex(total)
+        applied += _group_elements(parts, src) * (ket.take(position.take(src)) if flip else amps)
+    return complex(np.sum(amps.conj() * applied))
 
 
 def diagonal_eigenvalues(op: PauliSum, basis: np.ndarray) -> np.ndarray:

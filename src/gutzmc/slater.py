@@ -146,5 +146,7 @@ def slater_to_statevector(
     """
     if slater_up.n_sites != layout.n_sites or slater_down.n_sites != layout.n_sites:
         raise ValueError("sector size does not match layout")
-    full = np.kron(sector_amplitudes(slater_up), sector_amplitudes(slater_down))
-    return StateVector(layout.n_register, full).normalized()
+    state = StateVector(layout.n_register,
+                        np.kron(sector_amplitudes(slater_up), sector_amplitudes(slater_down)))
+    state.amplitudes *= 1.0 / state.norm()  # in place: one 2**(2N) register, not two
+    return state

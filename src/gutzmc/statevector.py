@@ -8,9 +8,11 @@ halves by e^{∓i*theta/2}, H is a butterfly and X swaps the two halves.
 The same kernels run on a :class:`SupportState`, whose register is kept
 only on its occupied basis states: its ancillas are the leading axes,
 and a diagonal gate on a register qubit scales each support row by the
-phase of that qubit's bit.  Every gate is followed by a norm check.
-Expectations sum only over the state's support
-(:func:`gutzmc.pauli.support_matrix_element`), and the ground-state oracle
+phase of that qubit's bit.  Every gate is followed by a norm check.  A
+register-only :class:`SupportState` is also how the exact projection and
+the LCU circuit's ancilla-|0…0> branch are kept.  Expectations of either
+kind of state run one kernel over the state's support
+(:func:`gutzmc.pauli.support_expectation`), and the ground-state oracle
 compiles the operator once into a sparse matrix on the requested particle
 sector and makes one eigensolve there (dense, or one Lanczos run), so the
 exact routes cost in proportion to the occupied sector rather than the
@@ -25,7 +27,9 @@ import numpy as np
 
 # apply_pauli_sum is unused here but stays importable: the benchmark's tracer
 # wraps gutzmc.statevector.apply_pauli_sum by name.
-from .pauli import PauliSum, apply_pauli_sum, basis_matrix, support_matrix_element  # noqa: F401
+from .pauli import (  # noqa: F401
+    PauliSum, apply_pauli_sum, basis_matrix, support_expectation, support_of,
+)
 
 _GATE_ARITY = {"H": 1, "X": 1, "RZ": 1, "CRZ": 2}
 
@@ -91,6 +95,20 @@ class SupportState:
     @property
     def n_qubits(self) -> int:
         return self.n_register + self.n_ancillas
+
+    def squared_norm(self) -> float:
+        """Sum of |amplitude|^2, as NumPy's pairwise sum of the squared real
+        and imaginary parts: the same bits at any BLAS thread count."""
+        parts = np.ascontiguousarray(self.amplitudes).view(np.float64)
+        return float(np.sum(parts * parts))
+
+    def normalized(self) -> "SupportState":
+        """A unit-norm copy on the same support."""
+        n = math.sqrt(self.squared_norm())
+        if n == 0.0:
+            raise ValueError("cannot normalize the zero vector")
+        return SupportState(self.n_register, self.n_ancillas, self.support,
+                            self.amplitudes * (1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -294,9 +312,20 @@ def apply_circuit(state: StateVector | SupportState, gates) -> StateVector | Sup
     return state
 
 
-def expectation(state: StateVector, op: PauliSum) -> complex:
-    """<state|Ô|state>.  Real to 1e-10 whenever Ô is Hermitian."""
-    return support_matrix_element(state.amplitudes, op, state.amplitudes)
+def expectation(state: StateVector | SupportState, op: PauliSum) -> complex:
+    """<state|Ô|state>.  Real to 1e-10 whenever Ô is Hermitian.
+
+    A full register goes through its nonzero basis states
+    (:func:`gutzmc.pauli.support_of`) into the same support kernel as a
+    :class:`SupportState`, which must be register-only.
+    """
+    if op.n_qubits != state.n_qubits:
+        raise ValueError(f"dimension mismatch: {op.n_qubits}-qubit operator "
+                         f"on a {state.n_qubits}-qubit state")
+    if isinstance(state, SupportState):
+        return support_expectation(op, state.support, state.amplitudes)
+    support = support_of(state.amplitudes)
+    return support_expectation(op, support, state.amplitudes[support])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ E = -sqrt(4J^2 + U^2/4) at g = arcsinh(U/4J).
 """
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,14 +122,17 @@ class TestProjectedState:
         sv = slater_to_statevector(trial.up, trial.down, layout)
         g = 0.7
         out = apply_gutzwiller_exact(sv, g, inter)
+        # the projection stays on the trial's support, with no ancillas
+        assert (out.n_register, out.n_ancillas) == (layout.n_register, 0)
+        np.testing.assert_array_equal(out.support, np.flatnonzero(sv.amplitudes))
         d = diagonal_eigenvalues(inter, np.arange(1 << layout.n_register))
         np.testing.assert_allclose(
-            out.amplitudes, sv.amplitudes * np.exp(-g * d), atol=1e-15
+            out.amplitudes, (sv.amplitudes * np.exp(-g * d))[out.support], atol=1e-15
         )
         # deliberately unnormalized: the norm carries <e^{-2gD}>
         expected_sq = float(np.sum(np.abs(sv.amplitudes) ** 2 * np.exp(-2 * g * d)))
-        assert abs(out.norm() ** 2 - expected_sq) < 1e-12
-        assert abs(out.norm() - 1.0) > 1e-3
+        assert abs(out.squared_norm() - expected_sq) < 1e-12
+        assert abs(np.sqrt(out.squared_norm()) - 1.0) > 1e-3
 
     def test_equivalent_multiplicative_form(self):
         # multiplying amplitudes by gtilde^{#doubly occupied} with
@@ -141,8 +146,11 @@ class TestProjectedState:
         counts = double_occupancy_counts(layout)
         alt = StateVector(layout.n_register, sv.amplitudes * np.exp(-g) ** counts)
         reference = apply_gutzwiller_exact(sv, g, inter)
+        off = np.setdiff1d(np.arange(1 << layout.n_register), reference.support)
+        assert not alt.amplitudes[off].any()
         np.testing.assert_allclose(
-            alt.normalized().amplitudes, reference.normalized().amplitudes, atol=1e-12
+            alt.normalized().amplitudes[reference.support], reference.normalized().amplitudes,
+            atol=1e-12,
         )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -156,7 +164,27 @@ class TestProjectedState:
             for g in (0.4, 1.3):
                 out = apply_gutzwiller_exact(sv, g, inter)
                 assert out.n_qubits == 2 * n
-                assert np.max(np.abs(out.amplitudes - sv.amplitudes * np.exp(-g * d))) <= 1e-12
+                np.testing.assert_array_equal(out.support, np.flatnonzero(sv.amplitudes))
+                damped = (sv.amplitudes * np.exp(-g * d))[out.support]
+                assert np.max(np.abs(out.amplitudes - damped)) <= 1e-12
+
+    def test_route_stays_below_one_register(self):
+        # apply, normalize and both expectations at chain:8 (2^16 register
+        # states, 4,900 on the support) never hold a register-sized array
+        lat = build_lattice("chain", 8)
+        kin, inter = hubbard_terms(lat, 1.0, 1.0)
+        sv = trial_state("chain", 8)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            projected = apply_gutzwiller_exact(sv, 0.8, inter).normalized()
+            values = [expectation(projected, op) for op in (kin, inter)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sv.amplitudes.nbytes, f"peak {peak} B"
+        assert projected.amplitudes.size == 4900
+        assert all(np.isfinite(v) for v in values)
 
     def test_operator_for_another_register_rejected(self):
         _, inter = hubbard_terms(build_lattice("chain", 2), 1.0, 1.0)

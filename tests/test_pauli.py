@@ -14,7 +14,7 @@ from gutzmc.pauli import (
     apply_pauli_sum,
     basis_matrix,
     diagonal_eigenvalues,
-    support_matrix_element,
+    support_expectation,
     support_of,
 )
 
@@ -201,20 +201,35 @@ def test_support_of_is_flatnonzero():
     np.testing.assert_array_equal(support_of(bra.real), np.flatnonzero(bra.real))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_support_matrix_element_matches_dense(seed):
-    rng = np.random.default_rng(seed)
-    n = 5
-    strings = ["XIIYZ", "YYIII", "ZIZIZ", "IXXII", "IIIIY", "ZZZZZ", "XYZIX", "IIIII", "XIIYZ"]
+def _random_string(rng, n: int) -> str:
+    return "".join(rng.choice(list("IXYZ"), n))
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 9, 10])
+def test_support_expectation_matches_dense(n):
+    # a random sorted support on n qubits, random X/Y/Z strings with complex
+    # coefficients: most flips leave the support and read zero (10 qubits
+    # keeps the dense reference at 16 MB)
+    rng = np.random.default_rng(n)
+    support = np.sort(rng.choice(1 << n, int(rng.integers(1, min(1 << n, 200))),
+                                 replace=False))
+    amps = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
     op = PauliSum.from_terms(
-        PauliTerm(complex(*rng.standard_normal(2)), ops) for ops in strings
-    )
-    bra = _sparse_bra(rng, n)
-    ket = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-    outside = np.setdiff1d(np.arange(1 << n), support_of(bra))
-    assert outside.size > 0 and np.abs(ket[outside]).min() > 0
-    expected = bra.conj() @ op.to_matrix() @ ket
-    assert abs(support_matrix_element(bra, op, ket) - expected) < 1e-12 * max(1.0, abs(expected))
+        PauliTerm(complex(*rng.standard_normal(2)), _random_string(rng, n)) for _ in range(12)
+    ) + PauliSum.from_ops(n, {0: "X", n - 1: "Y"}, 0.3 - 0.8j)
+    landed = [np.isin(support ^ flip, support).mean() for flip in _flip_groups(op) if flip]
+    assert min(landed) < 1  # some flips leave the support
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[support] = amps
+    expected = psi.conj() @ op.to_matrix() @ psi
+    got = support_expectation(op, support, amps)
+    assert abs(got - expected) < 1e-12 * max(1.0, abs(expected))
+
+
+def test_support_expectation_shape_guard():
+    op = PauliSum.from_ops(3, {0: "Z"})
+    with pytest.raises(ValueError, match="mismatch"):
+        support_expectation(op, np.array([0, 1, 2]), np.ones(2, dtype=complex))
 
 
 def _complex_elements(parts, src):
@@ -237,21 +252,23 @@ def _operators(rng):
 
 @pytest.mark.parametrize("kind", ["real", "y_bearing", "complex"])
 def test_matrix_elements_equal_the_complex_sum(kind):
-    # real groups are summed in float64; every product and dot product
-    # must see the same numbers as with complex elements
+    # real groups are summed in float64; every product and sum must see
+    # the same numbers as with complex elements
     rng = np.random.default_rng(7)
     op = _operators(rng)[kind]
-    bra = _sparse_bra(rng, 8)
+    psi = _sparse_bra(rng, 8)
     ket = rng.standard_normal(1 << 8) + 1j * rng.standard_normal(1 << 8)
-    support = support_of(bra)
-    expected = 0j
+    support = support_of(psi)
+    on_support = np.zeros(support.shape, dtype=complex)
     applied = np.zeros(ket.shape, dtype=complex)
     for flip, parts in _flip_groups(op).items():
         src = support ^ flip
-        expected += np.vdot(bra[support], _complex_elements(parts, src) * ket[src])
+        gathered = np.where(np.isin(src, support), psi[src], 0)
+        on_support += _complex_elements(parts, src) * gathered
         full = np.arange(1 << 8) ^ flip
         applied += ket[full] * _complex_elements(parts, full)
-    assert support_matrix_element(bra, op, ket) == complex(expected)
+    expected = np.sum(psi[support].conj() * on_support)
+    assert support_expectation(op, support, psi[support]) == complex(expected)
     np.testing.assert_array_equal(apply_pauli_sum(ket, op), applied)
     real_groups = [_group_elements(parts, support).dtype == np.float64
                    for parts in _flip_groups(op).values()]

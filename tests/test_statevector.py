@@ -7,14 +7,18 @@ with the per-kind in-place kernels.
 """
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gutzmc import statevector
 from gutzmc.lattice import QubitLayout, build_lattice, hubbard_hamiltonian, hubbard_terms
-from gutzmc.pauli import PauliSum, PauliTerm, apply_pauli_sum, basis_matrix, support_matrix_element
+from gutzmc.pauli import PauliSum, PauliTerm, apply_pauli_sum, basis_matrix, support_of
 from gutzmc.slater import half_filled_trial, slater_to_statevector
 from gutzmc.statevector import (
     Gate,
@@ -144,10 +148,8 @@ class TestApplication:
         dense = op.to_matrix()
         expected = np.vdot(state.amplitudes, dense @ state.amplitudes)
         np.testing.assert_allclose(expectation(state, op), expected, atol=1e-13)
-        np.testing.assert_allclose(
-            support_matrix_element(state.amplitudes, op, state.amplitudes), expected,
-            atol=1e-13,
-        )
+        np.testing.assert_allclose(expectation(on_support(state.amplitudes), op), expected,
+                                   atol=1e-13)
         np.testing.assert_allclose(np.vdot(state.amplitudes, state.amplitudes), 1.0, atol=1e-13)
 
 
@@ -225,33 +227,39 @@ def half_filled_state(n_sites: int) -> StateVector:
     return slater_to_statevector(trial.up, trial.down, QubitLayout(n_sites))
 
 
+def on_support(amps: np.ndarray) -> SupportState:
+    """A full-register array as a register-only SupportState on its nonzero states."""
+    support = support_of(amps)
+    return SupportState(int(amps.size).bit_length() - 1, 0, support, amps[support])
+
+
 class TestSupportKernels:
-    """expectation/support_matrix_element sum over the bra's support only;
-    every case is compared with the full-register route
-    vdot(bra, apply_pauli_sum(ket))."""
+    """expectation sums over the state's support only, for a full register
+    and for the same state kept as a SupportState; every case is compared
+    with the full-register route vdot(psi, apply_pauli_sum(psi)).  A state
+    on two supports (a sum of two states) makes the flips that leave one
+    support land in the other."""
 
     @staticmethod
-    def check(bra: np.ndarray, op: PauliSum, ket: np.ndarray) -> None:
+    def check(psi: np.ndarray, op: PauliSum) -> None:
         n = op.n_qubits
-        expected = np.vdot(bra, apply_pauli_sum(ket, op))
-        got = support_matrix_element(bra, op, ket)
-        assert abs(got - expected) <= 1e-12
-        if bra is ket:
-            assert abs(expectation(StateVector(n, bra), op) - expected) <= 1e-12
+        expected = np.vdot(psi, apply_pauli_sum(psi, op))
+        assert abs(expectation(StateVector(n, psi), op) - expected) <= 1e-12
+        assert abs(expectation(on_support(psi), op) - expected) <= 1e-12
 
     def test_full_support_random_states(self):
         rng = np.random.default_rng(11)
         op = random_pauli_sum(rng, 6, 40)
         a, b = random_amplitudes(rng, 6), random_amplitudes(rng, 6)
-        self.check(a, op, a)
-        self.check(a, op, b)
-        self.check(a, hubbard_hamiltonian(build_lattice("chain", 3), 1.0, 2.5), a)
+        self.check(a, op)
+        self.check(b, op)
+        self.check(a, hubbard_hamiltonian(build_lattice("chain", 3), 1.0, 2.5))
 
     @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
     def test_half_filled_sector_states(self, n_sites):
         psi = half_filled_state(n_sites).amplitudes
         for op in hubbard_terms(build_lattice("chain", n_sites), 1.0, 1.0):
-            self.check(psi, op, psi)
+            self.check(psi, op)
 
     def test_non_number_conserving_strings(self):
         rng = np.random.default_rng(12)
@@ -259,9 +267,8 @@ class TestSupportKernels:
         lone_x = PauliSum.from_ops(6, {2: "X"}, 0.7)
         yzy = PauliSum.from_terms([PauliTerm(1.3, "YIZIYI"), PauliTerm(-0.4j, "IYZZIY")])
         for op in (lone_x, yzy, lone_x + yzy):
-            self.check(psi, op, psi)
-            self.check(random_amplitudes(rng, 6), op, psi)
-            self.check(psi, op, random_amplitudes(rng, 6))
+            self.check(psi, op)
+            self.check(psi + random_amplitudes(rng, 6), op)
 
     def test_bra_and_ket_on_different_supports(self):
         rng = np.random.default_rng(13)
@@ -269,17 +276,56 @@ class TestSupportKernels:
         ket = np.zeros(64, dtype=complex)
         ket[rng.choice(64, 20, replace=False)] = rng.standard_normal(20)
         op = random_pauli_sum(rng, 6, 30)
-        self.check(bra, op, ket)
-        self.check(ket, op, bra)
-        # a single X moves the sector by one particle: the overlap is all off-support
-        self.check(bra, PauliSum.from_ops(6, {0: "X"}), bra)
+        self.check(ket, op)
+        self.check(bra + ket, op)
+        self.check(bra - 1j * ket, op)
+        # a single X moves the sector by one particle: every flip leaves the support
+        self.check(bra, PauliSum.from_ops(6, {0: "X"}))
+        assert expectation(StateVector(6, bra), PauliSum.from_ops(6, {0: "X"})) == 0
 
     def test_all_zero_bra(self):
         rng = np.random.default_rng(14)
         op = random_pauli_sum(rng, 4, 10)
         zero = StateVector(4, np.zeros(16))
-        assert support_matrix_element(zero.amplitudes, op, random_amplitudes(rng, 4)) == 0
         assert expectation(zero, op) == 0
+        assert expectation(SupportState(4, 0, [2, 5, 11], np.zeros(3)), op) == 0
+
+    def test_same_bits_at_one_and_two_blas_threads(self):
+        # expectation's reductions are NumPy pairwise sums, not BLAS, so a
+        # 2^16-state support at 20 qubits gives the same bits whatever
+        # OpenBLAS's thread count
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("needs two CPUs")
+        bits = {threads: fresh_expectation_bits(threads) for threads in ("1", "2")}
+        assert bits["1"] == bits["2"]
+
+
+# A fixed 2^16-entry state at 20 qubits, as a full register and as a
+# SupportState (not built from a trial, whose np.linalg.norm still follows
+# the BLAS thread count), and chain:10's two 20-qubit operators.
+EXPECTATION_PROBE = """
+import numpy as np
+from gutzmc.lattice import build_lattice, hubbard_terms
+from gutzmc.statevector import StateVector, SupportState, expectation
+rng = np.random.default_rng(2028)
+support = np.sort(rng.choice(1 << 20, 1 << 16, replace=False))
+amps = rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)
+full = np.zeros(1 << 20, dtype=complex)
+full[support] = amps
+for state in (StateVector(20, full), SupportState(20, 0, support, amps)):
+    for op in hubbard_terms(build_lattice("chain", 10), 1.0, 1.0):
+        value = expectation(state, op)
+        print(value.real.hex(), value.imag.hex())
+"""
+
+
+def fresh_expectation_bits(threads: str) -> str:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("GUTZMC_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    env["OPENBLAS_NUM_THREADS"] = threads
+    done = subprocess.run([sys.executable, "-c", EXPECTATION_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    return done.stdout
 
 
 class TestGuards:
@@ -334,9 +380,9 @@ class TestGuards:
         op = PauliSum.from_ops(3, {0: "Z"})
         with pytest.raises(ValueError, match="mismatch"):
             expectation(two, op)
-        for bra, ket in ((two, two), (two, three), (three, two)):
-            with pytest.raises(ValueError, match="mismatch"):
-                support_matrix_element(bra.amplitudes, op, ket.amplitudes)
+        with pytest.raises(ValueError, match="mismatch"):
+            expectation(on_support(two.amplitudes), op)
+        assert expectation(three, op) == expectation(on_support(three.amplitudes), op) == 1
 
     def test_statevector_shape(self):
         with pytest.raises(ValueError, match="expected 8 amplitudes"):
@@ -345,6 +391,23 @@ class TestGuards:
     def test_normalizing_zero_vector(self):
         with pytest.raises(ValueError, match="zero vector"):
             StateVector(2, np.zeros(4)).normalized()
+        with pytest.raises(ValueError, match="zero vector"):
+            SupportState(2, 0, [0, 3], np.zeros(2)).normalized()
+
+    def test_support_state_normalized(self):
+        rng = np.random.default_rng(15)
+        amps = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+        state = SupportState(3, 1, [0, 2, 3, 4, 5, 7], amps)
+        unit = state.normalized()
+        assert unit is not state and unit.support is state.support
+        assert abs(state.squared_norm() - np.vdot(amps, amps).real) <= 1e-13
+        np.testing.assert_allclose(unit.amplitudes, amps / np.linalg.norm(amps), rtol=0, atol=1e-15)
+        assert abs(unit.squared_norm() - 1.0) <= 1e-15
+
+    def test_expectation_of_a_state_with_ancillas_rejected(self):
+        state = SupportState(2, 1, [0, 3], np.ones(4))
+        with pytest.raises(ValueError, match="mismatch"):
+            expectation(state, PauliSum.from_ops(3, {0: "Z"}))
 
     def test_ground_state_rejects_non_hermitian(self):
         op = PauliSum.from_ops(2, {0: "X"}, 1.0j)
