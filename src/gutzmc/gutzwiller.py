@@ -13,11 +13,10 @@ e^{i*alpha*s*(n_up + n_dn - 1)} exactly, so no global phase is left over.
 This module owns the parameter bookkeeping, the 4x4 identity check, the
 exact (diagonal) application of the projector used as an oracle, the
 brute-force 4^N double sum over field configurations, and the closed-form
-two-site energy curves.  The exact projection never leaves the trial's
-support: it returns a register-only
-:class:`gutzmc.statevector.SupportState` (63,504 amplitudes at chain:10,
-where the register holds 2^20), which ``normalized`` and ``expectation``
-take as they are.
+two-site energy curves.  Both oracles take the trial as a register-only
+:class:`gutzmc.statevector.SupportState` and work on its support; the
+exact projection stays there (63,504 amplitudes at chain:10, where the
+register holds 2^20).
 """
 from __future__ import annotations
 
@@ -29,9 +28,9 @@ from .lattice import QubitLayout
 # apply_pauli_sum is unused here but stays importable: the benchmark's tracer
 # wraps gutzmc.gutzwiller.apply_pauli_sum by name.
 from .pauli import (  # noqa: F401
-    PauliSum, apply_pauli_sum, basis_matrix, diagonal_eigenvalues, support_of,
+    PauliSum, apply_pauli_sum, basis_matrix, diagonal_eigenvalues,
 )
-from .statevector import StateVector, SupportState
+from .statevector import SupportState
 
 FULL_SUM_MAX_SITES = 7  # full_sum_expectation enumerates all 4^N field pairs
 
@@ -76,20 +75,19 @@ def verify_hs_identity(g: float) -> float:
     return float(np.max(np.abs(left - right)))
 
 
-def apply_gutzwiller_exact(state: StateVector, g: float, D_pauli: PauliSum) -> SupportState:
+def apply_gutzwiller_exact(state: SupportState, g: float, D_pauli: PauliSum) -> SupportState:
     """Multiply amplitudes by e^{-g*d(b)}; output deliberately unnormalized.
 
     d(b) is the diagonal eigenvalue of the double-occupancy sum on basis
     state b, so the squared norm of the result is the projector's
-    normalization denominator.  d and the damping are evaluated only on
-    the state's support (:func:`gutzmc.pauli.support_of`), and the result
-    stays there: a register-only SupportState, with no ancillas.
+    normalization denominator.  ``state`` must be register-only; d and the
+    damping are evaluated on its support, and the result stays there.
     """
-    if D_pauli.n_qubits != state.n_qubits:
-        raise ValueError(f"{D_pauli.n_qubits}-qubit D on a {state.n_qubits}-qubit state")
-    support = support_of(state.amplitudes)
-    d = diagonal_eigenvalues(D_pauli, support)
-    return SupportState(state.n_qubits, 0, support, state.amplitudes[support] * np.exp(-g * d))
+    if state.n_ancillas or D_pauli.n_qubits != state.n_register:
+        raise ValueError(f"{D_pauli.n_qubits}-qubit D on a {state.n_qubits}-qubit state "
+                         f"with {state.n_ancillas} ancillas")
+    d = diagonal_eigenvalues(D_pauli, state.support)
+    return SupportState(state.n_register, 0, state.support, state.amplitudes * np.exp(-g * d))
 
 
 def field_coupling_matrix(layout: QubitLayout, basis: np.ndarray) -> np.ndarray:
@@ -124,7 +122,7 @@ def all_field_vectors(n_sites: int) -> np.ndarray:
 
 
 def full_sum_expectation(
-    observable: PauliSum, g: float, trial: StateVector, layout: QubitLayout
+    observable: PauliSum, g: float, trial: SupportState, layout: QubitLayout
 ) -> float:
     """Projected expectation by brute-force enumeration of all 4^N configs.
 
@@ -132,19 +130,20 @@ def full_sum_expectation(
     sum; the pairs are materialized as a 2^N x 2^N matrix of matrix
     elements and summed (numpy's pairwise reduction keeps the order
     deterministic).  The shared gamma^{2N} prefactor cancels in the ratio.
-    Only the trial's support rows are built (400 of 4096 at chain:6): every
-    dressed bra vanishes outside it, so the observable is applied as an
-    in-support sparse matrix and the dropped rows contribute exactly 0.
+    Only the register-only trial's support rows are built (400 of 4096 at
+    chain:6): every dressed bra vanishes outside it, so the observable is
+    applied as an in-support sparse matrix and the other rows contribute
+    exactly 0.
     """
     if layout.n_sites > FULL_SUM_MAX_SITES:
         raise ValueError(
             f"{layout.n_sites} sites is too large for 4^N enumeration (max {FULL_SUM_MAX_SITES})"
         )
-    if trial.n_qubits != layout.n_register or observable.n_qubits != layout.n_register:
+    if (trial.n_ancillas or trial.n_register != layout.n_register
+            or observable.n_qubits != layout.n_register):
         raise ValueError("trial state or observable does not match layout register")
     p = hs_params(g)
-    support = support_of(trial.amplitudes)
-    amps = trial.amplitudes[support]
+    support, amps = trial.support, trial.amplitudes
     m = field_coupling_matrix(layout, support)
     fields = all_field_vectors(layout.n_sites)
     # phases[b, c] = e^{i*alpha*sum_i s_c[i]*m_i(b)} = action of the c-th dressing

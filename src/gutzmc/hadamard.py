@@ -195,7 +195,7 @@ def two_site_sector_trial() -> StateVector:
     """Single-spin-sector trial for two sites: the one-particle hopping ground state."""
     chain = build_lattice("chain", 2)
     amps = sector_amplitudes(ground_state_of_K(chain, 1))
-    return StateVector(2, amps).normalized()
+    return StateVector(2, amps * (1.0 / np.linalg.norm(amps)))
 
 
 def _all_config_pairs() -> list[tuple[np.ndarray, np.ndarray]]:

@@ -13,8 +13,8 @@ up and down occupations, which fixes the double-occupancy eigenvalue.
 The binning is an XOR convolution done by fast Walsh-Hadamard transform,
 O(N * 2^N) time and O(2^N) memory, so the route reaches N around 20.
 
-The circuit itself runs on the trial's occupied support: every register
-gate is RZ or CRZ, diagonal on the register, so the state stays inside
+The circuit itself runs on the trial's support: every register gate is
+RZ or CRZ, diagonal on the register, so the state stays inside
 (trial support) x (ancillas).  It is stored ancilla-major, 2^N ancilla
 states by the support rows (:class:`gutzmc.statevector.SupportState`):
 400 x 64 amplitudes at chain:6 and 4900 x 256 at chain:8 and ladder:8,
@@ -30,9 +30,8 @@ import numpy as np
 
 from .gutzwiller import hs_params
 from .lattice import Lattice, QubitLayout
-from .pauli import support_of
 from .slater import TrialState, half_filled_trial, sector_amplitudes
-from .statevector import Gate, StateVector, SupportState, apply_circuit, crz, hadamard, pauli_x, rz
+from .statevector import Gate, SupportState, apply_circuit, crz, hadamard, pauli_x, rz
 
 
 @dataclass(frozen=True)
@@ -72,14 +71,14 @@ def _dressing_gates(site: int, alpha: float, layout: QubitLayout, simplified: bo
 
 
 def build_lcu_state(
-    trial: StateVector, g: float, layout: QubitLayout, simplified: bool = True
+    trial: SupportState, g: float, layout: QubitLayout, simplified: bool = True
 ) -> SupportState:
     """Run the preparation circuit on trial ⊗ |0…0⟩ ancillas.
 
     Parameters
     ----------
-    trial : StateVector
-        Normalized register state on 2*n_sites qubits.
+    trial : SupportState
+        Normalized register-only state on 2*n_sites qubits.
     g : float
         Projection strength.
     layout : QubitLayout
@@ -93,21 +92,19 @@ def build_lcu_state(
     -------
     SupportState
         The whole circuit state, ancilla-major: 2^n_sites ancilla states
-        by the trial's nonzero register basis states.  Its all-zeros
-        ancilla branch is the first row block.  The 2^(3*n_sites)
-        register is never allocated.
+        by the trial's support.  Its all-zeros ancilla branch is the first
+        row block.  The 2^(3*n_sites) register is never allocated.
     """
     if layout.n_ancillas == 0:
         layout = QubitLayout(layout.n_sites, n_ancillas=layout.n_sites)
     if layout.n_ancillas != layout.n_sites:
         raise ValueError("need exactly one ancilla per site")
-    if trial.n_qubits != layout.n_register:
+    if trial.n_ancillas or trial.n_register != layout.n_register:
         raise ValueError("trial state does not match the register size")
     params = hs_params(g)
-    support = support_of(trial.amplitudes)
-    amps = np.zeros((1 << layout.n_sites, support.size), dtype=complex)
-    amps[0] = trial.amplitudes[support]
-    whole = SupportState(layout.n_register, layout.n_sites, support, amps.reshape(-1))
+    amps = np.zeros((1 << layout.n_sites, trial.support.size), dtype=complex)
+    amps[0] = trial.amplitudes
+    whole = SupportState(layout.n_register, layout.n_sites, trial.support, amps.reshape(-1))
     gates: list[Gate] = []
     for site in range(layout.n_sites):
         gates.append(hadamard(layout.ancilla(site)))

@@ -10,14 +10,13 @@ Every routine makes one pass per flip mask: terms that flip the same
 qubits share one gather (the Z/I terms one pass, each XZ…ZX / YZ…ZY pair
 one gather), and :func:`_group_elements` is the one rule that turns masks
 into matrix elements.  :func:`apply_pauli_sum` acts on whole registers;
-:func:`support_expectation` takes a state kept on its nonzero basis states
-(:func:`support_of` finds them in a full register) and reads each
-``ket[b ^ flip]`` through an int32 position map, so a state that leaves
-the support reads an appended zero; its sums are NumPy's pairwise
-``np.sum`` of elementwise products, not BLAS, so they give the same bits
-at any BLAS thread count.  :func:`diagonal_eigenvalues` works over the
-basis indices it is given, and :func:`basis_matrix` compiles an operator
-onto a basis as one sparse matrix.  A half-filled trial at chain:10 lives
+:func:`support_expectation` takes a state kept on a set of basis states,
+its support, and reads each ``ket[b ^ flip]`` through an int32 position
+map, so a state that leaves the support reads an appended zero; its sums
+are NumPy's pairwise ``np.sum`` of elementwise products, not BLAS, so
+they give the same bits at any BLAS thread count.
+:func:`diagonal_eigenvalues` works over the basis indices it is given, and
+:func:`basis_matrix` compiles an operator onto a basis as one sparse matrix.  A half-filled trial at chain:10 lives
 on 63,504 of the 1,048,576 register states, so the support kernels cost in
 proportion to the occupied sector rather than the register (the position
 map is one int32 per register state, 4 MB there).  Only
@@ -192,19 +191,6 @@ def apply_pauli_sum(amps: np.ndarray, op: PauliSum) -> np.ndarray:
         src = basis ^ flip
         out += amps[..., src] * _group_elements(parts, src)
     return out
-
-
-def support_of(amps: np.ndarray) -> np.ndarray:
-    """Indices of the nonzero amplitudes of a full-register complex array.
-
-    An amplitude is nonzero when its real or its imaginary part is (a -0.0
-    part counts as zero), which gives the same indices as
-    ``np.flatnonzero(amps)``.  The parts are compared as one contiguous
-    float array: on a 2**20 register that takes 2.3 ms against 5.7 ms
-    for ``np.flatnonzero`` and 3.7 ms for separate real and imaginary scans.
-    """
-    parts = np.ascontiguousarray(amps, dtype=complex).view(np.float64) != 0
-    return np.flatnonzero(parts[0::2] | parts[1::2])
 
 
 def _flip_groups(op: PauliSum) -> dict[int, list[tuple[complex, int]]]:

@@ -53,7 +53,7 @@ from .lattice import Lattice, QubitLayout, hopping_matrix, hubbard_terms
 from .pauli import apply_pauli_sum, basis_matrix, diagonal_eigenvalues  # noqa: F401
 from .slater import TrialState, half_filled_trial, slater_to_statevector
 
-STATEVECTOR_MAX_SITES = 8  # the statevector engine holds a 4^N-state trial register
+STATEVECTOR_MAX_SITES = 8  # the statevector engine's trial passes through a 4^N register
 PHASE_CHECK_MAX_SITES = 5  # phase_problem_check enumerates all 4^N field pairs
 
 # Weights are mathematically real positive in the supported regime;
@@ -296,11 +296,12 @@ class _StatevectorEngine:
     def __init__(self, trial: TrialState, params: HSParams):
         self.alpha = params.alpha
         layout = QubitLayout(trial.lattice.n_sites)
-        amps = slater_to_statevector(trial.up, trial.down, layout).amplitudes
-        prob = np.abs(amps) ** 2
-        # not support_of: ladder roundoff (|amp|² ≤ 1.2e-33) is 1,300 of ladder:8's 4,900 states
-        support = np.flatnonzero(prob > 1e-28)
-        self.amps, self.prob = amps[support], prob[support]
+        psi = slater_to_statevector(trial.up, trial.down, layout)
+        prob = np.abs(psi.amplitudes) ** 2
+        # ladder roundoff (|amp|² ≤ 1.2e-33) is 1,300 of ladder:8's 4,900 sector states
+        kept = prob > 1e-28
+        support = psi.support[kept]
+        self.amps, self.prob = psi.amplitudes[kept], prob[kept]
         self.m_support = field_coupling_matrix(layout, support).astype(np.float64)
         kinetic, interaction = hubbard_terms(trial.lattice, 1.0, 1.0)
         self.hop = basis_matrix(kinetic, support)

@@ -1,17 +1,17 @@
-"""Dense statevector engine and the iterative exact ground-state oracle.
+"""Statevector engine and the iterative exact ground-state oracle.
 
 Amplitude indexing puts qubit 0 in the most significant bit, so a ket
-written left-to-right reads off directly as a binary index.  Each gate
-kind has its own kernel that updates the amplitudes in place through a
-reshaped view with one length-2 axis per gate qubit: RZ and CRZ scale
-halves by e^{∓i*theta/2}, H is a butterfly and X swaps the two halves.
-The same kernels run on a :class:`SupportState`, whose register is kept
-only on its occupied basis states: its ancillas are the leading axes,
-and a diagonal gate on a register qubit scales each support row by the
-phase of that qubit's bit.  Every gate is followed by a norm check.  A
-register-only :class:`SupportState` is also how the exact projection and
-the LCU circuit's ancilla-|0…0> branch are kept.  Expectations of either
-kind of state run one kernel over the state's support
+written left-to-right reads off directly as a binary index.  The one state
+type, :class:`SupportState`, keeps a register only on its occupied basis
+states, times any ancillas: the trial (on its particle sector), the exact
+projection, the LCU circuit and its ancilla-|0…0> branch, and the ground
+state.  :class:`StateVector` is a register-only one on every basis state.
+Each gate kind has its own kernel that updates the amplitudes in place:
+the ancillas are the leading length-2 axes of a reshaped view, where RZ
+and CRZ scale halves by e^{∓i*theta/2}, H is a butterfly and X swaps the
+two halves; a diagonal gate on a register qubit scales each support row
+by the phase of that qubit's bit.  Every gate is followed by a norm
+check.  Expectations run one kernel over the state's support
 (:func:`gutzmc.pauli.support_expectation`), and the ground-state oracle
 compiles the operator once into a sparse matrix on the requested particle
 sector and makes one eigensolve there (dense, or one Lanczos run), so the
@@ -28,37 +28,10 @@ import numpy as np
 # apply_pauli_sum is unused here but stays importable: the benchmark's tracer
 # wraps gutzmc.statevector.apply_pauli_sum by name.
 from .pauli import (  # noqa: F401
-    PauliSum, apply_pauli_sum, basis_matrix, support_expectation, support_of,
+    PauliSum, apply_pauli_sum, basis_matrix, support_expectation,
 )
 
 _GATE_ARITY = {"H": 1, "X": 1, "RZ": 1, "CRZ": 2}
-
-
-@dataclass
-class StateVector:
-    """Dense complex amplitudes over a qubit register."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (1 << self.n_qubits,):
-            raise ValueError(
-                f"expected {1 << self.n_qubits} amplitudes, "
-                f"got shape {self.amplitudes.shape}"
-            )
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "StateVector":
-        n = self.norm()
-        if n == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        # NumPy divides a complex by n as (re, im) * (1/n), so this gives the
-        # same values as amplitudes / n without a complex division per entry.
-        return StateVector(self.n_qubits, self.amplitudes * (1.0 / n))
 
 
 @dataclass
@@ -109,6 +82,13 @@ class SupportState:
             raise ValueError("cannot normalize the zero vector")
         return SupportState(self.n_register, self.n_ancillas, self.support,
                             self.amplitudes * (1.0 / n))
+
+
+class StateVector(SupportState):
+    """A register-only :class:`SupportState` on every basis state of ``n_qubits``."""
+
+    def __init__(self, n_qubits: int, amplitudes: np.ndarray) -> None:
+        super().__init__(n_qubits, 0, np.arange(1 << n_qubits), amplitudes)
 
 
 @dataclass(frozen=True)
@@ -198,18 +178,13 @@ def _scale_rows(view: np.ndarray, state: SupportState, q: int, theta: float) -> 
     _scale(view, np.array(real, dtype=complex)[bits], np.array(imag)[bits])
 
 
-def _lead_axis(state, q: int) -> int | None:
-    """Position of qubit ``q`` among the leading length-2 axes of the amplitudes.
-
-    Every qubit of a dense state leads; the register qubits of a
-    :class:`SupportState` do not (None) and are read off its support.
-    """
-    if isinstance(state, SupportState):
-        return q - state.n_register if q >= state.n_register else None
-    return q
+def _lead_axis(state: SupportState, q: int) -> int | None:
+    """Position of ancilla ``q`` among the leading length-2 axes of the
+    amplitudes; None for a register qubit, which is read off the support."""
+    return q - state.n_register if q >= state.n_register else None
 
 
-def _split(state, q: int) -> np.ndarray:
+def _split(state: SupportState, q: int) -> np.ndarray:
     """The amplitudes as (before, qubit q, after) for a leading qubit ``q``."""
     axis = _lead_axis(state, q)
     if axis is None:
@@ -221,7 +196,7 @@ def _split(state, q: int) -> np.ndarray:
 # has its own length-2 axis; slices of that view write through.
 
 
-def _rz_kernel(state, gate: Gate) -> None:
+def _rz_kernel(state: SupportState, gate: Gate) -> None:
     q = gate.qubits[0]
     axis = _lead_axis(state, q)
     if axis is None:
@@ -230,7 +205,7 @@ def _rz_kernel(state, gate: Gate) -> None:
         _scale_halves(state.amplitudes.reshape(1 << axis, 2, -1), 1, gate.angle)
 
 
-def _crz_kernel(state, gate: Gate) -> None:
+def _crz_kernel(state: SupportState, gate: Gate) -> None:
     control, target = _lead_axis(state, gate.qubits[0]), _lead_axis(state, gate.qubits[1])
     if control is None:
         raise ValueError(f"CRZ control {gate.qubits[0]} is kept on a support")
@@ -246,7 +221,7 @@ def _crz_kernel(state, gate: Gate) -> None:
         _scale_halves(view[:, :, :, 1], 1, gate.angle)
 
 
-def _h_kernel(state, gate: Gate) -> None:
+def _h_kernel(state: SupportState, gate: Gate) -> None:
     view = _split(state, gate.qubits[0])
     low, high = view[:, 0], view[:, 1]
     diff = low - high
@@ -255,7 +230,7 @@ def _h_kernel(state, gate: Gate) -> None:
     np.multiply(diff, 1.0 / np.sqrt(2.0), out=high)
 
 
-def _x_kernel(state, gate: Gate) -> None:
+def _x_kernel(state: SupportState, gate: Gate) -> None:
     view = _split(state, gate.qubits[0])
     view[...] = view[:, ::-1]  # NumPy buffers overlapping operands
 
@@ -263,14 +238,14 @@ def _x_kernel(state, gate: Gate) -> None:
 _KERNELS = {"H": _h_kernel, "X": _x_kernel, "RZ": _rz_kernel, "CRZ": _crz_kernel}
 
 
-def apply_gate(state: StateVector | SupportState, gate: Gate) -> StateVector | SupportState:
+def apply_gate(state: SupportState, gate: Gate) -> SupportState:
     """Apply one gate in place and return the (mutated) state.
 
-    The gate kind's kernel updates the amplitude array itself.  On a
-    :class:`SupportState`, H and X on a register qubit raise ``ValueError``
-    (they would leave the support), as does a CRZ controlled by one.  A
-    non-contiguous or read-only array is first replaced by a contiguous
-    copy: reshaping it would copy, and the update would be lost.  The norm
+    The gate kind's kernel updates the amplitude array itself.  H and X on
+    a register qubit raise ``ValueError`` (they would leave the support),
+    as does a CRZ controlled by one.  A non-contiguous or read-only array
+    is first replaced by a contiguous copy: reshaping it would copy, and
+    the update would be lost.  The norm
     is checked against the input norm after every gate; unitarity makes
     any drift a genuine bug, so a violation raises ``FloatingPointError``
     rather than warns.
@@ -279,7 +254,7 @@ def apply_gate(state: StateVector | SupportState, gate: Gate) -> StateVector | S
     return state
 
 
-def _apply_checked(state: StateVector | SupportState, gate: Gate, norm_in: float | None) -> float:
+def _apply_checked(state: SupportState, gate: Gate, norm_in: float | None) -> float:
     """apply_gate's work, given the input norm if it is already known;
     returns the checked output norm."""
     n = state.n_qubits
@@ -300,7 +275,7 @@ def _apply_checked(state: StateVector | SupportState, gate: Gate, norm_in: float
     return norm_out
 
 
-def apply_circuit(state: StateVector | SupportState, gates) -> StateVector | SupportState:
+def apply_circuit(state: SupportState, gates) -> SupportState:
     """Apply the gates in order, as :func:`apply_gate` does.
 
     Each gate's input norm is the previous gate's checked output norm, so
@@ -312,20 +287,13 @@ def apply_circuit(state: StateVector | SupportState, gates) -> StateVector | Sup
     return state
 
 
-def expectation(state: StateVector | SupportState, op: PauliSum) -> complex:
-    """<state|Ô|state>.  Real to 1e-10 whenever Ô is Hermitian.
-
-    A full register goes through its nonzero basis states
-    (:func:`gutzmc.pauli.support_of`) into the same support kernel as a
-    :class:`SupportState`, which must be register-only.
-    """
-    if op.n_qubits != state.n_qubits:
-        raise ValueError(f"dimension mismatch: {op.n_qubits}-qubit operator "
-                         f"on a {state.n_qubits}-qubit state")
-    if isinstance(state, SupportState):
-        return support_expectation(op, state.support, state.amplitudes)
-    support = support_of(state.amplitudes)
-    return support_expectation(op, support, state.amplitudes[support])
+def expectation(state: SupportState, op: PauliSum) -> complex:
+    """<state|Ô|state> for a register-only state.  Real to 1e-10 whenever Ô
+    is Hermitian."""
+    if state.n_ancillas or op.n_qubits != state.n_register:
+        raise ValueError(f"dimension mismatch: {op.n_qubits}-qubit operator on a "
+                         f"{state.n_register}-qubit register with {state.n_ancillas} ancillas")
+    return support_expectation(op, state.support, state.amplitudes)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +319,7 @@ class GroundStateResult:
     """Lowest eigenpair of an operator inside a sector."""
 
     energy: float
-    state: StateVector
+    state: SupportState  # register-only, on the sector's basis states
 
 
 def _lanczos_ground_level(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -425,8 +393,8 @@ def exact_ground_state(
     Returns
     -------
     GroundStateResult
-        Energy and the eigenvector scattered back to the full register,
-        unit-norm as the eigensolver returns it, so no second register is made.
+        Energy and the eigenvector as a register-only SupportState on the
+        sector's basis states, unit-norm as the eigensolver returns it.
     """
     if n_qubits > 24:
         raise ValueError("register capped at 24 qubits")
@@ -449,6 +417,4 @@ def exact_ground_state(
     if residual > _RESIDUAL_TOL * max(1.0, abs(energy)):
         raise EigensolveError(f"eigenpair residual {residual:.3e} too large")
 
-    full = np.zeros(1 << n_qubits, dtype=complex)
-    full[basis] = vec
-    return GroundStateResult(energy, StateVector(n_qubits, full))
+    return GroundStateResult(energy, SupportState(n_qubits, 0, basis, vec))

@@ -35,7 +35,8 @@ from gutzmc.slater import (
     sector_amplitudes,
     slater_to_statevector,
 )
-from gutzmc.statevector import StateVector, SupportState, apply_circuit, hadamard
+from gutzmc.statevector import StateVector, SupportState, apply_circuit, expectation, hadamard
+from registers import full_register
 
 
 def one_site_interaction() -> PauliSum:
@@ -108,7 +109,8 @@ class TestSingleSite:
         )
         circuit_matrix = np.zeros((8, 8), dtype=complex)
         for col in range(8):
-            out = apply_circuit(StateVector(3, np.eye(8)[col]), gates)
+            # no register: all three qubits lead the storage, as on a dense register
+            out = apply_circuit(SupportState(0, 3, [0], np.eye(8)[col]), gates)
             circuit_matrix[:, col] = out.amplitudes
 
         # direct route: equal-weight average of the two diagonal branches,
@@ -338,6 +340,49 @@ class TestSupportReach:
             wholes.append(whole)
         assert wholes[0].amplitudes.shape == (256 * 4900,)
         assert np.max(np.abs(wholes[0].amplitudes - wholes[1].amplitudes)) <= 1e-12
+
+
+class TestCompactRoundTrip:
+    """The circuit's projected state, kept on the trial's support, goes back
+    into every route that takes a trial: each must read it as the same state
+    scattered into the full register does."""
+
+    @staticmethod
+    def routes(state, lat, layout):
+        kin, inter = hubbard_terms(lat, 1.0, 1.0)
+        projected = apply_gutzwiller_exact(state, 0.7, inter).normalized()
+        whole = build_lcu_state(state, 0.5, layout)
+        return [expectation(projected, kin).real, expectation(projected, inter).real,
+                full_sum_expectation(kin, 0.9, state, layout),
+                full_sum_expectation(inter, 0.9, state, layout),
+                measure_ancillas_success(whole).success_probability]
+
+    @pytest.mark.parametrize("kind, n", [("chain", 4), ("ladder", 6)])
+    def test_compact_equals_full_register(self, kind, n):
+        lat = build_lattice(kind, n)
+        layout = QubitLayout(n)
+        trial = half_filled_trial(lat)
+        sv = slater_to_statevector(trial.up, trial.down, layout)
+        compact = measure_ancillas_success(build_lcu_state(sv, 0.8, layout)).projected_state
+        assert compact.amplitudes.size < 1 << layout.n_register
+        full = StateVector(layout.n_register, full_register(compact))
+        for got, want in zip(self.routes(compact, lat, layout), self.routes(full, lat, layout)):
+            assert abs(got - want) <= 1e-12
+
+    def test_a_state_with_ancillas_is_rejected(self):
+        lat = build_lattice("chain", 2)
+        layout = QubitLayout(2)
+        kin, inter = hubbard_terms(lat, 1.0, 1.0)
+        trial = half_filled_trial(lat)
+        whole = build_lcu_state(slater_to_statevector(trial.up, trial.down, layout), 0.5, layout)
+        assert whole.n_ancillas == 2
+        routes = [lambda: expectation(whole, kin),
+                  lambda: apply_gutzwiller_exact(whole, 0.5, inter),
+                  lambda: full_sum_expectation(kin, 0.5, whole, layout),
+                  lambda: build_lcu_state(whole, 0.5, layout)]
+        for route in routes:
+            with pytest.raises(ValueError):
+                route()
 
 
 def test_layout_shape_guard():

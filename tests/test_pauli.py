@@ -15,7 +15,6 @@ from gutzmc.pauli import (
     basis_matrix,
     diagonal_eigenvalues,
     support_expectation,
-    support_of,
 )
 
 I2 = np.eye(2)
@@ -181,7 +180,7 @@ def test_basis_matrix_of_the_hopping_operator_is_real():
 
 def _sparse_bra(rng, n: int) -> np.ndarray:
     """A bra on about half the register: generic, pure-imaginary, real and
-    signed-zero entries, with -0.0 parts both on and off the support."""
+    signed-zero entries, with -0.0 parts both on and off its nonzero states."""
     bra = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
     kind = rng.integers(0, 5, size=bra.size)
     bra[kind == 1] = 1j * bra[kind == 1].imag
@@ -189,16 +188,6 @@ def _sparse_bra(rng, n: int) -> np.ndarray:
     bra[kind == 3] = complex(-0.0, 0.0)
     bra[kind == 4] = complex(0.0, -0.0)
     return bra
-
-
-def test_support_of_is_flatnonzero():
-    bra = _sparse_bra(np.random.default_rng(3), 6)
-    for part in (bra.real, bra.imag):
-        assert np.any((part == 0) & np.signbit(part))
-    np.testing.assert_array_equal(support_of(bra), np.flatnonzero(bra))
-    # strided and real arrays too
-    np.testing.assert_array_equal(support_of(bra[::3]), np.flatnonzero(bra[::3]))
-    np.testing.assert_array_equal(support_of(bra.real), np.flatnonzero(bra.real))
 
 
 def _random_string(rng, n: int) -> str:
@@ -258,7 +247,7 @@ def test_matrix_elements_equal_the_complex_sum(kind):
     op = _operators(rng)[kind]
     psi = _sparse_bra(rng, 8)
     ket = rng.standard_normal(1 << 8) + 1j * rng.standard_normal(1 << 8)
-    support = support_of(psi)
+    support = np.flatnonzero(psi)
     on_support = np.zeros(support.shape, dtype=complex)
     applied = np.zeros(ket.shape, dtype=complex)
     for flip, parts in _flip_groups(op).items():

@@ -38,6 +38,7 @@ from gutzmc.slater import (
     slater_to_statevector,
 )
 from gutzmc.statevector import StateVector, apply_circuit, rz
+from registers import full_register
 
 
 def all_configs(n_sites: int):
@@ -59,19 +60,20 @@ def circuit_route(config, trial, params, J=1.0):
     then the bra dressing circuit, and the inner product with the trial.
     """
     layout = QubitLayout(trial.lattice.n_sites)
-    psi = slater_to_statevector(trial.up, trial.down, layout)
+    n = layout.n_register
+    psi = full_register(slater_to_statevector(trial.up, trial.down, layout))
 
     def dressing(fields):
         # R_Z(s_i*alpha) on both spin qubits of site i
         return [rz(float(s) * params.alpha, layout.qubit(site, spin))
                 for site, s in enumerate(fields) for spin in ("up", "down")]
 
-    ket = apply_circuit(StateVector(psi.n_qubits, psi.amplitudes.copy()), dressing(config[:, 0]))
+    ket = apply_circuit(StateVector(n, psi.copy()), dressing(config[:, 0]))
     bra_circuit = dressing(config[:, 1])
 
     def bra_side(amps):
-        bra = apply_circuit(StateVector(ket.n_qubits, amps), bra_circuit)
-        return np.vdot(psi.amplitudes, bra.amplitudes)
+        bra = apply_circuit(StateVector(n, amps), bra_circuit)
+        return np.vdot(psi, bra.amplitudes)
 
     w = bra_side(ket.amplitudes.copy())
     kinetic_op, interaction_op = hubbard_terms(trial.lattice, J, 1.0)

@@ -9,6 +9,7 @@ mistakes like to hide.
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from gutzmc.slater import (
     sector_amplitudes,
     slater_to_statevector,
 )
-from gutzmc.statevector import expectation
+from gutzmc.statevector import _sector_indices, expectation
 
 Z = np.diag([1.0, -1.0]).astype(complex)
 LOWER = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
@@ -151,6 +152,34 @@ class TestSlaterBasics:
         kin, _ = hubbard_terms(lat, 1.0, 1.0)
         expected = 2.0 * np.sort(np.linalg.eigvalsh(hopping_matrix(lat, 1.0)))[:2].sum()
         assert abs(expectation(sv, kin).real - expected) < 1e-10
+
+
+class TestRegisterTrial:
+    @pytest.mark.parametrize("kind, n_sites", [("chain", 4), ("chain", 5), ("ladder", 6)])
+    def test_sector_rows_are_the_whole_register(self, kind, n_sites):
+        # the kron of the two sectors vanishes off the (n_up, n_down) sector
+        trial = half_filled_trial(build_lattice(kind, n_sites))
+        sv = slater_to_statevector(trial.up, trial.down, QubitLayout(n_sites))
+        sector = (trial.up.n_particles, trial.down.n_particles)
+        np.testing.assert_array_equal(sv.support, _sector_indices(2 * n_sites, sector))
+        full = np.kron(sector_amplitudes(trial.up), sector_amplitudes(trial.down))
+        full = full / np.linalg.norm(full)
+        assert not np.delete(full, sv.support).any()
+        np.testing.assert_allclose(sv.amplitudes, full[sv.support], rtol=0, atol=1e-15)
+
+    def test_chain10_trial_keeps_no_register(self):
+        # 63,504 sector states of a 2^20 register: the 16 MiB register is a
+        # transient of the build; the trial keeps its rows and support, 1.5 MiB
+        trial = half_filled_trial(build_lattice("chain", 10))
+        tracemalloc.start()
+        try:
+            sv = slater_to_statevector(trial.up, trial.down, QubitLayout(10))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept < 2 * 2**20, f"kept {kept / 2**20:.2f} MiB"
+        assert (sv.n_register, sv.n_ancillas) == (20, 0)
+        np.testing.assert_array_equal(sv.support, _sector_indices(20, (5, 5)))
 
 
 class TestDressedOverlap:

@@ -18,7 +18,7 @@ import pytest
 
 from gutzmc import statevector
 from gutzmc.lattice import QubitLayout, build_lattice, hubbard_hamiltonian, hubbard_terms
-from gutzmc.pauli import PauliSum, PauliTerm, apply_pauli_sum, basis_matrix, support_of
+from gutzmc.pauli import PauliSum, PauliTerm, apply_pauli_sum, basis_matrix
 from gutzmc.slater import half_filled_trial, slater_to_statevector
 from gutzmc.statevector import (
     Gate,
@@ -33,6 +33,7 @@ from gutzmc.statevector import (
     pauli_x,
     rz,
 )
+from registers import full_register
 
 
 def embed(small: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
@@ -50,6 +51,12 @@ def embed(small: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
                 row = (row & ~(1 << (n - 1 - q))) | (bit << (n - 1 - q))
             full[row, col] += small[bits_out, bits_in]
     return full
+
+
+def dense(n_qubits: int, amps: np.ndarray) -> SupportState:
+    """A state with no register qubits: all ``n_qubits`` lead the storage, so
+    every gate kind acts on every qubit, as on a dense register."""
+    return SupportState(0, n_qubits, [0], amps)
 
 
 class TestGateMatrices:
@@ -93,7 +100,7 @@ class TestApplication:
         amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
         amps /= np.linalg.norm(amps)
         expected = embed(gate.matrix(), qubits, n) @ amps
-        out = apply_gate(StateVector(n, amps.copy()), gate)
+        out = apply_gate(dense(n, amps.copy()), gate)
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-13)
 
     @pytest.mark.parametrize(
@@ -110,7 +117,7 @@ class TestApplication:
         rng = np.random.default_rng(23)
         amps = 1.7 * (rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n))
         expected = embed(gate.matrix(), gate.qubits, n) @ amps
-        state = StateVector(n, amps.copy())
+        state = dense(n, amps.copy())
         out = apply_gate(state, gate)
         assert out is state
         np.testing.assert_allclose(out.amplitudes, expected, rtol=0, atol=1e-13)
@@ -122,23 +129,23 @@ class TestApplication:
         frozen = wide[:8].copy()
         frozen.flags.writeable = False
         for amps in (wide[::2], frozen):
-            state = StateVector(3, amps)
+            state = dense(3, amps)
             expected = embed(crz(0.7, 2, 0).matrix(), (2, 0), 3) @ amps
             apply_gate(state, crz(0.7, 2, 0))
             np.testing.assert_allclose(state.amplitudes, expected, rtol=0, atol=1e-13)
 
     def test_apply_circuit_composes_in_order(self):
         # H then X leaves |+> unchanged; X then H gives |->
-        out = apply_circuit(StateVector(1, np.array([1, 0])), [hadamard(0), pauli_x(0)])
+        out = apply_circuit(dense(1, np.array([1, 0])), [hadamard(0), pauli_x(0)])
         np.testing.assert_allclose(out.amplitudes, np.array([1, 1]) / np.sqrt(2), atol=1e-15)
-        out = apply_circuit(StateVector(1, np.array([1, 0])), [pauli_x(0), hadamard(0)])
+        out = apply_circuit(dense(1, np.array([1, 0])), [pauli_x(0), hadamard(0)])
         np.testing.assert_allclose(out.amplitudes, np.array([1, -1]) / np.sqrt(2), atol=1e-15)
 
     def test_unnormalized_states_pass_through(self):
         # unitaries preserve whatever norm comes in; no silent renormalization
-        state = StateVector(1, np.array([2.0, 0.0], dtype=complex))
+        state = dense(1, np.array([2.0, 0.0], dtype=complex))
         out = apply_gate(state, hadamard(0))
-        assert abs(out.norm() - 2.0) < 1e-12
+        assert abs(np.sqrt(out.squared_norm()) - 2.0) < 1e-12
 
     def test_expectation_and_matrix_element(self):
         rng = np.random.default_rng(5)
@@ -222,14 +229,14 @@ def random_pauli_sum(rng, n_qubits: int, n_terms: int) -> PauliSum:
     )
 
 
-def half_filled_state(n_sites: int) -> StateVector:
+def half_filled_state(n_sites: int) -> SupportState:
     trial = half_filled_trial(build_lattice("chain", n_sites))
     return slater_to_statevector(trial.up, trial.down, QubitLayout(n_sites))
 
 
 def on_support(amps: np.ndarray) -> SupportState:
     """A full-register array as a register-only SupportState on its nonzero states."""
-    support = support_of(amps)
+    support = np.flatnonzero(amps)
     return SupportState(int(amps.size).bit_length() - 1, 0, support, amps[support])
 
 
@@ -257,13 +264,13 @@ class TestSupportKernels:
 
     @pytest.mark.parametrize("n_sites", [2, 3, 4, 5])
     def test_half_filled_sector_states(self, n_sites):
-        psi = half_filled_state(n_sites).amplitudes
+        psi = full_register(half_filled_state(n_sites))
         for op in hubbard_terms(build_lattice("chain", n_sites), 1.0, 1.0):
             self.check(psi, op)
 
     def test_non_number_conserving_strings(self):
         rng = np.random.default_rng(12)
-        psi = half_filled_state(3).amplitudes
+        psi = full_register(half_filled_state(3))
         lone_x = PauliSum.from_ops(6, {2: "X"}, 0.7)
         yzy = PauliSum.from_terms([PauliTerm(1.3, "YIZIYI"), PauliTerm(-0.4j, "IYZZIY")])
         for op in (lone_x, yzy, lone_x + yzy):
@@ -272,7 +279,7 @@ class TestSupportKernels:
 
     def test_bra_and_ket_on_different_supports(self):
         rng = np.random.default_rng(13)
-        bra = half_filled_state(3).amplitudes  # (2 up, 1 down) sector
+        bra = full_register(half_filled_state(3))  # (2 up, 1 down) sector
         ket = np.zeros(64, dtype=complex)
         ket[rng.choice(64, 20, replace=False)] = rng.standard_normal(20)
         op = random_pauli_sum(rng, 6, 30)
@@ -340,7 +347,7 @@ class TestGuards:
         monkeypatch.setitem(statevector._KERNELS, name, leaky)
         gate = Gate(name, (0, 1)[: 2 if name == "CRZ" else 1],
                     0.4 if name in ("RZ", "CRZ") else None)
-        state = StateVector(2, np.full(4, 0.5, dtype=complex))
+        state = dense(2, np.full(4, 0.5, dtype=complex))
         with pytest.raises(FloatingPointError, match=f"gate {name} changed the norm"):
             apply_gate(state, gate)
 
@@ -348,13 +355,13 @@ class TestGuards:
         rng = np.random.default_rng(9)
         gates = [hadamard(0), crz(0.3, 0, 2), pauli_x(1), rz(0.7, 2), hadamard(2)]
         amps = random_amplitudes(rng, 3)
-        one_by_one = StateVector(3, amps.copy())
+        one_by_one = dense(3, amps.copy())
         for gate in gates:
             apply_gate(one_by_one, gate)
         calls = []
         vdot = np.vdot
         monkeypatch.setattr(np, "vdot", lambda a, b: calls.append(1) or vdot(a, b))
-        circuit = apply_circuit(StateVector(3, amps.copy()), gates)
+        circuit = apply_circuit(dense(3, amps.copy()), gates)
         assert np.array_equal(circuit.amplitudes, one_by_one.amplitudes)
         assert len(calls) == len(gates) + 1
         # a leak in the circuit's last gate is still caught
@@ -367,7 +374,15 @@ class TestGuards:
 
         monkeypatch.setitem(statevector._KERNELS, "H", leaky)
         with pytest.raises(FloatingPointError, match="gate H changed the norm"):
-            apply_circuit(StateVector(3, amps.copy()), gates)
+            apply_circuit(dense(3, amps.copy()), gates)
+
+    def test_register_gates_leaving_a_state_vector_raise(self):
+        # a StateVector is a register kept on all its basis states, so H and X
+        # on a register qubit raise as on any support
+        for gate in (hadamard(0), pauli_x(1)):
+            state = StateVector(2, np.full(4, 0.5, dtype=complex))
+            with pytest.raises(ValueError, match="kept on a support"):
+                apply_gate(state, gate)
 
     def test_gate_arity(self):
         with pytest.raises(ValueError, match="acts on 1 qubit"):
@@ -385,7 +400,7 @@ class TestGuards:
         assert expectation(three, op) == expectation(on_support(three.amplitudes), op) == 1
 
     def test_statevector_shape(self):
-        with pytest.raises(ValueError, match="expected 8 amplitudes"):
+        with pytest.raises(ValueError, match="expected 1 x 8 amplitudes"):
             StateVector(3, np.zeros(7))
 
     def test_normalizing_zero_vector(self):
@@ -475,7 +490,7 @@ class TestExactGroundState:
         res = exact_ground_state(H, 10, None)
         levels = np.linalg.eigvalsh(H.to_matrix())
         assert abs(res.energy - levels[0]) < 1e-12
-        v = res.state.amplitudes
+        v = full_register(res.state)
         assert np.linalg.norm(apply_pauli_sum(v, H) - res.energy * v) < 1e-8
 
     def test_lanczos_on_a_level_wider_than_its_window(self):
@@ -485,7 +500,7 @@ class TestExactGroundState:
         levels = np.linalg.eigvalsh(H.to_matrix())
         res = exact_ground_state(H, 10, None)
         assert abs(res.energy - levels[0]) < 1e-12
-        v = res.state.amplitudes
+        v = full_register(res.state)
         assert np.linalg.norm(apply_pauli_sum(v, H) - res.energy * v) < 1e-8
 
     def test_one_lanczos_run_on_a_half_register_ground_level(self, monkeypatch):
@@ -499,7 +514,7 @@ class TestExactGroundState:
         res = exact_ground_state(op, 8, None)
         assert len(calls) == 1
         assert res.energy == pytest.approx(-1.0, abs=1e-12)
-        v = res.state.amplitudes
+        v = full_register(res.state)
         assert np.linalg.norm(apply_pauli_sum(v, op) + v) < 1e-8
 
     @pytest.mark.parametrize("ops", [{0: "Z"}, {0: "Z", 1: "Z"}])
@@ -536,7 +551,7 @@ class TestExactGroundState:
         dense = np.linalg.eigvalsh(basis_matrix(H, basis).toarray())[0]
         res = exact_ground_state(H, 2 * n_sites, sector)
         assert abs(res.energy - dense) < 1e-12
-        v = res.state.amplitudes
+        v = full_register(res.state)
         residual = np.linalg.norm(apply_pauli_sum(v, H) - res.energy * v)
         assert residual <= 1e-2 * statevector._RESIDUAL_TOL * max(1.0, abs(res.energy))
 
@@ -555,7 +570,7 @@ class TestExactGroundState:
         assert np.abs(dense.imag).max() > 0.1
         res = exact_ground_state(op, 8, None)
         assert abs(res.energy - np.linalg.eigvalsh(dense)[0]) < 1e-12
-        v = res.state.amplitudes
+        v = full_register(res.state)
         residual = np.linalg.norm(dense @ v - res.energy * v)
         assert residual <= 1e-2 * statevector._RESIDUAL_TOL * max(1.0, abs(res.energy))
 
@@ -590,10 +605,14 @@ class TestExactGroundState:
         dim = len(statevector._sector_indices(2 * n_sites, sector))
         assert (dim > statevector.DENSE_MAX_DIM) == lanczos
         res = exact_ground_state(H, 2 * n_sites, sector)
-        assert abs(res.state.norm() - 1.0) < 1e-12
+        assert abs(np.sqrt(res.state.squared_norm()) - 1.0) < 1e-12
 
     def test_one_register_is_allocated(self):
-        # one spin-up electron on chain:10: 10 sector states on a 16 MB register
+        # one spin-up electron on chain:10: 10 sector states of a 2^20 register.
+        # The solve's largest array is basis_matrix's int64 position map
+        # (8 MiB); one complex register would be 16 MiB.
+        import scipy.sparse  # noqa: F401  (its import is not the solve's memory)
+
         H = hubbard_hamiltonian(build_lattice("chain", 10), 1.0, 2.0)
         tracemalloc.start()
         tracemalloc.reset_peak()
@@ -602,7 +621,8 @@ class TestExactGroundState:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * res.state.amplitudes.nbytes
+        assert peak < (1 << 20) * 16, f"peak {peak / 2**20:.2f} MiB"
+        assert res.state.amplitudes.size == 10
 
     def test_sparse_path_eigenpair(self):
         # chain:8 at half filling has 4900 states, above the dense cutoff;
@@ -610,8 +630,9 @@ class TestExactGroundState:
         lat = build_lattice("chain", 8)
         H = hubbard_hamiltonian(lat, 1.0, 3.0)
         res = exact_ground_state(H, 16, (4, 4))
-        v = res.state.amplitudes
-        assert np.count_nonzero(v) <= 4900
+        np.testing.assert_array_equal(res.state.support,
+                                      statevector._sector_indices(16, (4, 4)))
+        v = full_register(res.state)
         assert abs(expectation(res.state, H).real - res.energy) < 1e-10
         hv = apply_pauli_sum(v, H)
         assert np.linalg.norm(hv - res.energy * v) < 1e-8
