@@ -133,8 +133,17 @@ def _primitive_rows(
     trial_sector: StateVector,
     params: HSParams,
 ) -> list[complex]:
-    """Exact <psi0| u(s2_r) O u(s1_r) |psi0> for every row r of the config arrays."""
-    shape = (len(u1_configs), trial_sector.n_qubits)
+    """Exact <psi0| u(s2_r) O u(s1_r) |psi0> for every row r of the config arrays.
+
+    The trial must be register-only on all 2^n basis states of its register,
+    since the rows are dressed and the observable applied as dense registers.
+    """
+    n, size = trial_sector.n_register, trial_sector.support.size
+    if trial_sector.n_ancillas or size != 1 << n:
+        raise ValueError(f"the trial must be register-only on all {1 << n} basis states of "
+                         f"its {n}-qubit register, got {size} support states and "
+                         f"n_ancillas={trial_sector.n_ancillas}")
+    shape = (len(u1_configs), n)
     sides = [_validate_config(c, shape) for c in (u1_configs, u2_configs)]
     rows = np.tile(trial_sector.amplitudes, (len(sides[0]), 1))
     _dress(rows, sides[0], params.alpha)

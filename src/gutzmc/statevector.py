@@ -6,17 +6,18 @@ type, :class:`SupportState`, keeps a register only on its occupied basis
 states, times any ancillas: the trial (on its particle sector), the exact
 projection, the LCU circuit and its ancilla-|0…0> branch, and the ground
 state.  :class:`StateVector` is a register-only one on every basis state.
-Each gate kind has its own kernel that updates the amplitudes in place:
-the ancillas are the leading length-2 axes of a reshaped view, where RZ
-and CRZ scale halves by e^{∓i*theta/2}, H is a butterfly and X swaps the
-two halves; a diagonal gate on a register qubit scales each support row
-by the phase of that qubit's bit.  Every gate is followed by a norm
-check.  Expectations run one kernel over the state's support
-(:func:`gutzmc.pauli.support_expectation`), and the ground-state oracle
-compiles the operator once into a sparse matrix on the requested particle
-sector and makes one eigensolve there (dense, or one Lanczos run), so the
-exact routes cost in proportion to the occupied sector rather than the
-2**n register.
+Gates update the amplitudes in place.  H (a butterfly) and X (a swap of
+halves) act on an ancilla only, a leading length-2 axis of a reshaped
+view.  RZ and CRZ share one phase kernel: a CRZ first narrows the storage
+to its control ancilla's 1 half, then every amplitude is scaled by
+e^{∓i*theta/2} as its target bit is 0 or 1, read off the support for a
+register qubit and off the storage row's ancilla index for an ancilla.
+Every gate is followed by a norm check.  Expectations run one kernel over
+the state's support (:func:`gutzmc.pauli.support_expectation`), and the
+ground-state oracle compiles the operator once into a sparse matrix on the
+requested particle sector and makes one eigensolve there (dense, or one
+Lanczos run), so the exact routes cost in proportion to the occupied
+sector rather than the 2**n register.
 """
 from __future__ import annotations
 
@@ -30,9 +31,6 @@ import numpy as np
 from .pauli import (  # noqa: F401
     PauliSum, apply_pauli_sum, basis_matrix, support_expectation,
 )
-
-_GATE_ARITY = {"H": 1, "X": 1, "RZ": 1, "CRZ": 2}
-
 
 @dataclass
 class SupportState:
@@ -104,10 +102,11 @@ class Gate:
     angle: float | None = None
 
     def __post_init__(self) -> None:
-        if self.name not in _GATE_ARITY:
+        if self.name not in _GATES:
             raise ValueError(f"unknown gate {self.name!r}")
-        if len(self.qubits) != _GATE_ARITY[self.name]:
-            raise ValueError(f"gate {self.name} acts on {_GATE_ARITY[self.name]} qubit(s)")
+        arity = _GATES[self.name][0]
+        if len(self.qubits) != arity:
+            raise ValueError(f"gate {self.name} acts on {arity} qubit(s)")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate targets must be distinct")
         if self.angle is not None and not np.isfinite(self.angle):
@@ -162,63 +161,36 @@ def _rz_phases(theta: float) -> tuple[tuple[float, float], tuple[complex, comple
     return (low.real, high.real), (complex(0.0, low.imag), complex(0.0, high.imag))
 
 
-def _scale_halves(view: np.ndarray, axis: int, theta: float) -> None:
-    """R_Z on ``axis``: the bit-0 half by e^{-i*theta/2}, the bit-1 half by e^{+i*theta/2}."""
-    real, imag = _rz_phases(theta)
-    lead = (slice(None),) * axis
-    for bit in (0, 1):
-        _scale(view[lead + (bit,)], real[bit], imag[bit])
-
-
-def _scale_rows(view: np.ndarray, state: SupportState, q: int, theta: float) -> None:
-    """R_Z on register qubit ``q``: each support row (the view's last axis)
-    by e^{-i*theta/2} or e^{+i*theta/2}, as that row's bit of ``q`` is 0 or 1."""
-    real, imag = _rz_phases(theta)
-    bits = (state.support >> (state.n_register - 1 - q)) & 1
-    _scale(view, np.array(real, dtype=complex)[bits], np.array(imag)[bits])
-
-
-def _lead_axis(state: SupportState, q: int) -> int | None:
-    """Position of ancilla ``q`` among the leading length-2 axes of the
-    amplitudes; None for a register qubit, which is read off the support."""
-    return q - state.n_register if q >= state.n_register else None
-
-
 def _split(state: SupportState, q: int) -> np.ndarray:
-    """The amplitudes as (before, qubit q, after) for a leading qubit ``q``."""
-    axis = _lead_axis(state, q)
-    if axis is None:
-        raise ValueError(f"qubit {q} is kept on a support; only RZ/CRZ may act on it")
-    return state.amplitudes.reshape(1 << axis, 2, -1)
+    """The amplitudes as (before, qubit q, after) for an ancilla ``q``; a
+    register qubit, read off the support, raises."""
+    if q < state.n_register:
+        raise ValueError(f"qubit {q} is kept on a support; it may only be an RZ or CRZ target")
+    return state.amplitudes.reshape(1 << (q - state.n_register), 2, -1)
 
 
-# Each kernel reshapes the contiguous amplitudes so that every gate qubit
-# has its own length-2 axis; slices of that view write through.
+def _phase_kernel(state: SupportState, gate: Gate) -> None:
+    """R_Z on the gate's last qubit; a CRZ acts on its control's 1 half only.
 
-
-def _rz_kernel(state: SupportState, gate: Gate) -> None:
-    q = gate.qubits[0]
-    axis = _lead_axis(state, q)
-    if axis is None:
-        _scale_rows(state.amplitudes.reshape(-1, state.support.size), state, q, gate.angle)
+    The storage, narrowed by a CRZ through :func:`_split`, is viewed as
+    (before, ancilla rows, support).  Each amplitude is scaled by
+    e^{-i*theta/2} or e^{+i*theta/2} as its target bit is 0 or 1: the bit
+    of its support entry for a register qubit, of its row's ancilla index
+    for an ancilla.  The reshapes only split axes of the contiguous
+    amplitudes, so the view writes through.
+    """
+    *control, target = gate.qubits
+    view, rows = state.amplitudes.reshape(1, -1), np.arange(1 << state.n_ancillas)
+    if control:
+        view = _split(state, control[0])[:, 1]
+        rows = rows[(rows >> (state.n_qubits - 1 - control[0])) & 1 == 1]
+    view = view.reshape(len(view), -1, state.support.size)
+    if target < state.n_register:
+        bits = (state.support >> (state.n_register - 1 - target)) & 1
     else:
-        _scale_halves(state.amplitudes.reshape(1 << axis, 2, -1), 1, gate.angle)
-
-
-def _crz_kernel(state: SupportState, gate: Gate) -> None:
-    control, target = _lead_axis(state, gate.qubits[0]), _lead_axis(state, gate.qubits[1])
-    if control is None:
-        raise ValueError(f"CRZ control {gate.qubits[0]} is kept on a support")
-    if target is None:
-        view = state.amplitudes.reshape(1 << control, 2, -1, state.support.size)
-        _scale_rows(view[:, 1], state, gate.qubits[1], gate.angle)
-        return
-    low, high = sorted((control, target))
-    view = state.amplitudes.reshape(1 << low, 2, 1 << (high - low - 1), 2, -1)
-    if control < target:
-        _scale_halves(view[:, 1], 2, gate.angle)
-    else:
-        _scale_halves(view[:, :, :, 1], 1, gate.angle)
+        bits = (rows.reshape(len(view), -1, 1) >> (state.n_qubits - 1 - target)) & 1
+    real, imag = _rz_phases(gate.angle)
+    _scale(view, np.array(real, dtype=complex)[bits], np.array(imag)[bits])
 
 
 def _h_kernel(state: SupportState, gate: Gate) -> None:
@@ -235,7 +207,9 @@ def _x_kernel(state: SupportState, gate: Gate) -> None:
     view[...] = view[:, ::-1]  # NumPy buffers overlapping operands
 
 
-_KERNELS = {"H": _h_kernel, "X": _x_kernel, "RZ": _rz_kernel, "CRZ": _crz_kernel}
+# Each gate kind's qubit count and kernel.
+_GATES = {"H": (1, _h_kernel), "X": (1, _x_kernel),
+          "RZ": (1, _phase_kernel), "CRZ": (2, _phase_kernel)}
 
 
 def apply_gate(state: SupportState, gate: Gate) -> SupportState:
@@ -266,7 +240,7 @@ def _apply_checked(state: SupportState, gate: Gate, norm_in: float | None) -> fl
         amps = state.amplitudes = amps.copy()
     if norm_in is None:
         norm_in = math.sqrt(np.vdot(amps, amps).real)
-    _KERNELS[gate.name](state, gate)
+    _GATES[gate.name][1](state, gate)
     norm_out = math.sqrt(np.vdot(amps, amps).real)
     if abs(norm_out - norm_in) > 1e-12 * max(1.0, norm_in):
         raise FloatingPointError(

@@ -29,7 +29,7 @@ from gutzmc.hadamard import (
     two_site_sector_trial,
 )
 from gutzmc.pauli import PauliSum, apply_pauli_sum
-from gutzmc.statevector import StateVector, _scale, apply_circuit, rz
+from gutzmc.statevector import StateVector, SupportState, _scale, apply_circuit, rz
 
 
 class TestPrimitiveClosedForms:
@@ -112,6 +112,16 @@ class TestBatchedPrimitives:
             hadamard_exact(np.array([1, 1, 1]), None, np.array([1, 1]), trial, params)
         with pytest.raises(ValueError, match="field vectors"):
             hadamard_exact(np.array([1, 0]), None, np.array([1, 1]), trial, params)
+
+    def test_rejects_a_trial_not_on_every_register_state(self):
+        params, trial = hs_params(0.5), two_site_sector_trial()
+        partial = SupportState(2, 0, [1, 2], trial.amplitudes[[1, 2]])
+        with_ancilla = SupportState(2, 1, np.arange(4), np.tile(trial.amplitudes, 2) / np.sqrt(2))
+        for state, found in ((partial, "2 support states and n_ancillas=0"),
+                             (with_ancilla, "4 support states and n_ancillas=1")):
+            with pytest.raises(ValueError,
+                               match=f"all 4 basis states of its 2-qubit register, got {found}"):
+                hadamard_exact(np.array([1, 1]), None, np.array([1, 1]), state, params)
 
     def test_rejects_an_observable_of_another_width(self):
         params, trial = hs_params(0.5), two_site_sector_trial()

@@ -3,7 +3,7 @@
 Gate matrices are frozen as literals so a silent sign-convention change
 (e.g. the R_Z phase direction) fails loudly.  Circuit application is
 checked against an index-arithmetic dense oracle that shares no code
-with the per-kind in-place kernels.
+with the in-place kernels.
 """
 from __future__ import annotations
 
@@ -215,6 +215,46 @@ class TestSupportState:
                 SupportState(4, 2, support, rows[: 4 * len(support)])
 
 
+class TestQubitRoles:
+    """One phase kernel reads a target bit off the support for a register
+    qubit and off the ancilla index for an ancilla; the same dense state
+    must give the same bits either way.  Four qubits are stored as a
+    register (a StateVector), as ancillas only, and as register qubits 0-1
+    times ancillas 2-3, whose storage is ancilla-major."""
+
+    AMPS = np.arange(1, 17) * np.exp(0.3j * np.arange(16)) / np.sqrt(1496.0)
+
+    def roles(self):
+        """The three layouts, and a map from each one's storage to dense order."""
+        amps = self.AMPS
+        mixed = SupportState(2, 2, np.arange(4), amps.reshape(4, 4).T.ravel())
+        return [(StateVector(4, amps.copy()), lambda a: a),
+                (SupportState(0, 4, [0], amps.copy()), lambda a: a),
+                (mixed, lambda a: a.reshape(4, 4).T.ravel())]
+
+    @pytest.mark.parametrize("theta", [0.9, -2.3])
+    @pytest.mark.parametrize("q", range(4))
+    def test_rz_bits_do_not_depend_on_the_role(self, q, theta):
+        outs = [to_dense(apply_gate(state, rz(theta, q)).amplitudes)
+                for state, to_dense in self.roles()]
+        for out in outs[1:]:
+            np.testing.assert_array_equal(out, outs[0])
+
+    @pytest.mark.parametrize("theta", [1.3, -0.6])
+    @pytest.mark.parametrize("control,target",
+                             [(c, t) for c in (2, 3) for t in range(4) if t != c])
+    def test_crz_bits_do_not_depend_on_the_role(self, control, target, theta):
+        # the target is a register qubit (t < 2) or an ancilla in the mixed
+        # layout, and an ancilla in the all-ancilla one
+        _, (ancillas, _), (mixed, to_dense) = self.roles()
+        gate = crz(theta, control, target)
+        out = apply_gate(ancillas, gate).amplitudes
+        np.testing.assert_array_equal(to_dense(apply_gate(mixed, gate).amplitudes), out)
+        idle = (np.arange(16) >> (3 - control)) & 1 == 0  # the control's 0 half
+        np.testing.assert_array_equal(out[idle], self.AMPS[idle])
+        assert not np.array_equal(out[~idle], self.AMPS[~idle])
+
+
 def random_amplitudes(rng, n_qubits: int) -> np.ndarray:
     amps = rng.standard_normal(2**n_qubits) + 1j * rng.standard_normal(2**n_qubits)
     return amps / np.linalg.norm(amps)
@@ -338,13 +378,13 @@ def fresh_expectation_bits(threads: str) -> str:
 class TestGuards:
     @pytest.mark.parametrize("name", ["H", "X", "RZ", "CRZ"])
     def test_gate_norm_guard(self, monkeypatch, name):
-        kernel = statevector._KERNELS[name]
+        arity, kernel = statevector._GATES[name]
 
         def leaky(state, gate):
             kernel(state, gate)
             state.amplitudes *= 1.0 + 1e-9
 
-        monkeypatch.setitem(statevector._KERNELS, name, leaky)
+        monkeypatch.setitem(statevector._GATES, name, (arity, leaky))
         gate = Gate(name, (0, 1)[: 2 if name == "CRZ" else 1],
                     0.4 if name in ("RZ", "CRZ") else None)
         state = dense(2, np.full(4, 0.5, dtype=complex))
@@ -365,14 +405,14 @@ class TestGuards:
         assert np.array_equal(circuit.amplitudes, one_by_one.amplitudes)
         assert len(calls) == len(gates) + 1
         # a leak in the circuit's last gate is still caught
-        kernel = statevector._KERNELS["H"]
+        arity, kernel = statevector._GATES["H"]
 
         def leaky(state, gate):
             kernel(state, gate)
             if gate.qubits == (2,):
                 state.amplitudes *= 1.0 + 1e-9
 
-        monkeypatch.setitem(statevector._KERNELS, "H", leaky)
+        monkeypatch.setitem(statevector._GATES, "H", (arity, leaky))
         with pytest.raises(FloatingPointError, match="gate H changed the norm"):
             apply_circuit(dense(3, amps.copy()), gates)
 
