@@ -21,8 +21,8 @@ in a temporary directory, so OUT holds only outputs.
 
 Records: written in-process, from the public API only
 (sample_kinetic_interaction, phase_problem_check, weight_numerator,
-local_estimator, build_lcu_state, measure_ancillas_success), so this
-script can read an older tree:
+local_estimator, build_lcu_state, measure_ancillas_success,
+exact_ground_state, expectation), so this script can read an older tree:
   chains_determinant.txt  k_bins, d_bins, acceptance_rate and max_drift on
                           chain:2-7, 9-12, 16 and ladder:6, 8
   chains_statevector.txt  the same on chain:3-6
@@ -35,10 +35,15 @@ script can read an older tree:
                           the ancilla-|0...0> block
 each at g in {0.6, 1.0, 1.5}.  Every chain runs 130 burn-in and 380
 measured sweeps, so both phases end on a partial stack.
+  expectation.txt         expectation of K and D on the half-filled ground
+                          state of chain:4 and ladder:6 at U in {1, 4}, and
+                          of a seeded complex operator whose strings all
+                          carry a Y on whole 8- and 10-qubit registers and
+                          on seeded scattered supports of both widths
 
 GUTZMC_* settings in the environment are ignored and BLAS runs on one
 thread: byte identity is only promised at a fixed BLAS thread count.  The
-whole set (55 files, 1,368 records) takes ~17 s on a 2 vCPU host, ~2.5 s
+whole set (56 files, 1,382 records) takes ~17 s on a 2 vCPU host, ~2.5 s
 of it the chain:8 circuit records.
 """
 from __future__ import annotations
@@ -110,6 +115,11 @@ STATEVECTOR_LATTICES = [("chain", n) for n in (3, 4, 5, 6)]
 ONE_CONFIG_LATTICES = [("chain", n) for n in (2, 3, 4, 5, 6)] + [("ladder", 6)]
 ONE_CONFIG_COUNT = 8
 LCU_LATTICES = [("chain", n) for n in (2, 3, 4, 5, 6, 8)] + [("ladder", 6)]
+EXPECTATION_LATTICES = [("chain", 4), ("ladder", 6)]
+EXPECTATION_U = (1.0, 4.0)
+# (qubits, sizes of the scattered supports); each state is also kept on
+# its whole register
+EXPECTATION_REGISTERS = [(8, (40, 150)), (10, (60, 400))]
 
 
 def cli_argv(name: str, args: list[str], config: Path) -> list[str]:
@@ -195,6 +205,47 @@ def lcu_circuit_records(gutzmc) -> list[str]:
     return lines
 
 
+def y_bearing_operator(gutzmc, rng, n: int):
+    """Complex-weighted strings that each carry a Y: six on the high half of
+    the register, six on the low half, six across both, and one Z-Z pair
+    across the halves, so every gather and sign-mask shape occurs."""
+    half = n // 2
+    spans = [range(half)] * 6 + [range(half, n)] * 6 + [range(n)] * 6
+    terms = []
+    for span in spans:
+        chars = ["I"] * n
+        for q in span:
+            chars[q] = str(rng.choice(list("IXYZ")))
+        chars[int(rng.choice(span))] = "Y"
+        terms.append(gutzmc.PauliTerm(complex(*rng.standard_normal(2)), "".join(chars)))
+    return gutzmc.PauliSum.from_terms(terms) + gutzmc.PauliSum.from_ops(
+        n, {0: "Z", n - 1: "Z"}, complex(*rng.standard_normal(2)))
+
+
+def expectation_records(gutzmc, np) -> list[str]:
+    lines = []
+    for kind, n in EXPECTATION_LATTICES:
+        lattice = gutzmc.build_lattice(kind, n)
+        kinetic, interaction = gutzmc.hubbard_terms(lattice, 1.0, 1.0)
+        for u in EXPECTATION_U:
+            hamiltonian = gutzmc.hubbard_hamiltonian(lattice, 1.0, u)
+            state = gutzmc.exact_ground_state(hamiltonian, 2 * n, (n // 2, n // 2)).state
+            for name, op in (("kinetic", kinetic), ("interaction", interaction)):
+                value = gutzmc.expectation(state, op)
+                lines.append(f"{kind}:{n} U={u} ground_state {name} {complex_hex(value)}")
+    for n, sizes in EXPECTATION_REGISTERS:
+        rng = np.random.default_rng(200 + n)
+        op = y_bearing_operator(gutzmc, rng, n)
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        states = [("register", gutzmc.StateVector(n, amps))]
+        for size in sizes:
+            support = np.sort(rng.choice(1 << n, size, replace=False))
+            states.append((f"scattered={size}", gutzmc.SupportState(n, 0, support, amps[support])))
+        for label, state in states:
+            lines.append(f"{n} qubits {label} y_bearing {complex_hex(gutzmc.expectation(state, op))}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(f"usage: {sys.argv[0]} SRC OUT", file=sys.stderr)
@@ -237,6 +288,7 @@ def main(argv: list[str]) -> int:
         "phase_check.txt": phase_check_records(gutzmc),
         "one_config.txt": one_config_records(gutzmc, np),
         "lcu_circuit.txt": lcu_circuit_records(gutzmc),
+        "expectation.txt": expectation_records(gutzmc, np),
     }
     for name, lines in records.items():
         (out / name).write_text("\n".join(lines) + "\n")

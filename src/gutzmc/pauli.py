@@ -9,19 +9,23 @@ materialized outside of small test helpers.
 Every routine makes one pass per flip mask: terms that flip the same
 qubits share one gather (the Z/I terms one pass, each XZ…ZX / YZ…ZY pair
 one gather), and :func:`_group_elements` is the one rule that turns masks
-into matrix elements.  :func:`apply_pauli_sum` acts on whole registers;
+into matrix elements.  :func:`apply_pauli_sum` acts on whole registers.
 :func:`support_expectation` takes a state kept on a set of basis states,
-its support, and reads each ``ket[b ^ flip]`` through an int32 position
-map, so a state that leaves the support reads an appended zero; its sums
-are NumPy's pairwise ``np.sum`` of elementwise products, not BLAS, so
-they give the same bits at any BLAS thread count.
+its support, and lays it on a grid: rows are the distinct high halves of
+the support's indices (the up block, for the spin layout) and columns the
+distinct low halves (the down block).  Every state the library builds
+fills its grid, so its amplitudes reshape onto it without a copy.  A flip
+that touches one half gathers whole rows or whole columns through a rank
+table of 2^(n/2) entries, and a target off the grid reads an appended
+zero row or column; no table spans the register.  Its sums are NumPy's
+pairwise ``np.sum`` of elementwise products, not BLAS, so they give the
+same bits at any BLAS thread count.
 :func:`diagonal_eigenvalues` works over the basis indices it is given, and
 :func:`basis_matrix` compiles an operator onto a basis as one sparse matrix.  A half-filled trial at chain:10 lives
-on 63,504 of the 1,048,576 register states, so the support kernels cost in
-proportion to the occupied sector rather than the register (the position
-map is one int32 per register state, 4 MB there).  Only
-:func:`basis_matrix` needs SciPy, and it imports it on its first call,
-so the routes that never compile a basis start on NumPy alone.
+on 63,504 of the 1,048,576 register states, a 252 x 252 grid, so the
+support kernels cost in proportion to the occupied sector rather than the
+register.  Only :func:`basis_matrix` needs SciPy, and it imports it on its
+first call, so the routes that never compile a basis start on NumPy alone.
 """
 from __future__ import annotations
 
@@ -230,24 +234,86 @@ def support_expectation(op: PauliSum, support: np.ndarray, amps: np.ndarray) -> 
 
     ``support`` holds distinct register basis indices.  Exact for any
     operator: no number conservation is assumed.  Terms are grouped by
-    flip mask; each distinct flip costs one gather ``ket[b ^ flip]``
-    through the position map, added into Ô|psi> on the support, and all
-    Z/I terms share the flip-0 pass, which gathers nothing (a diagonal
-    operator builds no map).  The one reduction is the pairwise ``np.sum``
-    of conj(psi) * Ô|psi>.
+    flip mask; each distinct flip costs one gather of the ket on the
+    support's grid (:func:`_applied_on_grid`), and all Z/I terms share the
+    flip-0 pass, which gathers nothing (a diagonal operator builds no
+    grid).  The one reduction is the pairwise ``np.sum`` of
+    conj(psi) * Ô|psi> in support order.
     """
     if support.shape != amps.shape:
         raise ValueError(f"dimension mismatch: {support.shape} support vs {amps.shape} amplitudes")
     groups = _flip_groups(op)
-    if any(groups):  # some term flips a qubit: only then is the map needed
-        position = np.full(1 << op.n_qubits, support.size, dtype=np.int32)
-        position[support] = np.arange(support.size, dtype=np.int32)
-        ket = np.append(amps, 0)  # every state outside the support reads this zero
-    applied = np.zeros(amps.shape, dtype=complex)  # Ô|psi> on the support
-    for flip, parts in groups.items():
-        src = support ^ flip
-        applied += _group_elements(parts, src) * (ket.take(position.take(src)) if flip else amps)
+    if any(groups):
+        applied = _applied_on_grid(groups, op.n_qubits, support, amps)
+    else:  # Z/I terms only: nothing to gather, so no grid
+        applied = np.zeros(amps.shape, dtype=complex)
+        applied += _group_elements(groups[0], support) * amps
     return complex(np.sum(amps.conj() * applied))
+
+
+def _applied_on_grid(groups: dict[int, list[tuple[complex, int]]], n: int,
+                     support: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """Ô|psi> in support order, summed group by group on the support's grid.
+
+    Each index splits into its high n - n//2 bits and its low n//2 bits
+    (the up and the down block, for the spin layout); the support's
+    distinct halves are the grid's rows and columns.  A sorted support of
+    rows x cols states is the grid in row-major order, and its amplitudes
+    reshape onto it; any other is scattered into a zero grid and read
+    back.  A flip (fu, fd) gathers whole rows when fd = 0, whole columns
+    when fu = 0, and both otherwise.  Matrix elements are evaluated per
+    row when every sign mask lies in the high half, per column when every
+    one lies in the low half, and per grid entry otherwise, so each is the
+    same number as on the flat support.
+    """
+    low = n // 2
+    mask = (1 << low) - 1
+    highs, lows = support >> low, support & mask
+    rows, rank_rows = _grid_axis(highs, n - low)
+    cols, rank_cols = _grid_axis(lows, low)
+    shape = (rows.size, cols.size)
+    # the extra zero row and column stand for every target off the grid
+    ket = np.zeros((rows.size + 1, cols.size + 1), dtype=complex)
+    filled = support.size == rows.size * cols.size and bool(np.all(support[1:] > support[:-1]))
+    if filled:  # the support is the grid in row-major order
+        grid, values = support, amps.reshape(shape)
+        ket[:-1, :-1] = values
+    else:
+        at = rank_rows[highs], rank_cols[lows]
+        ket[at] = amps
+        grid, values = ((rows[:, None] << low) | cols).ravel(), ket[:-1, :-1]
+    del highs, lows
+    applied = np.zeros(shape, dtype=complex)
+    for flip, parts in groups.items():
+        fu, fd = flip >> low, flip & mask
+        if not flip:
+            gathered = values
+        elif fu and fd:
+            gathered = ket[np.ix_(rank_rows[rows ^ fu], rank_cols[cols ^ fd])]
+        elif fu:
+            gathered = ket[rank_rows[rows ^ fu], :-1]
+        else:
+            gathered = ket[:-1, rank_cols[cols ^ fd]]
+        if all(sign & mask == 0 for _, sign in parts):
+            elements = _group_elements([(c, sign >> low) for c, sign in parts], rows ^ fu)[:, None]
+        elif all(sign >> low == 0 for _, sign in parts):
+            elements = _group_elements(parts, cols ^ fd)
+        else:
+            elements = _group_elements(parts, grid ^ flip).reshape(shape)
+        applied += elements * gathered
+    return applied.ravel() if filled else applied[at]
+
+
+def _grid_axis(halves: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values among ``halves`` (``bits`` wide), and a rank
+    table over all 2^bits values: each value's position, or the axis length
+    (the extra zero row or column) for a value not on the axis."""
+    present = np.zeros(1 << bits, dtype=bool)
+    present[halves] = True
+    axis = np.flatnonzero(present)
+    rank = np.full(1 << bits, axis.size)
+    rank[axis] = np.arange(axis.size)
+    return axis, rank
 
 
 def diagonal_eigenvalues(op: PauliSum, basis: np.ndarray) -> np.ndarray:

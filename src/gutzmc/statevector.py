@@ -94,7 +94,8 @@ class Gate:
     """One gate of the small fixed set used by the circuits here.
 
     ``qubits`` lists targets most-significant-first; for controlled gates
-    the control comes first.  ``angle`` is only meaningful for RZ/CRZ.
+    the control comes first.  RZ and CRZ take a finite ``angle``; H and X
+    take none.
     """
 
     name: str
@@ -109,8 +110,11 @@ class Gate:
             raise ValueError(f"gate {self.name} acts on {arity} qubit(s)")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate targets must be distinct")
-        if self.angle is not None and not np.isfinite(self.angle):
-            raise ValueError("gate angle must be finite")
+        if self.name in ("RZ", "CRZ"):
+            if self.angle is None or not np.isfinite(self.angle):
+                raise ValueError(f"gate {self.name} needs a finite angle")
+        elif self.angle is not None:
+            raise ValueError(f"gate {self.name} takes no angle")
 
     def matrix(self) -> np.ndarray:
         """Dense 2x2 or 4x4 unitary for this gate (the kernels' test reference)."""

@@ -188,6 +188,19 @@ class TestProjectedState:
         assert projected.amplitudes.size == 4900
         assert all(np.isfinite(v) for v in values)
 
+    def test_expectation_allocates_a_few_supports(self):
+        # <K> on the chain:10 projection (63,504 of 2^20 register states)
+        # gathers on the support's up x down grid: no array over the register
+        kin, inter = hubbard_terms(build_lattice("chain", 10), 1.0, 1.0)
+        projected = apply_gutzwiller_exact(trial_state("chain", 10), 0.8, inter).normalized()
+        tracemalloc.start()
+        try:
+            expectation(projected, kin)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * projected.amplitudes.nbytes, f"peak {peak} B"
+
     def test_operator_for_another_register_rejected(self):
         _, inter = hubbard_terms(build_lattice("chain", 2), 1.0, 1.0)
         with pytest.raises(ValueError, match="4-qubit D on a 8-qubit state"):

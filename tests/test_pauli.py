@@ -16,6 +16,7 @@ from gutzmc.pauli import (
     diagonal_eigenvalues,
     support_expectation,
 )
+from gutzmc.statevector import _sector_indices
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -242,23 +243,29 @@ def _operators(rng):
 @pytest.mark.parametrize("kind", ["real", "y_bearing", "complex"])
 def test_matrix_elements_equal_the_complex_sum(kind):
     # real groups are summed in float64; every product and sum must see
-    # the same numbers as with complex elements
+    # the same numbers as with complex elements.  The supports: the bra's
+    # nonzero states, which do not fill the grid of their distinct 4-bit
+    # halves; chain:4's (2, 2) sector, 36 states on a 6 x 6 grid; and the
+    # whole register, 16 x 16.  The operators gather rows, columns and both.
     rng = np.random.default_rng(7)
     op = _operators(rng)[kind]
-    psi = _sparse_bra(rng, 8)
+    bra = _sparse_bra(rng, 8)
     ket = rng.standard_normal(1 << 8) + 1j * rng.standard_normal(1 << 8)
-    support = np.flatnonzero(psi)
-    on_support = np.zeros(support.shape, dtype=complex)
+    for support in (np.flatnonzero(bra), _sector_indices(8, (2, 2)), np.arange(1 << 8)):
+        psi = np.zeros_like(bra)
+        psi[support] = bra[support]
+        on_support = np.zeros(support.shape, dtype=complex)
+        for flip, parts in _flip_groups(op).items():
+            src = support ^ flip
+            gathered = np.where(np.isin(src, support), psi[src], 0)
+            on_support += _complex_elements(parts, src) * gathered
+        expected = np.sum(psi[support].conj() * on_support)
+        assert support_expectation(op, support, psi[support]) == complex(expected)
     applied = np.zeros(ket.shape, dtype=complex)
     for flip, parts in _flip_groups(op).items():
-        src = support ^ flip
-        gathered = np.where(np.isin(src, support), psi[src], 0)
-        on_support += _complex_elements(parts, src) * gathered
         full = np.arange(1 << 8) ^ flip
         applied += ket[full] * _complex_elements(parts, full)
-    expected = np.sum(psi[support].conj() * on_support)
-    assert support_expectation(op, support, psi[support]) == complex(expected)
     np.testing.assert_array_equal(apply_pauli_sum(ket, op), applied)
-    real_groups = [_group_elements(parts, support).dtype == np.float64
+    real_groups = [_group_elements(parts, np.arange(1 << 8)).dtype == np.float64
                    for parts in _flip_groups(op).values()]
     assert all(real_groups) if kind == "real" else not all(real_groups)

@@ -430,6 +430,16 @@ class TestGuards:
         with pytest.raises(ValueError, match="acts on 2 qubit"):
             Gate("CRZ", (0,), 0.3)
 
+    def test_gate_angle(self):
+        # an RZ without its angle used to fail only when applied, with a TypeError
+        for name, qubits, angle in [("RZ", (0,), None), ("CRZ", (0, 1), None),
+                                    ("RZ", (0,), np.nan), ("CRZ", (0, 1), np.inf)]:
+            with pytest.raises(ValueError, match=f"gate {name} needs a finite angle"):
+                Gate(name, qubits, angle)
+        for name in ("H", "X"):
+            with pytest.raises(ValueError, match=f"gate {name} takes no angle"):
+                Gate(name, (0,), 0.3)
+
     def test_width_mismatch(self):
         two, three = StateVector(2, np.eye(4)[0]), StateVector(3, np.eye(8)[0])
         op = PauliSum.from_ops(3, {0: "Z"})
