@@ -41,10 +41,14 @@ measured sweeps, so both phases end on a partial stack.
                           carry a Y on whole 8- and 10-qubit registers and
                           on seeded scattered supports of both widths
 
-GUTZMC_* settings in the environment are ignored and BLAS runs on one
-thread: byte identity is only promised at a fixed BLAS thread count.  The
-whole set (56 files, 1,382 records) takes ~17 s on a 2 vCPU host, ~2.5 s
-of it the chain:8 circuit records.
+GUTZMC_* settings in the environment are ignored.  The BLAS thread count
+is inherited from the caller's environment (OPENBLAS_NUM_THREADS and the
+like): the outputs are the same bytes at any count, on a fixed CPU feature
+set.  A tree whose slater_to_statevector still builds the 2^(2N) register
+follows the count through that register's BLAS norm; to compare against
+one, set OPENBLAS_NUM_THREADS=1 for both runs.  The whole set (56 files,
+1,382 records) takes ~17 s on a 2 vCPU host, ~2.5 s of it the chain:8
+circuit records.
 """
 from __future__ import annotations
 
@@ -260,10 +264,9 @@ def main(argv: list[str]) -> int:
         print(f"error: {out} is not empty", file=sys.stderr)
         return 1
 
-    # Before NumPy loads here, and inherited by every command's interpreter.
+    # Before gutzmc loads here, and inherited by every command's interpreter.
     for var in [var for var in os.environ if var.startswith("GUTZMC_")]:
         del os.environ[var]
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
     os.environ["PYTHONPATH"] = str(src)
 
     with tempfile.TemporaryDirectory() as tmp:

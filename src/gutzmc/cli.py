@@ -6,8 +6,7 @@ Every command returns its tables and writes nothing; ``main`` writes
 each as a CSV (17-significant-digit cells) plus a JSON sidecar echoing
 the effective configuration, seed, and generator identity, so a command
 that raises leaves no file.  Identical config and seed reproduce the
-files byte for byte at a fixed BLAS thread count; the reference gate pins
-OPENBLAS_NUM_THREADS=1 (ROADMAP item 10).
+files byte for byte at any BLAS thread count, on a fixed CPU feature set.
 The echo holds every resolved setting, read by the command or not: ``mc``
 never reads ``shots``, and ``two-site`` and ``hst-verify`` never build a
 lattice, yet their sidecars carry the ``lattice`` setting too.

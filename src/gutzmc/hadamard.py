@@ -49,7 +49,7 @@ from .gutzwiller import HSParams, _validate_config, all_field_vectors, hs_params
 from .lattice import build_lattice
 from .pauli import PauliSum, apply_pauli_sum
 from .slater import ground_state_of_K, sector_amplitudes
-from .statevector import StateVector, _rz_phases, _scale
+from .statevector import StateVector, SupportState, _rz_phases, _scale
 
 
 class _Family(NamedTuple):
@@ -130,7 +130,7 @@ def _primitive_rows(
     u2_configs: np.ndarray,
     observable: PauliSum | None,
     u1_configs: np.ndarray,
-    trial_sector: StateVector,
+    trial_sector: SupportState,
     params: HSParams,
 ) -> list[complex]:
     """Exact <psi0| u(s2_r) O u(s1_r) |psi0> for every row r of the config arrays.
@@ -157,7 +157,7 @@ def hadamard_exact(
     u2_config: np.ndarray,
     observable: PauliSum | None,
     u1_config: np.ndarray,
-    trial_sector: StateVector,
+    trial_sector: SupportState,
     params: HSParams,
 ) -> complex:
     """Exact <psi0| u(s2) O u(s1) |psi0> on one spin sector."""
@@ -200,11 +200,11 @@ def pas_correct(raw_values, reference_raw: float) -> np.ndarray:
 # two-site assembly
 
 
-def two_site_sector_trial() -> StateVector:
+def two_site_sector_trial() -> SupportState:
     """Single-spin-sector trial for two sites: the one-particle hopping ground state."""
     chain = build_lattice("chain", 2)
     amps = sector_amplitudes(ground_state_of_K(chain, 1))
-    return StateVector(2, amps * (1.0 / np.linalg.norm(amps)))
+    return StateVector(2, amps).normalized()
 
 
 def _all_config_pairs() -> list[tuple[np.ndarray, np.ndarray]]:
@@ -213,7 +213,7 @@ def _all_config_pairs() -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def _exact_values(
-    family: str, params: HSParams, trial: StateVector, bias: BiasModel | None
+    family: str, params: HSParams, trial: SupportState, bias: BiasModel | None
 ) -> list[complex]:
     """Exact primitives of one family over the sixteen config pairs.
 
@@ -251,7 +251,7 @@ def _measured(
 
 
 def _anchor_values(
-    trial: StateVector, bias: BiasModel | None
+    trial: SupportState, bias: BiasModel | None
 ) -> tuple[dict[str, list[complex]], list[complex]]:
     """Exact values behind one measurement of every anchor, per family, and
     the ZI ideals the raw ZI values are divided by.

@@ -53,7 +53,7 @@ from .lattice import Lattice, QubitLayout, hopping_matrix, hubbard_terms
 from .pauli import apply_pauli_sum, basis_matrix, diagonal_eigenvalues  # noqa: F401
 from .slater import TrialState, half_filled_trial, slater_to_statevector
 
-STATEVECTOR_MAX_SITES = 8  # the statevector engine's trial passes through a 4^N register
+STATEVECTOR_MAX_SITES = 8  # the engine's basis_matrix maps all 4^N states (int64)
 PHASE_CHECK_MAX_SITES = 5  # phase_problem_check enumerates all 4^N field pairs
 
 # Weights are mathematically real positive in the supported regime;

@@ -4,10 +4,10 @@ A trial sector is an orbital matrix phi (n_sites x n_particles) with
 orthonormal columns.  Because the qubit layout keeps each spin block
 contiguous and ordered by site, the amplitude of an occupation bitstring
 within one sector is det(phi[occupied_rows, :]) with no extra fermionic
-sign, and the two sectors combine as a plain Kronecker product.  The combined
-trial is kept on its particle sector only, as a register-only
+sign, and the two sectors combine as a plain product of amplitudes.  The
+combined trial is built on its particle sector only, as a register-only
 :class:`gutzmc.statevector.SupportState` (63,504 of the 1,048,576 register
-states at chain:10).
+states at chain:10); no 2^(2N) array is formed.
 
 The determinant algebra of field-dressed overlaps and Green functions
 lives in one place, the sampler's determinant engine.
@@ -144,14 +144,15 @@ def slater_to_statevector(
     """The spin-separable Slater pair as a register-only SupportState on its
     (n_up, n_down) sector.
 
-    The up block occupies the most significant qubits, so the register's
-    amplitudes are kron(up_amplitudes, down_amplitudes), normalized (the
-    minors already sum to one up to roundoff).  That register is a
-    transient: only its sector rows are kept.
+    The up block holds the most significant qubits, so sector state b has
+    amplitude a_up[b >> N] * a_down[b & (2^N - 1)], the entry of kron(a_up,
+    a_down) there, normalized by SupportState.normalized's pairwise sum (the
+    minors already sum to one up to roundoff): no BLAS call, no 2^(2N) array.
     """
-    if slater_up.n_sites != layout.n_sites or slater_down.n_sites != layout.n_sites:
+    n = layout.n_sites
+    if slater_up.n_sites != n or slater_down.n_sites != n:
         raise ValueError("sector size does not match layout")
-    amps = np.kron(sector_amplitudes(slater_up), sector_amplitudes(slater_down))
-    amps *= 1.0 / np.linalg.norm(amps)
     basis = _sector_indices(layout.n_register, (slater_up.n_particles, slater_down.n_particles))
-    return SupportState(layout.n_register, 0, basis, amps[basis])
+    amps = (sector_amplitudes(slater_up)[basis >> n]
+            * sector_amplitudes(slater_down)[basis & ((1 << n) - 1)])
+    return SupportState(layout.n_register, 0, basis, amps).normalized()

@@ -157,7 +157,8 @@ class TestSlaterBasics:
 class TestRegisterTrial:
     @pytest.mark.parametrize("kind, n_sites", [("chain", 4), ("chain", 5), ("ladder", 6)])
     def test_sector_rows_are_the_whole_register(self, kind, n_sites):
-        # the kron of the two sectors vanishes off the (n_up, n_down) sector
+        # the kron of the two sectors vanishes off the (n_up, n_down) sector,
+        # and on it equals the sector-built trial
         trial = half_filled_trial(build_lattice(kind, n_sites))
         sv = slater_to_statevector(trial.up, trial.down, QubitLayout(n_sites))
         sector = (trial.up.n_particles, trial.down.n_particles)
@@ -168,18 +169,28 @@ class TestRegisterTrial:
         np.testing.assert_allclose(sv.amplitudes, full[sv.support], rtol=0, atol=1e-15)
 
     def test_chain10_trial_keeps_no_register(self):
-        # 63,504 sector states of a 2^20 register: the 16 MiB register is a
-        # transient of the build; the trial keeps its rows and support, 1.5 MiB
+        # 63,504 sector states of a 2^20 register: the build never forms the
+        # 16 MiB register, peaking near 3 MiB; the trial keeps its rows and
+        # support, 1.5 MiB
         trial = half_filled_trial(build_lattice("chain", 10))
         tracemalloc.start()
         try:
             sv = slater_to_statevector(trial.up, trial.down, QubitLayout(10))
-            kept = tracemalloc.get_traced_memory()[0]
+            kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert kept < 2 * 2**20, f"kept {kept / 2**20:.2f} MiB"
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
         assert (sv.n_register, sv.n_ancillas) == (20, 0)
         np.testing.assert_array_equal(sv.support, _sector_indices(20, (5, 5)))
+
+    @pytest.mark.parametrize("n_sites", [10, 12])
+    def test_trial_squared_norm_is_one_within_two_ulps(self, n_sites):
+        # normalized and measured by the same pairwise-sum rule, so only the
+        # rounding of the scale and of the sum itself remains: two ulps of 1
+        trial = half_filled_trial(build_lattice("chain", n_sites))
+        sv = slater_to_statevector(trial.up, trial.down, QubitLayout(n_sites))
+        assert abs(sv.squared_norm() - 1.0) <= 4.4e-16
 
 
 class TestDressedOverlap:

@@ -338,9 +338,9 @@ class TestSupportKernels:
         assert expectation(SupportState(4, 0, [2, 5, 11], np.zeros(3)), op) == 0
 
     def test_same_bits_at_one_and_two_blas_threads(self):
-        # expectation's reductions are NumPy pairwise sums, not BLAS, so a
-        # 2^16-state support at 20 qubits gives the same bits whatever
-        # OpenBLAS's thread count
+        # expectation's reductions and the trial's normalization are NumPy
+        # pairwise sums, not BLAS, so a 2^16-state support at 20 qubits and
+        # the chain:10 trial give the same bits whatever OpenBLAS's thread count
         if (os.cpu_count() or 1) < 2:
             pytest.skip("needs two CPUs")
         bits = {threads: fresh_expectation_bits(threads) for threads in ("1", "2")}
@@ -348,19 +348,27 @@ class TestSupportKernels:
 
 
 # A fixed 2^16-entry state at 20 qubits, as a full register and as a
-# SupportState (not built from a trial, whose np.linalg.norm still follows
-# the BLAS thread count), and chain:10's two 20-qubit operators.
+# SupportState, and chain:10's trial, its squared norm and its g=1
+# projection, against chain:10's two 20-qubit operators.
 EXPECTATION_PROBE = """
 import numpy as np
-from gutzmc.lattice import build_lattice, hubbard_terms
+from gutzmc.gutzwiller import apply_gutzwiller_exact
+from gutzmc.lattice import QubitLayout, build_lattice, hubbard_terms
+from gutzmc.slater import half_filled_trial, slater_to_statevector
 from gutzmc.statevector import StateVector, SupportState, expectation
 rng = np.random.default_rng(2028)
 support = np.sort(rng.choice(1 << 20, 1 << 16, replace=False))
 amps = rng.standard_normal(1 << 16) + 1j * rng.standard_normal(1 << 16)
 full = np.zeros(1 << 20, dtype=complex)
 full[support] = amps
-for state in (StateVector(20, full), SupportState(20, 0, support, amps)):
-    for op in hubbard_terms(build_lattice("chain", 10), 1.0, 1.0):
+lattice = build_lattice("chain", 10)
+ops = hubbard_terms(lattice, 1.0, 1.0)
+trial = half_filled_trial(lattice)
+psi = slater_to_statevector(trial.up, trial.down, QubitLayout(10))
+print(psi.squared_norm().hex())
+projected = apply_gutzwiller_exact(psi, 1.0, ops[1]).normalized()
+for state in (StateVector(20, full), SupportState(20, 0, support, amps), projected):
+    for op in ops:
         value = expectation(state, op)
         print(value.real.hex(), value.imag.hex())
 """
