@@ -95,15 +95,14 @@ class QubitLayout:
     """Spin-orbital and ancilla bookkeeping on the qubit register.
 
     Qubit 0 is the most significant bit of the amplitude index.  Register
-    qubits come first (up block, then down block); any ancillas sit at the
-    highest indices, i.e. the least significant bits of a dense amplitude
+    qubits come first (up block, then down block); site i's LCU ancilla is
+    qubit 2N + i, among the least significant bits of a dense amplitude
     array.  A :class:`gutzmc.statevector.SupportState` keeps the same
     numbering but stores the ancillas as its leading axes, so its
     ancilla-|0...0> branch is one contiguous block.
     """
 
     n_sites: int
-    n_ancillas: int = 0
 
     @property
     def n_register(self) -> int:
@@ -119,7 +118,7 @@ class QubitLayout:
         raise ValueError(f"spin must be 'up' or 'down', got {spin!r}")
 
     def ancilla(self, site: int) -> int:
-        if not 0 <= site < self.n_ancillas:
+        if not 0 <= site < self.n_sites:
             raise IndexError(f"ancilla {site} out of range")
         return self.n_register + site
 

@@ -82,8 +82,7 @@ def build_lcu_state(
     g : float
         Projection strength.
     layout : QubitLayout
-        Site-to-qubit map; a register-only layout is extended with one
-        ancilla per site (ancillas take the highest qubit indices).
+        Site-to-qubit map; site i's ancilla is qubit 2*n_sites + i.
     simplified : bool
         Use the single-controlled-rotation form instead of the naive
         both-branches-controlled form.  The two produce identical states.
@@ -95,10 +94,6 @@ def build_lcu_state(
         by the trial's support.  Its all-zeros ancilla branch is the first
         row block.  The 2^(3*n_sites) register is never allocated.
     """
-    if layout.n_ancillas == 0:
-        layout = QubitLayout(layout.n_sites, n_ancillas=layout.n_sites)
-    if layout.n_ancillas != layout.n_sites:
-        raise ValueError("need exactly one ancilla per site")
     if trial.n_ancillas or trial.n_register != layout.n_register:
         raise ValueError("trial state does not match the register size")
     params = hs_params(g)

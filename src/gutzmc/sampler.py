@@ -28,10 +28,11 @@ diagonal, and a site whose total field changed applies one rank-one
 update of P.  The statevector engine sums diagonal dressing phases over
 the trial state's occupation support.  Every _ANCHOR_STACK sweeps one
 stacked rebuild re-derives each of those sweeps' weights from scratch,
-records the largest drift, restarts the chain's state on the last one
-and, while the chain measures, yields the stack's estimators.  The
-one-configuration weight_numerator and local_estimator are the engine's
-stack of one.  The backends must agree to 1e-10; the tests cross-check them.
+records the largest drift (a run raises past _MAX_DRIFT), restarts the
+chain's state on the last one and, while the chain measures, yields the
+stack's estimators.  The one-configuration weight_numerator and
+local_estimator are the engine's stack of one.  The backends must agree
+to 1e-10; the tests cross-check them.
 """
 from __future__ import annotations
 
@@ -53,7 +54,11 @@ from .lattice import Lattice, QubitLayout, hopping_matrix, hubbard_terms
 from .pauli import apply_pauli_sum, basis_matrix, diagonal_eigenvalues  # noqa: F401
 from .slater import TrialState, half_filled_trial, slater_to_statevector
 
-STATEVECTOR_MAX_SITES = 8  # the engine's basis_matrix maps all 4^N states (int64)
+# The statevector engine re-sums each proposal over the trial's support,
+# C(N, N/2)^2 states, at O(support x N): one sweep took 0.2-0.3 ms at
+# chain:6, 1.7-2.7 ms at chain:8 and 37-50 ms at chain:10 (one BLAS thread,
+# 2 vCPU Xeon), so a default 22,000-sweep point would take ~15 min at chain:10.
+STATEVECTOR_MAX_SITES = 8
 PHASE_CHECK_MAX_SITES = 5  # phase_problem_check enumerates all 4^N field pairs
 
 # Weights are mathematically real positive in the supported regime;
@@ -67,6 +72,9 @@ _SINGULAR_TOL = 1e-12
 # Sweeps per stacked rebuild: the chain runs on its tracked weight for at
 # most this many sweeps before every one of them is checked from scratch.
 _ANCHOR_STACK = 50
+# A run whose max_drift passes this relative bound raises: the worst drift
+# measured at g <= 8 is 5.5e-13 (chain:10-16), so roundoff stays 1.8e4 below.
+_MAX_DRIFT = 1e-8
 
 _flatten = itertools.chain.from_iterable
 
@@ -213,7 +221,7 @@ class _DeterminantEngine:
                 sv = np.linalg.svd(suspect, compute_uv=False)
                 if np.any(sv[:, -1] < _SINGULAR_TOL * np.maximum(1.0, sv[:, 0])):
                     raise SingularOverlapError("dressed overlap matrix near singular")
-        stacks = [phi @ np.linalg.solve(gram, phi.conj().T) for phi, gram in zip(self.phis, grams)]
+        stacks = self._projectors(grams)
         ket = np.exp(1j * self.alpha * configs[:, :, 0])
         bra = np.exp(1j * self.alpha * configs[:, :, 1])
         hop = hopping_matrix(self.lattice, J) * bra[:, :, None] * ket[:, None, :]
@@ -225,11 +233,14 @@ class _DeterminantEngine:
         docc = np.sum(diags[0] * diags[1], axis=1)
         return weights, np.array([kinetic, docc])
 
+    def _projectors(self, grams: list[np.ndarray]) -> list[np.ndarray]:
+        """P = phi G^{-1} phi^H per sector of a Gram stack, shape (B, N, N)."""
+        return [phi @ np.linalg.solve(gram, phi.conj().T) for phi, gram in zip(self.phis, grams)]
+
     def start(self, config: np.ndarray, weight: complex) -> list:
         """A chain's state at one (N, 2) configuration: [totals, P per sector, P's diagonals]."""
         total = config.sum(axis=1)
-        grams = self._grams(np.exp(1j * self.alpha * total)[None])
-        ps = [phi @ np.linalg.solve(g[0], phi.conj().T) for phi, g in zip(self.phis, grams)]
+        ps = [p[0] for p in self._projectors(self._grams(np.exp(1j * self.alpha * total)[None]))]
         return [total.tolist(), ps, [p.diagonal().tolist() for p in ps]]
 
     def sweep(self, state, config: list, weight: complex, draws: list) -> tuple[complex, int]:
@@ -289,8 +300,8 @@ class _StatevectorEngine:
     b, and <psi0|u(s2) Ô u(s1)|psi0> needs Ô only between support states:
     the hopping operator is compiled onto the support once, and the
     double occupancy is its diagonal there.  weights and estimators take
-    a whole stack in one vectorized pass; a chain's state is its site
-    totals and its configuration's from-scratch weight.
+    a whole stack in one vectorized pass; a chain's state is its fields
+    as floats and its configuration's from-scratch weight.
     """
 
     def __init__(self, trial: TrialState, params: HSParams):
@@ -308,7 +319,8 @@ class _StatevectorEngine:
         self.docc = diagonal_eigenvalues(interaction, support)
 
     def weights(self, configs: np.ndarray) -> np.ndarray:
-        return np.exp(1j * self.alpha * (configs.sum(axis=2) @ self.m_support.T)) @ self.prob
+        """Weights of a (..., N, 2) configuration stack, shape (...): one (N, 2) gives a scalar."""
+        return np.exp(1j * self.alpha * (configs.sum(axis=-1) @ self.m_support.T)) @ self.prob
 
     def estimators(self, configs: np.ndarray, J: float) -> tuple[np.ndarray, np.ndarray]:
         """A stack's weights and complex K and D ratios, shapes (B,) and (2, B)."""
@@ -322,33 +334,32 @@ class _StatevectorEngine:
         return weights, np.array([kinetic, docc]) / weights
 
     def start(self, config: np.ndarray, weight: complex) -> list:
-        """A chain's state at one configuration: [totals, its from-scratch weight]."""
-        return [config.sum(axis=1), complex(weight)]
+        """A chain's state at one configuration: [its fields as floats, its from-scratch weight]."""
+        return [config.astype(np.float64), complex(weight)]
 
     def sweep(self, state, config: list, weight: complex, draws: list) -> tuple[complex, int]:
         """One Metropolis pass over config's fields and state, in place; see metropolis_sweep.
 
-        Every proposal's ratio is its from-scratch weight over the current one.
+        Every proposal's ratio is its from-scratch weight (weights) over the current one.
         """
-        total, current = state
+        floats, current = state
         accepted = 0
         draw = iter(draws)
         for site, fields in enumerate(config):
             for copy in (0, 1):
                 u = next(draw)
-                new = fields[0] + fields[1] - 2 * fields[copy]
-                moved = total.astype(np.float64)
-                moved[site] = new
-                w_fresh = complex(self.prob @ np.exp(1j * self.alpha * (self.m_support @ moved)))
+                floats[site, copy] = -fields[copy]
+                w_fresh = complex(self.weights(floats))
                 w_new = weight * complex(w_fresh / current)
                 _check_weight(w_new, weight)
                 r = w_new.real / weight.real
                 if r >= 1.0 or u < r:
                     fields[copy] = -fields[copy]
-                    total[site] = new
                     current = w_fresh
                     weight = w_new
                     accepted += 1
+                else:
+                    floats[site, copy] = fields[copy]
         state[1] = current
         return weight, accepted
 
@@ -519,7 +530,8 @@ def sample_kinetic_interaction(
     estimators come from the stacked rebuild that checks its weight; the
     burn-in ends with a rebuild of its own, so no stack mixes the two.
     The real parts are kept: the exact weighted averages are real, and
-    the per-sample imaginary parts average to zero by symmetry.
+    the per-sample imaginary parts average to zero by symmetry.  A chain
+    whose max_drift passes _MAX_DRIFT raises ArithmeticError.
     """
     trial = half_filled_trial(lattice)
     params = hs_params(g)
@@ -534,6 +546,9 @@ def sample_kinetic_interaction(
         _, n_acc = metropolis_sweep(chain, trial, params, rng)
         accepted += n_acc
     _anchor(chain)
+    if chain.max_drift > _MAX_DRIFT:
+        raise ArithmeticError(
+            f"tracked weight drifted {chain.max_drift:.3e} from its rebuild (bound {_MAX_DRIFT:g})")
     k_samples, d_samples = np.concatenate(chain.measured, axis=1)
     per_bin = mc_params.n_sweeps // mc_params.n_bins
     return McSamples(

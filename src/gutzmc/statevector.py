@@ -279,10 +279,11 @@ def expectation(state: SupportState, op: PauliSum) -> complex:
 
 
 # Sectors up to this many states are diagonalized densely, larger ones by
-# Lanczos.  With one BLAS thread (Hubbard sectors) dense takes 1.2 ms at 100
-# states against 1.5-1.9 for Lanczos, 5-7 ms at 224 against 1.6-2.5, and
-# 25 ms at 400 against 2.6-5.7: the two cross near 120 states.
-DENSE_MAX_DIM = 200
+# Lanczos.  On Hubbard sectors (one BLAS thread, best of 5, three runs on a
+# 2 vCPU Xeon) dense takes 0.8-1.2 ms at 100 states against 1.5-2.1 for
+# Lanczos, 1.7-2.4 at 144 against 2.0-3.0, 1.8-2.5 at 147 against 1.5-2.4
+# and 3.9-6.7 at 224 against 1.5-3.2: each run crosses between 144 and 147.
+DENSE_MAX_DIM = 144
 # Every eigenpair returned has ||H v - E v|| <= this * max(1, |E|).  Lanczos
 # stops at ||r|| <= this/100 * |E|; the energy's error is quadratic in ||r||.
 _RESIDUAL_TOL = 1e-9

@@ -480,6 +480,23 @@ class TestMainExitCodes:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_drifted_weight_is_exit_two(self, monkeypatch, tmp_path, capsys):
+        # the tracked weight leaves its from-scratch value by 1e-3 at one sweep
+        sweep, calls = sampler._DeterminantEngine.sweep, []
+
+        def drifting(self, state, config, weight, draws):
+            weight, accepted = sweep(self, state, config, weight, draws)
+            calls.append(None)
+            return (weight * 1.001 if len(calls) == 15 else weight), accepted
+
+        monkeypatch.setattr(sampler._DeterminantEngine, "sweep", drifting)
+        out = tmp_path / "x.csv"
+        rc = cli.main(["mc", "--lattice", "chain:4", "--g-min", "0.5", "--g-max", "0.5",
+                       "--nmc", "20", "--bins", "10", "--burnin", "10", "--out", str(out)])
+        assert rc == 2
+        assert "drifted" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_vanishing_anchor_is_exit_two(self, tmp_path, capsys):
         # A 0.001 contrast per layer leaves one shot nothing to anchor on.
         rc = cli.main(["two-site", "--g-min", "0.5", "--g-max", "0.5", "--U", "2",

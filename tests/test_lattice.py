@@ -105,8 +105,16 @@ class TestQubitLayout:
         assert layout.n_register == 6
 
     def test_ancilla_block_on_top(self):
-        layout = QubitLayout(3, n_ancillas=3)
+        layout = QubitLayout(3)
         assert [layout.ancilla(i) for i in range(3)] == [6, 7, 8]
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_one_ancilla_per_site_after_the_register(self, n):
+        layout = QubitLayout(n)
+        assert [layout.ancilla(i) for i in range(n)] == [2 * n + i for i in range(n)]
+        for site in (-1, n):
+            with pytest.raises(IndexError):
+                layout.ancilla(site)
 
 
 class TestHubbardTerms:

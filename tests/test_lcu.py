@@ -101,7 +101,7 @@ class TestSingleSite:
     def test_circuit_matrix_against_direct_construction(self):
         g = 0.7
         params = hs_params(g)
-        layout = QubitLayout(1, n_ancillas=1)
+        layout = QubitLayout(1)
         gates = (
             [hadamard(layout.ancilla(0))]
             + _dressing_gates(0, params.alpha, layout, simplified=True)

@@ -517,6 +517,51 @@ class TestStackBookkeeping:
         assert len(chain.measured) == (0 if J is None else 3)
 
 
+class TestOneExpressionPerEngine:
+    """A chain's state holds, bit for bit, what the stacked rebuild derives."""
+
+    @pytest.mark.parametrize("kind,n", [("chain", 4), ("chain", 5), ("ladder", 6)])
+    def test_statevector_proposal_weights_are_the_stacked_weights(self, kind, n):
+        # every proposal's from-scratch weight, accepted or not, is its
+        # configuration's weight in a stack; the accepted one's is the state's
+        trial = half_filled_trial(build_lattice(kind, n))
+        params = hs_params(1.0)
+        chain = make_chain(trial, params, "statevector")
+        engine, proposed = chain.engine, []
+        stacked = engine.weights
+
+        def recording(configs):
+            weight = stacked(configs)
+            proposed.append((configs.astype(np.int64), weight))
+            return weight
+
+        engine.weights = recording
+        rng, accepted = np.random.default_rng(n), 0
+        for _ in range(_ANCHOR_STACK - 1):
+            proposed.clear()
+            accepted += metropolis_sweep(chain, trial, params, rng)[1]
+            assert len(proposed) == 2 * n
+            for config, weight in proposed:
+                assert weight == stacked(config[None])[0]
+            assert chain.state[1] == stacked(np.array(chain.config)[None])[0]
+        assert accepted > 10 * n
+
+    @pytest.mark.parametrize("kind,n", [("chain", 9), ("chain", 10), ("ladder", 8)])
+    def test_determinant_restart_projectors_are_the_stacked_ones(self, kind, n):
+        trial = half_filled_trial(build_lattice(kind, n))
+        params = hs_params(1.0)
+        engine = _DeterminantEngine(trial, params)
+        configs = np.random.default_rng(n).choice([-1, 1], size=(_ANCHOR_STACK, n, 2))
+        phases = np.exp(1j * params.alpha * configs.sum(axis=2))
+        stacked = engine._projectors(engine._grams(phases))
+        for b, config in enumerate(configs):
+            _, restart, diagonals = engine.start(config, 1.0)
+            assert len(restart) == len(stacked) == (1 if n % 2 == 0 else 2)
+            for p, tracked, stack in zip(restart, diagonals, stacked):
+                assert np.array_equal(p, stack[b])
+                assert tracked == stack[b].diagonal().tolist()
+
+
 class TestSingularGuard:
     """The engine's estimators refuse a stack with a singular sector Gram."""
 
@@ -678,6 +723,20 @@ class TestPhaseCheck:
         assert not chain.pending
         assert abs(chain.weight - 1.0) < 1e-15
         assert chain.max_drift == pytest.approx(1e-3, rel=1e-6)
+
+    def test_a_run_that_drifted_raises(self, monkeypatch):
+        # one proposal moves the tracked weight 1e-3 off its from-scratch
+        # value until the next rebuild: the run raises instead of binning
+        class Measured(self.Scripted):
+            def estimators(self, configs, J):
+                return self.weights(configs), np.zeros((2, len(configs)))
+
+        ratios = [1.0] * (4 * 100)
+        ratios[4 * 70 + 1] = 1.001
+        monkeypatch.setattr(sampler, "_engine", lambda trial, params, backend: Measured(ratios))
+        mc = McParams(n_sweeps=100, n_burnin=0, n_bins=10)
+        with pytest.raises(ArithmeticError, match="drifted 1.000e-03"):
+            sample_kinetic_interaction(build_lattice("chain", 2), 1.0, 0.5, mc)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("n", [4, 5])
