@@ -30,7 +30,7 @@ exact_ground_state, expectation), so this script can read an older tree:
   one_config.txt          weight_numerator and local_estimator on fixed
                           random configurations, both backends
   lcu_circuit.txt         the LCU circuit on the half-filled trial, both
-                          circuit forms, on chain:2-6, 8 and ladder:6:
+                          circuit forms, on chain:2-6, 8 and ladder:6, 8:
                           the success probability and every amplitude of
                           the ancilla-|0...0> block
 each at g in {0.6, 1.0, 1.5}.  Every chain runs 130 burn-in and 380
@@ -47,8 +47,9 @@ like): the outputs are the same bytes at any count, on a fixed CPU feature
 set.  A tree whose slater_to_statevector still builds the 2^(2N) register
 follows the count through that register's BLAS norm; to compare against
 one, set OPENBLAS_NUM_THREADS=1 for both runs.  The whole set (56 files,
-1,382 records) takes ~17 s on a 2 vCPU host, ~2.5 s of it the chain:8
-circuit records.
+1,394 records) takes ~12 s on a 2 vCPU host, ~0.8 s of it the circuit
+records (~2.1 s on a tree whose circuit carries every ancilla row from
+the first gate).
 """
 from __future__ import annotations
 
@@ -118,7 +119,7 @@ DETERMINANT_LATTICES = [("chain", n) for n in (2, 3, 4, 5, 6, 7, 9, 10, 11, 12, 
 STATEVECTOR_LATTICES = [("chain", n) for n in (3, 4, 5, 6)]
 ONE_CONFIG_LATTICES = [("chain", n) for n in (2, 3, 4, 5, 6)] + [("ladder", 6)]
 ONE_CONFIG_COUNT = 8
-LCU_LATTICES = [("chain", n) for n in (2, 3, 4, 5, 6, 8)] + [("ladder", 6)]
+LCU_LATTICES = [("chain", n) for n in (2, 3, 4, 5, 6, 8)] + [("ladder", 6), ("ladder", 8)]
 EXPECTATION_LATTICES = [("chain", 4), ("ladder", 6)]
 EXPECTATION_U = (1.0, 4.0)
 # (qubits, sizes of the scattered supports); each state is also kept on

@@ -133,7 +133,9 @@ def full_sum_expectation(
     Only the register-only trial's support rows are built (400 of 4096 at
     chain:6): every dressed bra vanishes outside it, so the observable is
     applied as an in-support sparse matrix and the other rows contribute
-    exactly 0.
+    exactly 0.  A phase takes one of 2N+1 values, e^{i*alpha*c} for the
+    integer charge c in [-N, N], so the phases are gathered from a table
+    of those values, the same bits as one complex exp per entry.
     """
     if layout.n_sites > FULL_SUM_MAX_SITES:
         raise ValueError(
@@ -147,7 +149,9 @@ def full_sum_expectation(
     m = field_coupling_matrix(layout, support)
     fields = all_field_vectors(layout.n_sites)
     # phases[b, c] = e^{i*alpha*sum_i s_c[i]*m_i(b)} = action of the c-th dressing
-    phases = np.exp(1j * p.alpha * (m.astype(np.float64) @ fields.T.astype(np.float64)))
+    n = layout.n_sites
+    table = np.exp(1j * p.alpha * np.arange(-n, n + 1, dtype=np.float64))
+    phases = table[m.astype(np.int64) @ fields.T.astype(np.int64) + n]
     kets = phases * amps[:, None]
     bras = phases * amps.conj()[:, None]
     obs_kets = basis_matrix(observable, support) @ kets

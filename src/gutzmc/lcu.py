@@ -15,12 +15,16 @@ O(N * 2^N) time and O(2^N) memory, so the route reaches N around 20.
 
 The circuit itself runs on the trial's support: every register gate is
 RZ or CRZ, diagonal on the register, so the state stays inside
-(trial support) x (ancillas).  It is stored ancilla-major, 2^N ancilla
-states by the support rows (:class:`gutzmc.statevector.SupportState`):
-400 x 64 amplitudes at chain:6 and 4900 x 256 at chain:8 and ladder:8,
-where the full 3N-qubit register would need 2^18 and 2^24.  The
-all-zeros ancilla branch is read off as a register-only SupportState on
-the same support, never scattered into the 2^(2N) register.
+(trial support) x (ancillas).  It is stored ancilla-major, ancilla states
+by the S support rows (:class:`gutzmc.statevector.SupportState`), and it
+gains one ancilla per site: site s's ancilla is appended in |0> as the
+least significant one just before its first H, so each of site s's gates
+updates 2^(s+1) x S amplitudes, (2^(N+1) - 2)*S over the N sites, where
+a register carrying every ancilla from the start takes N*2^N*S.  The
+final state is 400 x 64 amplitudes at chain:6 and 4900 x 256 at chain:8
+and ladder:8, where the full 3N-qubit register would need 2^18 and 2^24.
+The all-zeros ancilla branch is read off as a register-only SupportState
+on the same support, never scattered into the 2^(2N) register.
 """
 from __future__ import annotations
 
@@ -75,10 +79,19 @@ def build_lcu_state(
 ) -> SupportState:
     """Run the preparation circuit on trial ⊗ |0…0⟩ ancillas.
 
+    Site s's ancilla joins in |0⟩ as the least significant one just before
+    the site's H, dressing and H gates, which then run on 2^(s+1) x S
+    amplitudes, (2^(N+1) - 2)*S per gate over the N sites instead of
+    N*2^N*S.  The rows of ancillas not yet reached, exact zeros in a
+    whole-register circuit, are never stored, so the result is the same to
+    the bit, and the old rows are dropped before the gates run, so the peak
+    is the final state plus one gate's temporaries.
+
     Parameters
     ----------
     trial : SupportState
-        Normalized register-only state on 2*n_sites qubits.
+        Register-only state on 2*n_sites qubits, of squared norm 1 to 1e-12
+        (else ``ValueError``).
     g : float
         Projection strength.
     layout : QubitLayout
@@ -96,16 +109,19 @@ def build_lcu_state(
     """
     if trial.n_ancillas or trial.n_register != layout.n_register:
         raise ValueError("trial state does not match the register size")
-    params = hs_params(g)
-    amps = np.zeros((1 << layout.n_sites, trial.support.size), dtype=complex)
-    amps[0] = trial.amplitudes
-    whole = SupportState(layout.n_register, layout.n_sites, trial.support, amps.reshape(-1))
-    gates: list[Gate] = []
+    if abs(trial.squared_norm() - 1.0) > 1e-12:
+        raise ValueError("trial state is not normalized")
+    alpha = hs_params(g).alpha
+    state, size = trial, trial.support.size
     for site in range(layout.n_sites):
-        gates.append(hadamard(layout.ancilla(site)))
-        gates.extend(_dressing_gates(site, params.alpha, layout, simplified))
-        gates.append(hadamard(layout.ancilla(site)))
-    return apply_circuit(whole, gates)
+        grown = np.zeros((1 << site, 2, size), dtype=complex)
+        grown[:, 0] = state.amplitudes.reshape(1 << site, size)
+        # Rebinding drops the old rows before the gates run.
+        state = SupportState(layout.n_register, site + 1, trial.support, grown.reshape(-1))
+        anc = layout.ancilla(site)
+        apply_circuit(state, [hadamard(anc), *_dressing_gates(site, alpha, layout, simplified),
+                              hadamard(anc)])
+    return state
 
 
 def measure_ancillas_success(whole_state: SupportState) -> LcuOutcome:

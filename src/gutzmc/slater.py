@@ -15,7 +15,6 @@ lives in one place, the sampler's determinant engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
 
 import numpy as np
 
@@ -124,17 +123,22 @@ def sector_amplitudes(slater: SlaterState) -> np.ndarray:
     """Occupation-basis amplitudes of one sector, length 2**n_sites.
 
     The entry for bitstring b (site 0 = most significant bit) is the minor
-    det(phi[rows_of_set_bits, :]); all other occupation counts vanish.
+    det(phi[rows_of_set_bits, :]); all other occupation counts vanish.  The
+    C(N, k) bitstrings with k set bits are picked by popcount, and each
+    minor's rows are its set sites in increasing order, read off a uint32
+    bit table.  The minors are taken before the 2^N output is allocated:
+    at N = 18, k = 9 the peak is 64.4 MiB, 60.1 MiB of it the stacked
+    9 x 9 matrices.
     """
     n, k = slater.n_sites, slater.n_particles
+    codes = np.arange(1 << n, dtype=np.uint32)
+    codes = codes[np.bitwise_count(codes) == k]
+    # flat positions of the set bits in the row-major (code, site) table
+    rows = np.flatnonzero((codes[:, None] >> np.arange(n - 1, -1, -1, dtype=np.uint32)) & 1)
+    rows %= n
+    minors = np.linalg.det(slater.phi[rows.reshape(codes.size, k), :])
     amps = np.zeros(1 << n, dtype=complex)
-    if k == 0:
-        amps[0] = 1.0
-        return amps
-    occupied = np.fromiter(
-        chain.from_iterable(combinations(range(n), k)), dtype=np.int64
-    ).reshape(-1, k)
-    amps[(1 << (n - 1 - occupied)).sum(axis=1)] = np.linalg.det(slater.phi[occupied, :])
+    amps[codes] = minors
     return amps
 
 

@@ -23,7 +23,7 @@ from gutzmc.gutzwiller import (
     verify_hs_identity,
 )
 from gutzmc.lattice import QubitLayout, build_lattice, hubbard_terms
-from gutzmc.pauli import diagonal_eigenvalues
+from gutzmc.pauli import basis_matrix, diagonal_eigenvalues
 from gutzmc.slater import (
     TrialState,
     ground_state_of_K,
@@ -257,7 +257,31 @@ class TestFieldRotations:
         assert len({tuple(v) for v in vecs}) == 8
 
 
+def exp_phase_full_sum(observable, g, trial, layout) -> float:
+    """Reference: the full sum with every phase from its own complex exp of a
+    float charge, as full_sum_expectation computed it before its phase table."""
+    alpha = hs_params(g).alpha
+    support, amps = trial.support, trial.amplitudes
+    m = field_coupling_matrix(layout, support)
+    fields = all_field_vectors(layout.n_sites)
+    phases = np.exp(1j * alpha * (m.astype(np.float64) @ fields.T.astype(np.float64)))
+    kets = phases * amps[:, None]
+    bras = phases * amps.conj()[:, None]
+    obs_kets = basis_matrix(observable, support) @ kets
+    return float((np.sum(bras.T @ obs_kets) / np.sum(bras.T @ kets)).real)
+
+
 class TestFullSum:
+    @pytest.mark.parametrize("kind,n", [("chain", 4), ("ladder", 6), ("chain", 7)])
+    def test_phase_table_bits_equal_elementwise_exp(self, kind, n):
+        lat = build_lattice(kind, n)
+        layout = QubitLayout(n)
+        sv = trial_state(kind, n)
+        for op in hubbard_terms(lat, 1.0, 1.0):
+            for g in (0.0, 0.37, 1.3, 4.0):
+                assert full_sum_expectation(op, g, sv, layout) == exp_phase_full_sum(
+                    op, g, sv, layout)
+
     @pytest.mark.parametrize("kind,n", [("chain", 2), ("chain", 3), ("chain", 4), ("ladder", 4)])
     def test_matches_exact_projection(self, kind, n):
         lat = build_lattice(kind, n)

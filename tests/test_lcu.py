@@ -342,6 +342,90 @@ class TestSupportReach:
         assert np.max(np.abs(wholes[0].amplitudes - wholes[1].amplitudes)) <= 1e-12
 
 
+def whole_register_circuit(trial, g, layout, simplified):
+    """Reference: all 2^N ancilla rows from the start, every gate through
+    one apply_circuit, as the circuit ran before it grew its register."""
+    amps = np.zeros((1 << layout.n_sites, trial.support.size), dtype=complex)
+    amps[0] = trial.amplitudes
+    whole = SupportState(layout.n_register, layout.n_sites, trial.support, amps.reshape(-1))
+    alpha = hs_params(g).alpha
+    gates = []
+    for site in range(layout.n_sites):
+        anc = layout.ancilla(site)
+        gates += [hadamard(anc), *_dressing_gates(site, alpha, layout, simplified), hadamard(anc)]
+    return apply_circuit(whole, gates)
+
+
+class TestGrownRegister:
+    """The circuit adds one ancilla per site; the rows it has not reached
+    are exact zeros in the whole-register circuit, so both give the same
+    bits, signs of zero included."""
+
+    @staticmethod
+    def assert_same_bits(got: SupportState, want: SupportState) -> None:
+        assert (got.n_register, got.n_ancillas) == (want.n_register, want.n_ancillas)
+        np.testing.assert_array_equal(got.support, want.support)
+        np.testing.assert_array_equal(got.amplitudes.view(np.float64),
+                                      want.amplitudes.view(np.float64))
+        np.testing.assert_array_equal(np.signbit(got.amplitudes.view(np.float64)),
+                                      np.signbit(want.amplitudes.view(np.float64)))
+
+    @pytest.mark.parametrize("kind, n", [("chain", n) for n in range(2, 7)] + [("ladder", 6)])
+    @pytest.mark.parametrize("simplified", [True, False])
+    def test_equals_whole_register_circuit(self, kind, n, simplified):
+        layout = QubitLayout(n)
+        trial = half_filled_trial(build_lattice(kind, n))
+        sv = slater_to_statevector(trial.up, trial.down, layout)
+        before = sv.amplitudes.copy()
+        for g in (0.0, 0.6, 1.5):
+            self.assert_same_bits(build_lcu_state(sv, g, layout, simplified),
+                                  whole_register_circuit(sv, g, layout, simplified))
+        np.testing.assert_array_equal(sv.amplitudes, before)  # the trial is not touched
+
+    @pytest.mark.parametrize("simplified", [True, False])
+    def test_signed_zero_trial(self, simplified):
+        # exact +0 and -0 in both parts, beside unit-norm nonzero entries
+        amps = np.array([0.6, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                         0.0, 0.48j, -0.0, complex(0.0, 0.0),
+                         complex(-0.0, 0.0), 0.0, -0.64, complex(0.0, -0.0),
+                         complex(-0.0, -0.0), 0.0, -0.0, 0.0])
+        trial = StateVector(4, amps)
+        assert trial.squared_norm() == 1.0
+        layout = QubitLayout(2)
+        for g in (0.0, 0.6, 1.5):
+            self.assert_same_bits(build_lcu_state(trial, g, layout, simplified),
+                                  whole_register_circuit(trial, g, layout, simplified))
+
+    @pytest.mark.parametrize("kind", ["chain", "ladder"])
+    def test_peak_stays_at_the_whole_register_peak(self, kind):
+        # 4900 x 256 amplitudes are 19.1 MiB; the whole-register circuit
+        # peaks at 38.5 MiB, and growing while the old rows stay alive
+        # through the site's gates would reach 48 MiB
+        layout = QubitLayout(8)
+        trial = half_filled_trial(build_lattice(kind, 8))
+        sv = slater_to_statevector(trial.up, trial.down, layout)
+        for simplified in (True, False):
+            tracemalloc.start()
+            try:
+                build_lcu_state(sv, 0.7, layout, simplified)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 40 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("scale", [3.0, 1.0 + 1e-11, 1.0 - 1e-11])
+    def test_unnormalized_trial_rejected(self, scale):
+        # a chain:4 trial scaled by 3 once read p = 7.4307 at g = 0.1 (0.8256 normalized)
+        layout = QubitLayout(4)
+        trial = half_filled_trial(build_lattice("chain", 4))
+        sv = slater_to_statevector(trial.up, trial.down, layout)
+        scaled = SupportState(sv.n_register, 0, sv.support, sv.amplitudes * scale)
+        with pytest.raises(ValueError, match="not normalized"):
+            build_lcu_state(scaled, 0.1, layout)
+        assert abs(measure_ancillas_success(build_lcu_state(sv, 0.1, layout))
+                   .success_probability - 0.8256) < 1e-4
+
+
 class TestCompactRoundTrip:
     """The circuit's projected state, kept on the trial's support, goes back
     into every route that takes a trial: each must read it as the same state

@@ -107,6 +107,20 @@ class TestSectorIndices:
         )
 
 
+class TestPopcountEnumeration:
+    """The popcount enumeration takes each minor's rows in the order
+    itertools.combinations gives them, so every amplitude keeps its bits."""
+
+    @pytest.mark.parametrize("n_sites", range(2, 17))
+    def test_bits_equal_combinations_reference(self, n_sites):
+        for n_particles in sorted({0, 1, n_sites // 2, n_sites}):
+            slater = random_slater(n_sites, n_particles, seed=7 * n_sites + n_particles)
+            got = sector_amplitudes(slater).view(np.float64)
+            want = loop_sector_amplitudes(slater).view(np.float64)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 class TestSlaterBasics:
     def test_orthonormality_enforced(self):
         bad = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
