@@ -19,9 +19,10 @@ since the sidecar would replace the CSV, and so is one with no file name.
 Before the first write ``main`` checks every output path, so a CSV or
 sidecar path that names a directory leaves no file either.
 
-Exit codes: 0 success, 1 usage/config error (a lattice whose half-filled
-shell is degenerate included), 2 numerical check failure (any floating
-overflow, invalid operation, division by zero or failed eigensolve included).
+Exit codes: 0 success, 1 usage/config error or any input a library call
+rejects (every ``ValueError``, a degenerate half-filled shell included),
+one ``error:`` line; 2 numerical check failure (any floating overflow,
+invalid operation, division by zero or failed eigensolve included).
 """
 from __future__ import annotations
 
@@ -55,14 +56,12 @@ from .lattice import Lattice, QubitLayout, build_lattice, hubbard_hamiltonian, h
 from .lcu import success_probability_curve
 from .sampler import (
     BACKENDS,
-    PHASE_CHECK_MAX_SITES,
-    STATEVECTOR_MAX_SITES,
     McParams,
     phase_problem_check,
     results_from_samples,
     sample_kinetic_interaction,
 )
-from .slater import DegenerateFillingError, half_filled_trial, slater_to_statevector
+from .slater import half_filled_trial, slater_to_statevector
 from .statevector import exact_ground_state, expectation
 from .zz_decomp import decompose_zz, verify_variant
 
@@ -300,16 +299,10 @@ def _mc_point(cfg: RunConfig, lattice: Lattice, params: McParams, g_index: int, 
 
 
 def _mc_params(cfg: RunConfig, lattice: Lattice) -> McParams:
-    """Chain parameters shared by every g point, after the MC size checks."""
+    """Chain parameters shared by every g point, after the CLI's MC size cap."""
     if lattice.n_sites > 12:
         raise ConfigError(f"MC supports at most 12 sites, got {lattice.n_sites}")
-    if cfg.backend == "statevector" and lattice.n_sites > STATEVECTOR_MAX_SITES:
-        raise ConfigError(f"statevector backend supports at most {STATEVECTOR_MAX_SITES} sites")
-    try:
-        return McParams(n_sweeps=cfg.nmc, n_burnin=cfg.burnin, n_bins=cfg.bins,
-                        backend=cfg.backend)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
+    return McParams(n_sweeps=cfg.nmc, n_burnin=cfg.burnin, n_bins=cfg.bins, backend=cfg.backend)
 
 
 def cmd_mc(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
@@ -440,11 +433,6 @@ def cmd_hst_verify(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]
 
 def cmd_phase_check(cfg: RunConfig, provided: set[str]) -> tuple[int, list[Table]]:
     lattice = cfg.build_lattice()
-    if lattice.n_sites > PHASE_CHECK_MAX_SITES:
-        raise ConfigError(
-            f"phase check enumerates 4^N configs; {lattice.n_sites} sites is above "
-            f"the {PHASE_CHECK_MAX_SITES}-site cap"
-        )
     if provided & {"g_min", "g_max", "g_step"}:
         g_values = cfg.g_grid()
     else:
@@ -500,7 +488,7 @@ def main(argv=None) -> int:
             write_csv(path, header, rows)
             write_metadata(path, {"config": cfg.echo(), "seed": cfg.seed, **meta})
         return code
-    except (ConfigError, DegenerateFillingError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except ArithmeticError as err:

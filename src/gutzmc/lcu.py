@@ -35,7 +35,7 @@ import numpy as np
 from .gutzwiller import hs_params
 from .lattice import Lattice, QubitLayout
 from .slater import TrialState, half_filled_trial, sector_amplitudes
-from .statevector import Gate, SupportState, apply_circuit, crz, hadamard, pauli_x, rz
+from .statevector import Gate, SupportState, _apply_checked, crz, hadamard, pauli_x, rz
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,9 @@ def build_lcu_state(
     N*2^N*S.  The rows of ancillas not yet reached, exact zeros in a
     whole-register circuit, are never stored, so the result is the same to
     the bit, and the old rows are dropped before the gates run, so the peak
-    is the final state plus one gate's temporaries.
+    is the final state plus one gate's temporaries.  Each gate's input norm
+    is the previous gate's checked output norm, across the growth steps
+    too, so one that changed the norm raises ``FloatingPointError``.
 
     Parameters
     ----------
@@ -112,15 +114,16 @@ def build_lcu_state(
     if abs(trial.squared_norm() - 1.0) > 1e-12:
         raise ValueError("trial state is not normalized")
     alpha = hs_params(g).alpha
-    state, size = trial, trial.support.size
+    state, size, norm = trial, trial.support.size, None
     for site in range(layout.n_sites):
         grown = np.zeros((1 << site, 2, size), dtype=complex)
         grown[:, 0] = state.amplitudes.reshape(1 << site, size)
         # Rebinding drops the old rows before the gates run.
         state = SupportState(layout.n_register, site + 1, trial.support, grown.reshape(-1))
         anc = layout.ancilla(site)
-        apply_circuit(state, [hadamard(anc), *_dressing_gates(site, alpha, layout, simplified),
-                              hadamard(anc)])
+        for gate in [hadamard(anc), *_dressing_gates(site, alpha, layout, simplified),
+                     hadamard(anc)]:
+            norm = _apply_checked(state, gate, norm)
     return state
 
 

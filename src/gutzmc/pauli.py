@@ -139,14 +139,8 @@ class PauliSum:
     def __iter__(self) -> Iterator[PauliTerm]:
         return iter(self.terms)
 
-    def __len__(self) -> int:
-        return len(self.terms)
-
     def __add__(self, other: "PauliSum") -> "PauliSum":
         return PauliSum.from_terms((*self.terms, *other.terms))
-
-    def __sub__(self, other: "PauliSum") -> "PauliSum":
-        return self + (-1.0) * other
 
     def __mul__(self, scalar: complex) -> "PauliSum":
         return PauliSum.from_terms(

@@ -606,11 +606,13 @@ def phase_problem_check(
     """Enumerate all 4^N weights and report the worst imaginary/negative parts."""
     n = lattice.n_sites
     if n > PHASE_CHECK_MAX_SITES:
-        raise ValueError(
-            f"{n} sites is too large for 4^N weight enumeration (max {PHASE_CHECK_MAX_SITES})"
-        )
+        raise ValueError(f"phase check enumerates 4^N configs; {n} sites is above "
+                         f"the {PHASE_CHECK_MAX_SITES}-site cap")
     if trial is None:
         trial = half_filled_trial(lattice)
+    elif trial.lattice != lattice:
+        raise ValueError(f"trial is built on {trial.lattice.kind}:{trial.lattice.n_sites}, "
+                         f"not on the checked {lattice.kind}:{n}")
     singles = all_field_vectors(n)
     # every ordered pair (ket vector, bra vector) of single-copy fields
     configs = np.stack(np.broadcast_arrays(singles[:, None], singles[None, :]), axis=-1)

@@ -556,6 +556,20 @@ class TestMainExitCodes:
         assert json.loads(sidecar_path(out).read_text())["all_passed"] is False
         assert "phase check on chain:3: FAIL over 3 g values" in capsys.readouterr().out
 
+    def test_library_value_error_is_one_error_line(self, monkeypatch, tmp_path, capsys):
+        # any input a library call rejects exits 1 with one line, as a
+        # config error does, and writes nothing
+        def reject(lattice, g):
+            raise ValueError("rejected by the library")
+
+        monkeypatch.setattr(cli, "phase_problem_check", reject)
+        out = tmp_path / "p.csv"
+        assert cli.main(["phase-check", "--lattice", "chain:3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["error: rejected by the library"]
+        assert "Traceback" not in captured.err + captured.out
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("out", ["r.json", "."])
     def test_out_without_its_own_file_is_a_config_error(self, out, tmp_path, monkeypatch,
                                                          capsys):

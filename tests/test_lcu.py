@@ -426,6 +426,41 @@ class TestGrownRegister:
                    .success_probability - 0.8256) < 1e-4
 
 
+class TestCheckedCircuit:
+    """The whole circuit is one checked run: each gate's input norm is the
+    previous gate's checked output norm, growth steps included."""
+
+    @pytest.mark.parametrize("n", [4, 6])
+    @pytest.mark.parametrize("simplified", [True, False])
+    def test_one_fresh_norm_per_circuit(self, n, simplified, monkeypatch):
+        # per site: two H and the dressing gates; one fresh norm, of the trial
+        layout = QubitLayout(n)
+        trial = half_filled_trial(build_lattice("chain", n))
+        sv = slater_to_statevector(trial.up, trial.down, layout)
+        n_gates = n * (2 + len(_dressing_gates(0, 0.3, layout, simplified)))
+        vdot, calls = np.vdot, []
+        monkeypatch.setattr(np, "vdot", lambda a, b: calls.append(1) or vdot(a, b))
+        build_lcu_state(sv, 0.7, layout, simplified)
+        assert len(calls) == n_gates + 1
+
+    @pytest.mark.parametrize("simplified", [True, False])
+    def test_growth_fault_raises(self, simplified, monkeypatch):
+        # unchecked, halving seven amplitudes as the third ancilla joins
+        # reads p = 0.3532 against the closed form's 0.3658 (chain:4, g = 0.7)
+        layout = QubitLayout(4)
+        trial = half_filled_trial(build_lattice("chain", 4))
+        sv = slater_to_statevector(trial.up, trial.down, layout)
+
+        def faulty(n_register, n_ancillas, support, amplitudes):
+            if n_ancillas == 3:
+                amplitudes[:7] *= 0.5
+            return SupportState(n_register, n_ancillas, support, amplitudes)
+
+        monkeypatch.setattr(lcu, "SupportState", faulty)
+        with pytest.raises(FloatingPointError, match="changed the norm"):
+            build_lcu_state(sv, 0.7, layout, simplified)
+
+
 class TestCompactRoundTrip:
     """The circuit's projected state, kept on the trial's support, goes back
     into every route that takes a trial: each must read it as the same state

@@ -669,6 +669,15 @@ class TestPhaseCheck:
         with pytest.raises(ValueError):
             phase_problem_check(build_lattice("chain", 6), 0.5)
 
+    def test_trial_on_another_lattice_is_rejected_first(self, monkeypatch):
+        # a chain:4 trial on chain:3 once died inside einsum ("operands
+        # could not be broadcast together")
+        monkeypatch.setattr(sampler, "all_field_vectors",
+                            lambda n: pytest.fail("enumerated before the lattice check"))
+        trial = half_filled_trial(build_lattice("chain", 4))
+        with pytest.raises(ValueError, match="built on chain:4, not on the checked chain:3"):
+            phase_problem_check(build_lattice("chain", 3), 1.0, trial=trial)
+
     class Scripted:
         """Weight engine whose proposal ratios are scripted."""
 
